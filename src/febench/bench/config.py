@@ -16,6 +16,8 @@ INI layout: one ``[benchmark]`` section with run-wide settings and one
     max_len = 32
 """
 
+from __future__ import annotations
+
 import configparser
 import dataclasses
 import hashlib

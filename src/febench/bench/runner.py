@@ -1,5 +1,7 @@
 """Execute a benchmark grid and write its result files."""
 
+from __future__ import annotations
+
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field

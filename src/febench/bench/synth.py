@@ -7,6 +7,8 @@ configurable density target. Everything else is filler drawn from a small
 ``w<j>`` vocabulary, so class evidence is a pure keyword signal.
 """
 
+from __future__ import annotations
+
 import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path

@@ -4,6 +4,10 @@ Each primitive validates shapes, computes the forward value with numpy, and
 appends one entry to the active computation record.  The backward closure is
 only kept when some input requires a gradient and taping is enabled, so
 forward-only passes (frozen encoders, evaluation) retain no backward state.
+A backward closure returns one gradient per input, or ``None`` for an input
+that needs no gradient (PyTorch's ``needs_input_grad`` rule), which
+:func:`~febench.tensor.backward` skips; :func:`conv1d_valid` does so for a
+frozen input.
 
 All primitives accept and return :class:`~febench.tensor.Tensor`; integer
 side inputs (token ids, class targets) are plain numpy arrays passed as
@@ -113,7 +117,7 @@ def tanh(x):
 def gelu(x):
     """Gaussian error linear unit, tanh approximation."""
     xd = x.data
-    u = _GELU_C * (xd + 0.044715 * xd ** 3)
+    u = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
     t = np.tanh(u)
     out = 0.5 * xd * (1.0 + t)
 
@@ -133,18 +137,19 @@ def layer_norm(x, scale, offset):
             f"layer_norm over width {h} got scale {tuple(scale.shape)}, "
             f"offset {tuple(offset.shape)}")
     xd = x.data
-    mean = xd.mean(axis=-1, keepdims=True)
-    var = xd.var(axis=-1, keepdims=True)
+    # sum / h rounds exactly as numpy's mean and var do, in float32 and float64
+    xc = xd - xd.sum(axis=-1, keepdims=True) / h
+    var = (xc * xc).sum(axis=-1, keepdims=True) / h
     inv = 1.0 / np.sqrt(var + 1e-12)
-    xhat = (xd - mean) * inv
+    xhat = xc * inv
     out = xhat * scale.data + offset.data
     lead = tuple(range(xd.ndim - 1))
     sd = scale.data
 
     def bwd(g):
         gs = g * sd
-        dx = inv * (gs - gs.mean(axis=-1, keepdims=True)
-                    - xhat * (gs * xhat).mean(axis=-1, keepdims=True))
+        dx = inv * (gs - gs.sum(axis=-1, keepdims=True) / h
+                    - xhat * ((gs * xhat).sum(axis=-1, keepdims=True) / h))
         return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
     return _emit("layer_norm", (x, scale, offset), out, bwd)
@@ -154,7 +159,9 @@ def conv1d_valid(x, w, b):
     """Valid-mode 1-d convolution over the time axis.
 
     ``x`` is [T, H], ``w`` is [k, H, f], ``b`` is [f]; output is
-    [T - k + 1, f].  A kernel longer than the sequence is an error.
+    [T - k + 1, f].  A kernel longer than the sequence is an error.  When
+    ``x`` needs no gradient (a frozen encoder's output), the backward closure
+    returns ``None`` for it and skips computing it.
     """
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise ShapeMismatchError(
@@ -172,13 +179,17 @@ def conv1d_valid(x, w, b):
         raise KernelTooLongError(
             f"kernel size {k} exceeds sequence length {t_len}")
     n = t_len - k + 1
+    # a zero-copy view of x; a copied im2col matrix would stay alive in bwd
     cols = sliding_window_view(x.data, k, axis=0).transpose(0, 2, 1).reshape(n, k * h)
     w2 = w.data.reshape(k * h, f)
     out = cols @ w2 + b.data
+    need_dx = x.requires_grad
 
     def bwd(g):
         gw = (cols.T @ g).reshape(k, h, f)
         gb = g.sum(axis=0)
+        if not need_dx:
+            return None, gw, gb
         dcols = (g @ w2.T).reshape(n, k, h)
         dx = np.zeros((t_len, h), dtype=g.dtype)
         for i in range(k):

@@ -70,6 +70,13 @@ def _case_conv1d_valid(rng):
              rng.normal(size=5)])
 
 
+def _case_conv1d_valid_frozen_input(rng):
+    from febench.tensor import Tensor
+    x = Tensor(rng.normal(size=(7, 4)))
+    return (lambda w, b: ops.sum_all(ops.tanh(ops.conv1d_valid(x, w, b))),
+            [rng.normal(size=(3, 4, 5)), rng.normal(size=5)])
+
+
 def _case_max_over_time(rng):
     def fn(x):
         pooled = ops.max_over_time(x, limit=4)
@@ -201,6 +208,7 @@ PRIMITIVE_GRAD_CASES = {
     "gelu": _case_gelu,
     "layer_norm": _case_layer_norm,
     "conv1d_valid": _case_conv1d_valid,
+    "conv1d_valid_frozen_input": _case_conv1d_valid_frozen_input,
     "max_over_time": _case_max_over_time,
     "embedding_lookup": _case_embedding_lookup,
     "scaled_dot_attention": _case_scaled_dot_attention,

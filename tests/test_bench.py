@@ -1,11 +1,15 @@
 """Benchmark driver: config files, synthetic data, reports, runner, CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
+import febench
 from febench.bench.cli import main, resolve_out_dir
 from febench.bench.config import (BenchmarkConfig, CellSpec, ConfigError,
                                   apply_overrides, config_hash, load_config)
@@ -615,3 +619,33 @@ class TestCli:
         assert main(["synth", str(spec_path)]) == 0
         capsys.readouterr()
         assert (tmp_path / "tiny" / "train.jsonl").exists()
+
+
+REIMPORT_PROBE = """\
+import gc, importlib, sys, weakref
+
+def load():
+    for name in ("febench", "febench.bench.cli"):
+        importlib.import_module(name)
+
+load()
+old_ops = weakref.ref(sys.modules["febench.ops"])
+for name in [n for n in sys.modules if n == "febench" or n.startswith("febench.")]:
+    del sys.modules[name]
+load()
+gc.collect()
+sys.exit(0 if old_ops() is None else 1)
+"""
+
+
+def test_reimport_frees_the_old_package():
+    """Dropping febench from sys.modules and importing it again frees the old
+    modules; nothing at import time (such as a ``typing`` subscript of a
+    febench class, which ``typing`` caches) keeps the old graph alive."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(febench.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [root, env["PYTHONPATH"]] if env.get("PYTHONPATH") else [root])
+    proc = subprocess.run([sys.executable, "-c", REIMPORT_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr or "old febench.ops still alive"

@@ -43,6 +43,18 @@ class TestElementwise:
         assert np.all(out <= x)
         assert np.all(out > 0.5 * x)
 
+    def test_gelu_float32_matches_float64_reference(self):
+        """Within 4 float32 ulps of max(1, |gelu|), out to |x| = 1e3."""
+        wide = np.logspace(1, 3, 200)
+        x = np.concatenate([np.linspace(-12, 12, 4801), wide, -wide]).astype(np.float32)
+        out = run(ops.gelu, Tensor(x))
+        assert out.dtype == np.float32
+        xd = x.astype(np.float64)
+        ref = 0.5 * xd * (1.0 + np.tanh(math.sqrt(2.0 / math.pi)
+                                        * (xd + 0.044715 * xd ** 3)))
+        tol = 4 * np.finfo(np.float32).eps * np.maximum(1.0, np.abs(ref))
+        assert np.all(np.abs(out - ref) <= tol)
+
 
 class TestLinearAlgebra:
     def test_matmul_value(self):
@@ -95,6 +107,32 @@ class TestNormalization:
         scaled = run(ops.layer_norm, x, Tensor(np.full(8, 2.0)), Tensor(np.full(8, 3.0)))
         np.testing.assert_allclose(scaled, base * 2.0 + 3.0, rtol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(7,), (16, 64), (3, 5, 33)])
+    def test_layer_norm_bit_identical_to_mean_var(self, dtype, shape):
+        """Forward and backward equal the numpy mean/var formulation exactly."""
+        rng = np.random.default_rng(5)
+        xd = rng.normal(1.5, 3.0, size=shape).astype(dtype)
+        sd = rng.normal(size=shape[-1]).astype(dtype)
+        od = rng.normal(size=shape[-1]).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        x, scale, offset = (Tensor(a, requires_grad=True) for a in (xd, sd, od))
+        with ComputationRecord():
+            out = ops.layer_norm(x, scale, offset)
+            grads = backward(ops.sum_all(ops.mul(out, Tensor(g))))
+
+        mean = xd.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(xd.var(axis=-1, keepdims=True) + 1e-12)
+        xhat = (xd - mean) * inv
+        gs = g * sd
+        dx = inv * (gs - gs.mean(axis=-1, keepdims=True)
+                    - xhat * (gs * xhat).mean(axis=-1, keepdims=True))
+        lead = tuple(range(len(shape) - 1))
+        np.testing.assert_array_equal(out.numpy(), xhat * sd + od)
+        np.testing.assert_array_equal(grads[x.tid], dx)
+        np.testing.assert_array_equal(grads[scale.tid], (g * xhat).sum(axis=lead))
+        np.testing.assert_array_equal(grads[offset.tid], g.sum(axis=lead))
+
     def test_layer_norm_rejects_wrong_width(self):
         with pytest.raises(ShapeMismatchError):
             run(ops.layer_norm, Tensor(np.ones((2, 8))),
@@ -121,6 +159,27 @@ class TestConvolution:
             for f in range(5):
                 expected[t, f] = np.sum(x[t:t + 3] * w[:, :, f]) + b[f]
         np.testing.assert_allclose(out, expected, rtol=1e-9)
+
+    def test_frozen_input_gets_no_gradient(self):
+        """Weight and bias gradients do not depend on whether x is trainable."""
+        rng = np.random.default_rng(12)
+        xd = rng.normal(size=(9, 4)).astype(np.float32)
+        wd = rng.normal(size=(3, 4, 5)).astype(np.float32)
+        bd = rng.normal(size=5).astype(np.float32)
+        weight_grads = {}
+        for trainable in (True, False):
+            x = Tensor(xd, requires_grad=trainable)
+            w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
+            with ComputationRecord() as record:
+                out = ops.conv1d_valid(x, w, b)
+                dx = record.entries[-1].backward_fn(np.ones_like(out.numpy()))[0]
+                grads = backward(ops.sum_all(ops.tanh(out)))
+            assert (dx is not None) == trainable
+            assert (x.tid in grads) == trainable
+            assert (x.grad is not None) == trainable
+            weight_grads[trainable] = (grads[w.tid], grads[b.tid])
+        for trainable_x, frozen_x in zip(weight_grads[True], weight_grads[False]):
+            np.testing.assert_array_equal(frozen_x, trainable_x)
 
     def test_kernel_longer_than_sequence(self):
         with pytest.raises(KernelTooLongError):
