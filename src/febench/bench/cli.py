@@ -11,27 +11,15 @@ is set.
 """
 
 import argparse
-import os
 import sys
 
-from febench.bench.config import ConfigError, apply_overrides, load_config
+from febench.bench.config import ConfigError
 from febench.bench.report import (ReportError, emit_report, format_percent,
                                   load_results)
-from febench.bench.runner import execute, write_outputs
+from febench.bench.runner import resolve_out_dir, run_benchmark
 from febench.bench.synth import (SynthesisError, load_synth_spec,
                                  make_synthetic)
 from febench.text import DatasetFormatError, save_dataset
-
-OUT_ROOT_VAR = "BENCH_OUT_ROOT"
-
-
-def resolve_out_dir(path, env=None):
-    """Resolve a relative output path under $BENCH_OUT_ROOT when set."""
-    env = os.environ if env is None else env
-    root = env.get(OUT_ROOT_VAR)
-    if root and not os.path.isabs(path):
-        return os.path.join(root, path)
-    return path
 
 
 def _cell_summary(result):
@@ -43,16 +31,12 @@ def _cell_summary(result):
 
 
 def _cmd_run(args):
-    config = load_config(args.config)
-    config = apply_overrides(config, seed=args.seed, repeats=args.repeats,
-                             parallel=args.parallel, out=args.out)
-    outcome = execute(config)
-    out_dir = resolve_out_dir(config.out_dir)
-    paths = write_outputs(outcome, out_dir)
+    outcome, out_dir = run_benchmark(args.config, seed=args.seed,
+                                     repeats=args.repeats, out=args.out)
     for result in outcome.results:
         print(f"{result.cell_id} ({result.preset}/{result.mode}): "
               f"{_cell_summary(result)}")
-    print(f"results written to {paths['results'].parent}")
+    print(f"results written to {out_dir}")
     if not outcome.ok:
         failed = [r.cell_id for r in outcome.results if r.failed]
         print(f"bench: {len(failed)} cell(s) failed: "
@@ -92,9 +76,6 @@ def build_parser():
     run.add_argument("config", help="benchmark config file (INI)")
     run.add_argument("--seed", type=int, help="override the master seed")
     run.add_argument("--repeats", type=int, help="override runs per cell")
-    run.add_argument("--parallel", type=int,
-                     help="cells to run concurrently (use 1 for clean "
-                          "time ratios)")
     run.add_argument("--out", help="override the output directory")
     run.set_defaults(func=_cmd_run)
 

@@ -30,8 +30,8 @@ from febench.encoders import PRESETS
 
 _CELL_ID = re.compile(r"^[A-Za-z0-9_.-]+$")
 
-_BENCH_KEYS = {"dataset", "format", "repeats", "seed", "out", "parallel",
-               "vocab", "baseline"}
+_BENCH_KEYS = {"dataset", "format", "repeats", "seed", "out", "vocab",
+               "baseline"}
 _CELL_KEYS = {"preset", "mode", "epochs", "batch", "lr", "threshold",
               "max_len", "kernels", "filters"}
 
@@ -93,7 +93,6 @@ class BenchmarkConfig:
     repeats: int = 3
     seed: int = 0
     out_dir: str = "bench-out"
-    parallel: int = 1
     vocab_size: int = 30000
     baseline: Optional[str] = None
 
@@ -105,8 +104,6 @@ class BenchmarkConfig:
             raise ConfigError("duplicate cell ids")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
-        if self.parallel < 1:
-            raise ConfigError("parallel must be >= 1")
         if self.vocab_size < 5:
             raise ConfigError("vocab must be >= 5")
         if self.baseline is not None and self.baseline not in ids:
@@ -207,8 +204,6 @@ def load_config(path):
         kwargs["seed"] = _get_typed(bench, "seed", int, "an integer")
     if "out" in bench:
         kwargs["out_dir"] = bench["out"]
-    if "parallel" in bench:
-        kwargs["parallel"] = _get_typed(bench, "parallel", int, "an integer")
     if "vocab" in bench:
         kwargs["vocab_size"] = _get_typed(bench, "vocab", int, "an integer")
     if "baseline" in bench:
@@ -216,15 +211,13 @@ def load_config(path):
     return BenchmarkConfig(**kwargs)
 
 
-def apply_overrides(config, seed=None, repeats=None, parallel=None, out=None):
+def apply_overrides(config, seed=None, repeats=None, out=None):
     """Return a copy of ``config`` with command-line overrides applied."""
     changes = {}
     if seed is not None:
         changes["seed"] = seed
     if repeats is not None:
         changes["repeats"] = repeats
-    if parallel is not None:
-        changes["parallel"] = parallel
     if out is not None:
         changes["out_dir"] = out
     return dataclasses.replace(config, **changes) if changes else config
@@ -233,9 +226,9 @@ def apply_overrides(config, seed=None, repeats=None, parallel=None, out=None):
 def config_hash(config):
     """Hash of everything that shapes the results.
 
-    The output directory and the parallelism limit are excluded: neither
-    affects the numbers, and two runs that differ only in where they write
-    must produce byte-identical result records.
+    The output directory is excluded: it does not affect the numbers, and
+    two runs that differ only in where they write must produce
+    byte-identical result records.
     """
     payload = {
         "dataset": config.dataset_path,

@@ -119,15 +119,27 @@ def _resolve_baseline(records, baseline_cell):
     return baseline_cell
 
 
-def _relative_map(records, baseline_cell):
+def _baseline_and_relatives(records, baseline_cell):
+    """The resolved baseline cell and each cell's epoch time relative to it.
+
+    Without an explicit baseline, a grid with no usable default gets
+    ``(None, {})``; an explicit baseline that cannot serve raises.  The
+    relative map is empty when the baseline has no epoch timing.
+    """
+    try:
+        baseline = _resolve_baseline(records, baseline_cell)
+    except ReportError:
+        if baseline_cell is not None:
+            raise
+        return None, {}
     epoch_means = {r["cell"]: _mean_epoch_seconds(r) for r in records
                    if not r.get("failed") and _mean_epoch_seconds(r)}
-    if baseline_cell not in epoch_means:
-        return None
+    if baseline not in epoch_means:
+        return baseline, {}
     try:
-        return relative_times(epoch_means, baseline_cell)
+        return baseline, relative_times(epoch_means, baseline)
     except (MissingBaselineError, ValueError):
-        return None
+        return baseline, {}
 
 
 def _metric_names(records):
@@ -198,14 +210,7 @@ def emit_report(records, baseline_cell=None, master_seed=None):
     metric_names = _metric_names(records)
     datasets = sorted({r.get("dataset", "?") for r in records})
     failed = [r for r in records if r.get("failed")]
-
-    try:
-        baseline = _resolve_baseline(records, baseline_cell)
-    except ReportError:
-        if baseline_cell is not None:
-            raise
-        baseline = None
-    relatives = _relative_map(records, baseline) if baseline else None
+    baseline, relatives = _baseline_and_relatives(records, baseline_cell)
 
     lines = ["text-classification benchmark",
              "=============================",
@@ -265,13 +270,7 @@ def render_tsv(records, baseline_cell=None):
         raise ReportError("no result records")
     _check_unique_cells(records)
     metric_names = _metric_names(records)
-    try:
-        baseline = _resolve_baseline(records, baseline_cell)
-    except ReportError:
-        if baseline_cell is not None:
-            raise
-        baseline = None
-    relatives = (_relative_map(records, baseline) or {}) if baseline else {}
+    _, relatives = _baseline_and_relatives(records, baseline_cell)
 
     headers = ["cell", "preset", "mode", "status"]
     for name in metric_names:

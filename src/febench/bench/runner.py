@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -16,6 +16,8 @@ from febench.cnn import CnnHead, CnnHeadConfig
 from febench.encoders import Encoder, preset_config
 from febench.text import build_vocab, load_dataset
 from febench.training import RunConfig, default_epochs, run_experiment
+
+OUT_ROOT_VAR = "BENCH_OUT_ROOT"
 
 
 @dataclass
@@ -117,16 +119,8 @@ def execute(config):
     epochs = _resolve_epochs(config, dataset)
     vocab = build_vocab([ex.text for ex in dataset.train],
                         max_size=config.vocab_size)
-
-    def job(cell):
-        return _run_cell(cell, config, dataset, vocab,
-                         epochs[cell.cell_id])
-
-    if config.parallel == 1 or len(config.cells) == 1:
-        results = [job(cell) for cell in config.cells]
-    else:
-        with ThreadPoolExecutor(max_workers=config.parallel) as pool:
-            results = list(pool.map(job, config.cells))
+    results = [_run_cell(cell, config, dataset, vocab, epochs[cell.cell_id])
+               for cell in config.cells]
     return BenchmarkOutcome(config=config, dataset_name=dataset.name,
                             task_kind=dataset.task_kind, results=results,
                             config_hash=config_hash(config))
@@ -174,16 +168,25 @@ def write_outputs(outcome, out_dir):
     with open(root / "report.txt", "w", encoding="utf-8") as fh:
         fh.write(emit_report(records, baseline_cell=baseline,
                              master_seed=outcome.config.seed))
-    return {"results": results_path, "timing": root / TIMING_FILE,
-            "tsv": root / "report.tsv", "report": root / "report.txt"}
 
 
-def run_benchmark(config_path, seed=None, repeats=None, parallel=None,
-                  out=None):
-    """Load a config, run the grid, write outputs; returns the outcome and
-    the output directory."""
+def resolve_out_dir(path):
+    """Resolve a relative output path under $BENCH_OUT_ROOT when set."""
+    root = os.environ.get(OUT_ROOT_VAR)
+    if root and not os.path.isabs(path):
+        return os.path.join(root, path)
+    return path
+
+
+def run_benchmark(config_path, seed=None, repeats=None, out=None):
+    """Load a config, apply overrides, run the grid and write its outputs.
+
+    Returns the outcome and the output directory, resolved under
+    ``$BENCH_OUT_ROOT`` when the configured path is relative.
+    """
     config = apply_overrides(load_config(config_path), seed=seed,
-                             repeats=repeats, parallel=parallel, out=out)
+                             repeats=repeats, out=out)
     outcome = execute(config)
-    write_outputs(outcome, config.out_dir)
-    return outcome, Path(config.out_dir)
+    out_dir = Path(resolve_out_dir(config.out_dir))
+    write_outputs(outcome, out_dir)
+    return outcome, out_dir

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
+from .serialization import WeightSet
 from .tensor import ShapeMismatchError, Tensor
 
 
@@ -39,40 +40,6 @@ def feature_dim(config):
     return len(config.kernel_sizes) * config.filters
 
 
-@dataclass
-class CnnHeadWeights:
-    """Per-kernel conv weight/bias plus the projection to class logits."""
-
-    config: CnnHeadConfig
-    tensors: dict
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        wanted = expected_shapes(self.config)
-        names, have = set(wanted), set(self.tensors)
-        if names != have:
-            raise ShapeMismatchError(
-                f"head weight names mismatch: missing {sorted(names - have)}, "
-                f"unexpected {sorted(have - names)}")
-        for name, shape in wanted.items():
-            got = tuple(self.tensors[name].shape)
-            if got != shape:
-                raise ShapeMismatchError(f"{name}: expected {shape}, got {got}")
-
-    @classmethod
-    def from_arrays(cls, config, arrays, trainable=True):
-        tensors = {name: Tensor(np.asarray(arr, dtype=np.float32),
-                                requires_grad=trainable,
-                                category="parameters", group="head")
-                   for name, arr in arrays.items()}
-        return cls(config=config, tensors=tensors)
-
-    def to_arrays(self):
-        return {name: t.data for name, t in self.tensors.items()}
-
-
 def expected_shapes(config):
     shapes = {}
     for k in config.kernel_sizes:
@@ -92,7 +59,8 @@ def init_weights(config, seed):
             arrays[name] = np.zeros(shape, dtype=np.float32)
         else:
             arrays[name] = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
-    return CnnHeadWeights.from_arrays(config, arrays)
+    return WeightSet.from_arrays(expected_shapes(config), arrays,
+                                 trainable=True, group="head")
 
 
 def cnn_forward(config, weights, hidden, valid_length):
@@ -144,7 +112,7 @@ class CnnHead:
     """Config + weights bundle for the classification head."""
 
     config: CnnHeadConfig
-    weights: CnnHeadWeights
+    weights: WeightSet
 
     @classmethod
     def build(cls, config, seed):

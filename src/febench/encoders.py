@@ -15,12 +15,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ops
-from .serialization import load_tensor_map, save_tensor_map
-from .tensor import ShapeMismatchError, Tensor
-
-
-class WeightMismatchError(ValueError):
-    """Weight names/shapes do not match what the config requires."""
+from .serialization import WeightSet, load_tensor_map, save_tensor_map
+from .tensor import ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -83,49 +79,9 @@ def param_count(config):
     return sum(int(np.prod(s)) for s in expected_shapes(config).values())
 
 
-@dataclass
-class EncoderWeights:
-    """Named encoder tensors, validated against their config."""
-
-    config: EncoderConfig
-    tensors: dict
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        wanted = expected_shapes(self.config)
-        names, have = set(wanted), set(self.tensors)
-        if names != have:
-            missing, extras = sorted(names - have), sorted(have - names)
-            raise WeightMismatchError(
-                f"weight names mismatch: missing {missing}, unexpected {extras}")
-        for name, shape in wanted.items():
-            got = tuple(self.tensors[name].shape)
-            if got != shape:
-                raise WeightMismatchError(
-                    f"{name}: expected shape {shape}, got {got}")
-
-    @classmethod
-    def from_arrays(cls, config, arrays, trainable=None):
-        if trainable is None:
-            trainable = not config.frozen
-        tensors = {name: Tensor(np.asarray(arr, dtype=np.float32),
-                                requires_grad=trainable,
-                                category="parameters", group="encoder")
-                   for name, arr in arrays.items()}
-        return cls(config=config, tensors=tensors)
-
-    def set_trainable(self, trainable):
-        for t in self.tensors.values():
-            t.requires_grad = bool(trainable)
-
-    def to_arrays(self):
-        return {name: t.data for name, t in self.tensors.items()}
-
-    def byte_image(self):
-        """Concatenated raw bytes of every tensor, for bit-identity checks."""
-        return b"".join(self.tensors[n].data.tobytes() for n in sorted(self.tensors))
+def _weight_set(config, arrays):
+    return WeightSet.from_arrays(expected_shapes(config), arrays,
+                                 trainable=not config.frozen, group="encoder")
 
 
 def init_weights(config, seed):
@@ -139,7 +95,7 @@ def init_weights(config, seed):
             arrays[name] = np.zeros(shape, dtype=np.float32)
         else:
             arrays[name] = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
-    return EncoderWeights.from_arrays(config, arrays)
+    return _weight_set(config, arrays)
 
 
 def encoder_forward(config, weights, token_ids, valid_length):
@@ -206,7 +162,7 @@ class Encoder:
     """Config + weights bundle with the freeze switch."""
 
     config: EncoderConfig
-    weights: EncoderWeights
+    weights: WeightSet
 
     @classmethod
     def build(cls, config, seed):
@@ -221,7 +177,7 @@ class Encoder:
         """Wrap a loaded static embedding table as an encoder."""
         config = EncoderConfig(kind="static", hidden=table.dimension,
                                vocab_size=table.vocab.size, frozen=frozen)
-        return cls(config=config, weights=EncoderWeights.from_arrays(
+        return cls(config=config, weights=_weight_set(
             config, {"token_embedding": table.matrix}))
 
     @property
@@ -246,8 +202,8 @@ def save_weights(weights, path):
 
 
 def load_weights(path, config=None):
-    """Read a weight file; with a config, returns validated EncoderWeights."""
+    """Read a weight file; with a config, returns a validated WeightSet."""
     arrays = load_tensor_map(path)
     if config is None:
         return arrays
-    return EncoderWeights.from_arrays(config, arrays)
+    return _weight_set(config, arrays)

@@ -9,7 +9,6 @@ interpreter and allocator overhead.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -101,30 +100,26 @@ class MemoryLedger:
         }
 
 
-_active = threading.local()
+_ledgers = []
 
 
 def active_ledger():
-    """The ledger installed on this thread, or None."""
-    stack = getattr(_active, "stack", None)
-    return stack[-1] if stack else None
+    """The innermost installed ledger, or None."""
+    return _ledgers[-1] if _ledgers else None
 
 
 class ledger_scope:
-    """Context manager installing a ledger as this thread's active one."""
+    """Context manager installing a ledger as the active one."""
 
     def __init__(self, ledger):
         self.ledger = ledger
 
     def __enter__(self):
-        stack = getattr(_active, "stack", None)
-        if stack is None:
-            stack = _active.stack = []
-        stack.append(self.ledger)
+        _ledgers.append(self.ledger)
         return self.ledger
 
     def __exit__(self, exc_type, exc, tb):
-        _active.stack.pop()
+        _ledgers.pop()
         return False
 
 

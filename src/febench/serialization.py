@@ -1,6 +1,9 @@
-"""Named-tensor weight files.
+"""Named-tensor weight sets and their files.
 
-Layout: magic ``FEB1``, one version byte, a four-byte entry count, then per
+:class:`WeightSet` holds a model part's named parameter tensors, validated
+against the shapes its config requires.
+
+File layout: magic ``FEB1``, one version byte, a four-byte entry count, then per
 entry a name (u16 length + UTF-8 bytes), a dtype code (0 = float32), a rank
 byte and u32 dims; after the header come the raw little-endian float32
 payloads in header order.  Header order is name-sorted so identical maps
@@ -10,8 +13,11 @@ always produce identical files.
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor import ShapeMismatchError, Tensor
 
 MAGIC = b"FEB1"
 VERSION = 1
@@ -20,6 +26,50 @@ _DTYPE_F32 = 0
 
 class WeightFormatError(ValueError):
     """A weight file is malformed: bad magic, version, header, or payload size."""
+
+
+class WeightMismatchError(ShapeMismatchError):
+    """Weight names/shapes do not match what the config requires."""
+
+
+@dataclass
+class WeightSet:
+    """Named parameter tensors, validated against their required shapes."""
+
+    shapes: dict
+    tensors: dict
+
+    def __post_init__(self):
+        names, have = set(self.shapes), set(self.tensors)
+        if names != have:
+            missing, extras = sorted(names - have), sorted(have - names)
+            raise WeightMismatchError(
+                f"weight names mismatch: missing {missing}, unexpected {extras}")
+        for name, shape in self.shapes.items():
+            got = tuple(self.tensors[name].shape)
+            if got != shape:
+                raise WeightMismatchError(
+                    f"{name}: expected shape {shape}, got {got}")
+
+    @classmethod
+    def from_arrays(cls, shapes, arrays, trainable, group):
+        """Float32 parameter tensors ledgered under ``group``."""
+        tensors = {name: Tensor(np.asarray(arr, dtype=np.float32),
+                                requires_grad=trainable,
+                                category="parameters", group=group)
+                   for name, arr in arrays.items()}
+        return cls(shapes=shapes, tensors=tensors)
+
+    def set_trainable(self, trainable):
+        for t in self.tensors.values():
+            t.requires_grad = bool(trainable)
+
+    def to_arrays(self):
+        return {name: t.data for name, t in self.tensors.items()}
+
+    def byte_image(self):
+        """Concatenated raw bytes of every tensor, for bit-identity checks."""
+        return b"".join(self.tensors[n].data.tobytes() for n in sorted(self.tensors))
 
 
 def save_tensor_map(arrays, path):

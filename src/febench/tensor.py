@@ -1,7 +1,7 @@
 """Dense tensors on numpy storage with taped reverse-mode differentiation.
 
 A :class:`Tensor` wraps one contiguous float array.  Primitive applications
-(see :mod:`febench.ops`) append entries to the thread's active
+(see :mod:`febench.ops`) append entries to the active
 :class:`ComputationRecord`; :func:`backward` replays the record once in
 reverse to produce exact gradients for every tensor that requires them.
 Frozen tensors (``requires_grad=False``) never receive gradients, and
@@ -15,7 +15,6 @@ code paths in float64 and compares against central finite differences.
 from __future__ import annotations
 
 import itertools
-import threading
 from contextlib import contextmanager
 
 import numpy as np
@@ -40,40 +39,35 @@ class StaleRecordError(RuntimeError):
 
 
 _tid_counter = itertools.count(1)
-_state = threading.local()
-
-
-def _record_stack():
-    stack = getattr(_state, "records", None)
-    if stack is None:
-        stack = _state.records = []
-    return stack
+_records = []
+_ambient = None
+_grad_enabled = True
 
 
 def current_record():
-    """The record ops append to: innermost active one, else a per-thread default."""
-    stack = _record_stack()
-    if stack:
-        return stack[-1]
-    ambient = getattr(_state, "ambient", None)
-    if ambient is None:
-        ambient = _state.ambient = ComputationRecord()
-    return ambient
+    """The record ops append to: innermost active one, else a module default."""
+    global _ambient
+    if _records:
+        return _records[-1]
+    if _ambient is None:
+        _ambient = ComputationRecord()
+    return _ambient
 
 
 def grad_enabled():
-    return getattr(_state, "grad_enabled", True)
+    return _grad_enabled
 
 
 @contextmanager
 def no_grad():
     """Disable taping for backward inside the block (forward only)."""
-    prev = grad_enabled()
-    _state.grad_enabled = False
+    global _grad_enabled
+    prev = _grad_enabled
+    _grad_enabled = False
     try:
         yield
     finally:
-        _state.grad_enabled = prev
+        _grad_enabled = prev
 
 
 class Tensor:
@@ -179,11 +173,11 @@ class ComputationRecord:
         self._grad_tensors = []
 
     def __enter__(self):
-        _record_stack().append(self)
+        _records.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _record_stack().pop()
+        _records.pop()
         return False
 
     def append(self, kind, inputs, output, backward_fn):

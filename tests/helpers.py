@@ -156,19 +156,22 @@ def _e2e_setup(rng):
 
 def e2e_frozen_encoder_case(rng):
     """Loss as a function of head weights only; the encoder is a frozen constant."""
-    from febench.cnn import CnnHeadWeights, cnn_forward
+    from febench.cnn import cnn_forward
     from febench.cnn import expected_shapes as head_shapes
-    from febench.encoders import EncoderWeights, encoder_forward
+    from febench.encoders import encoder_forward
+    from febench.encoders import expected_shapes as encoder_shapes
+    from febench.serialization import WeightSet
     from febench.tensor import Tensor
 
     enc_cfg, head_cfg, enc_arrays, head_arrays, ids, valid, target = _e2e_setup(rng)
     head_names = sorted(head_shapes(head_cfg))
 
     def fn(*head_tensors):
-        frozen = EncoderWeights(enc_cfg, {
+        frozen = WeightSet(encoder_shapes(enc_cfg), {
             name: Tensor(arr) for name, arr in enc_arrays.items()})
         hidden = encoder_forward(enc_cfg, frozen, ids, valid)
-        head = CnnHeadWeights(head_cfg, dict(zip(head_names, head_tensors)))
+        head = WeightSet(head_shapes(head_cfg),
+                         dict(zip(head_names, head_tensors)))
         logits = cnn_forward(head_cfg, head, hidden, valid)
         return ops.softmax_xent(ops.stack([logits]), targets=target)
 
@@ -181,15 +184,16 @@ def e2e_transformer_case(rng):
     The probe stays smooth (tanh, no pooling/relu) so each coordinate carries
     a gradient well above the finite-difference noise floor.
     """
-    from febench.encoders import EncoderWeights, encoder_forward
+    from febench.encoders import encoder_forward
     from febench.encoders import expected_shapes as encoder_shapes
+    from febench.serialization import WeightSet
 
     enc_cfg, _, enc_arrays, _, ids, valid, _ = _e2e_setup(rng)
     enc_names = sorted(encoder_shapes(enc_cfg))
     probe = rng.normal(size=(8, enc_cfg.hidden))
 
     def fn(*tensors):
-        enc = EncoderWeights(enc_cfg, dict(zip(enc_names, tensors)))
+        enc = WeightSet(encoder_shapes(enc_cfg), dict(zip(enc_names, tensors)))
         hidden = encoder_forward(enc_cfg, enc, ids, valid)
         from febench.tensor import Tensor
         return ops.sum_all(ops.tanh(ops.mul(hidden, Tensor(probe))))

@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import febench
-from febench.bench.cli import main, resolve_out_dir
+from febench.bench.cli import main
 from febench.bench.config import (BenchmarkConfig, CellSpec, ConfigError,
                                   apply_overrides, config_hash, load_config)
 from febench.bench.report import (ReportError, default_baseline, emit_report,
                                   format_hours, format_mib, format_percent,
                                   format_ratio, load_results, render_tsv)
-from febench.bench.runner import execute, run_benchmark, write_outputs
+from febench.bench.runner import (execute, resolve_out_dir, run_benchmark,
+                                  write_outputs)
 from febench.bench.synth import (SynthSpec, SynthesisError, load_synth_spec,
                                  make_synthetic, write_synthetic)
 from febench.metrics import label_density
@@ -36,7 +37,6 @@ FULL_CONFIG = """\
     repeats = 2
     seed = 11
     out = runs/kw
-    parallel = 2
     vocab = 500
     baseline = small-fe
 
@@ -65,7 +65,6 @@ class TestConfig:
         assert config.repeats == 2
         assert config.seed == 11
         assert config.out_dir == "runs/kw"
-        assert config.parallel == 2
         assert config.vocab_size == 500
         assert config.baseline == "small-fe"
         assert [c.cell_id for c in config.cells] == ["small-fe", "small-fit"]
@@ -88,7 +87,6 @@ class TestConfig:
             """))
         assert config.repeats == 3
         assert config.seed == 0
-        assert config.parallel == 1
         assert config.baseline is None
         cell = config.cells[0]
         assert cell.epochs is None
@@ -105,6 +103,8 @@ class TestConfig:
         ("[benchmark]\ndataset = d\n", "no cells"),
         ("[benchmark]\ndataset = d\n\n[extra]\nx = 1\n", "unexpected"),
         ("[benchmark]\ndataset = d\nbogus = 1\n\n[cell:a]\npreset = tiny\n"
+         "mode = FE\n", "unknown keys"),
+        ("[benchmark]\ndataset = d\nparallel = 2\n\n[cell:a]\npreset = tiny\n"
          "mode = FE\n", "unknown keys"),
         ("[benchmark]\ndataset = d\nrepeats = much\n\n[cell:a]\n"
          "preset = tiny\nmode = FE\n", "not an integer"),
@@ -137,9 +137,14 @@ class TestConfig:
         assert apply_overrides(config) is config
 
     def test_hash_ignores_out_dir_and_parallel(self, tmp_path):
+        """The digest is the one FULL_CONFIG had while the removed
+        ``parallel`` key existed, with ``parallel = 1`` or ``2`` alike, so
+        result files written before its removal keep a matching hash."""
         config = load_config(write_config(tmp_path, FULL_CONFIG))
+        assert config_hash(config) == (
+            "b778cf87902afaf9bdbba74c7babadec12deba7bf0f5dd85581bf7570b59d9cc")
         assert config_hash(config) == config_hash(
-            apply_overrides(config, out="other", parallel=7))
+            apply_overrides(config, out="other"))
         assert config_hash(config) != config_hash(
             apply_overrides(config, seed=12))
 
@@ -516,22 +521,17 @@ class TestRunner:
         assert outcome.ok
         assert outcome.results[0].metrics_mean["accuracy"] >= 0.0
 
-    def test_parallel_cells_match_sequential(self, tmp_path):
+    def test_relative_out_resolves_under_out_root(self, tmp_path,
+                                                  monkeypatch):
         data = synth_to_disk(tmp_path)
-
-        def body(out, parallel):
-            text = RUN_CONFIG.format(data=data, out=tmp_path / out)
-            text = text.replace("vocab = 100",
-                                f"vocab = 100\nparallel = {parallel}")
-            return text + EXTRA_CELL.format(cell_id="stat-fit", mode="FiT",
-                                            kernels="2,3")
-
-        seq = write_config(tmp_path, body("seq", 1), name="seq.ini")
-        par = write_config(tmp_path, body("par", 2), name="par.ini")
-        run_benchmark(seq)
-        run_benchmark(par)
-        assert ((tmp_path / "seq" / "results.jsonl").read_bytes()
-                == (tmp_path / "par" / "results.jsonl").read_bytes())
+        config_path = write_config(tmp_path, RUN_CONFIG.format(
+            data=data, out="runs/rel"))
+        monkeypatch.setenv("BENCH_OUT_ROOT", str(tmp_path / "root"))
+        monkeypatch.chdir(tmp_path)
+        _, out_dir = run_benchmark(config_path)
+        assert out_dir == tmp_path / "root" / "runs" / "rel"
+        assert (out_dir / "results.jsonl").exists()
+        assert not (tmp_path / "runs").exists()
 
 
 class TestCli:
@@ -561,6 +561,12 @@ class TestCli:
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.ini")]) == 2
         capsys.readouterr()
+
+    def test_parallel_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["run", str(tmp_path / "bench.ini"), "--parallel", "2"])
+        assert exited.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
 
     def test_cli_overrides_take_effect(self, tmp_path):
         data = synth_to_disk(tmp_path)

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from febench import ComputationRecord, ShapeMismatchError, Tensor
-from febench.cnn import (CnnHead, CnnHeadConfig, CnnHeadWeights, cnn_forward,
-                         expected_shapes, feature_dim, init_weights, predict)
+from febench.cnn import (CnnHead, CnnHeadConfig, cnn_forward, expected_shapes,
+                         feature_dim, init_weights, predict)
+from febench.serialization import WeightSet
 
 
 def f64_weights(config, rng):
     arrays = {name: rng.normal(size=shape)
               for name, shape in expected_shapes(config).items()}
     tensors = {name: Tensor(arr) for name, arr in arrays.items()}
-    return CnnHeadWeights(config=config, tensors=tensors)
+    return WeightSet(expected_shapes(config), tensors)
 
 
 class TestFeatureDim:
@@ -58,8 +59,8 @@ class TestForward:
             "projection.weight": np.array([[1.0]]),
             "projection.bias": np.array([0.0]),
         }
-        weights = CnnHeadWeights(config=config,
-                                 tensors={n: Tensor(a) for n, a in arrays.items()})
+        weights = WeightSet(expected_shapes(config),
+                            {n: Tensor(a) for n, a in arrays.items()})
         hidden = np.zeros((6, 3))
         hidden[:, 0] = [0.1, 0.9, -2.0, 0.4, 5.0, 5.0]
         with ComputationRecord():
@@ -110,7 +111,7 @@ class TestForward:
         weights = f64_weights(forward_cfg, rng)
         proj = weights.tensors["projection.weight"].data
         swapped_proj = np.vstack([proj[3:], proj[:3]])
-        swapped = CnnHeadWeights(config=swapped_cfg, tensors={
+        swapped = WeightSet(expected_shapes(swapped_cfg), {
             **{n: Tensor(t.data) for n, t in weights.tensors.items()
                if n != "projection.weight"},
             "projection.weight": Tensor(swapped_proj)})

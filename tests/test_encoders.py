@@ -5,10 +5,12 @@ import pytest
 
 from febench import ComputationRecord, Tensor, backward
 from febench import ops
-from febench.encoders import (Encoder, EncoderConfig, EncoderWeights,
-                              WeightMismatchError, encoder_forward,
+from febench.cnn import CnnHeadConfig
+from febench.cnn import expected_shapes as head_shapes
+from febench.encoders import (Encoder, EncoderConfig, encoder_forward,
                               expected_shapes, init_weights, load_weights,
                               param_count, preset_config, save_weights)
+from febench.serialization import WeightMismatchError, WeightSet
 from febench.text import EmbeddingTable, Vocabulary
 
 
@@ -80,30 +82,39 @@ class TestInitWeights:
         assert all(t.dtype == np.float32 for t in weights.tensors.values())
 
 
-class TestWeightValidation:
-    def test_missing_tensor(self):
-        config = tiny_config()
-        arrays = {n: np.zeros(s, dtype=np.float32)
-                  for n, s in expected_shapes(config).items()}
-        arrays.pop("embedding_norm.scale")
-        with pytest.raises(WeightMismatchError, match="missing"):
-            EncoderWeights.from_arrays(config, arrays)
+# per model part: required shapes, a name to drop, a name to misshape
+WEIGHT_PARTS = {
+    "encoder": (expected_shapes(tiny_config()), "embedding_norm.scale",
+                "token_embedding"),
+    "head": (head_shapes(CnnHeadConfig(hidden=8, classes=3,
+                                       kernel_sizes=(2, 3), filters=4)),
+             "conv2.bias", "projection.weight"),
+}
 
-    def test_extra_tensor(self):
-        config = tiny_config()
-        arrays = {n: np.zeros(s, dtype=np.float32)
-                  for n, s in expected_shapes(config).items()}
+
+@pytest.mark.parametrize("part", sorted(WEIGHT_PARTS))
+class TestWeightValidation:
+    def test_missing_tensor(self, part):
+        shapes, dropped, _ = WEIGHT_PARTS[part]
+        arrays = {n: np.zeros(s, dtype=np.float32) for n, s in shapes.items()}
+        arrays.pop(dropped)
+        with pytest.raises(WeightMismatchError, match="missing"):
+            WeightSet.from_arrays(shapes, arrays, trainable=True, group=part)
+
+    def test_extra_tensor(self, part):
+        shapes, _, _ = WEIGHT_PARTS[part]
+        arrays = {n: np.zeros(s, dtype=np.float32) for n, s in shapes.items()}
         arrays["stray"] = np.zeros(3, dtype=np.float32)
         with pytest.raises(WeightMismatchError, match="unexpected"):
-            EncoderWeights.from_arrays(config, arrays)
+            WeightSet.from_arrays(shapes, arrays, trainable=True, group=part)
 
-    def test_wrong_shape(self):
-        config = tiny_config()
-        arrays = {n: np.zeros(s, dtype=np.float32)
-                  for n, s in expected_shapes(config).items()}
-        arrays["token_embedding"] = np.zeros((12, 9), dtype=np.float32)
-        with pytest.raises(WeightMismatchError, match="token_embedding"):
-            EncoderWeights.from_arrays(config, arrays)
+    def test_wrong_shape(self, part):
+        shapes, _, misshaped = WEIGHT_PARTS[part]
+        arrays = {n: np.zeros(s, dtype=np.float32) for n, s in shapes.items()}
+        wrong = shapes[misshaped][:-1] + (shapes[misshaped][-1] + 1,)
+        arrays[misshaped] = np.zeros(wrong, dtype=np.float32)
+        with pytest.raises(WeightMismatchError, match=misshaped):
+            WeightSet.from_arrays(shapes, arrays, trainable=True, group=part)
 
 
 class TestForward:

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from febench import ComputationRecord, Tensor, no_grad
-from febench.cnn import CnnHead, CnnHeadConfig, CnnHeadWeights
+from febench.cnn import CnnHead, CnnHeadConfig
 from febench.cnn import expected_shapes as head_shapes
-from febench.encoders import (Encoder, EncoderConfig, EncoderWeights,
-                              init_weights)
+from febench.encoders import Encoder, EncoderConfig, init_weights
 from febench.encoders import expected_shapes as encoder_shapes
 from febench.profiling import TimingTrace
+from febench.serialization import WeightSet
 from febench.text import Dataset, LabeledExample, build_vocab
 from febench.training import (AdamState, RunConfig, RunResult,
                               TrainingDivergedError, adam_step, aggregate_runs,
@@ -281,11 +281,11 @@ class TestSingleStepDescent:
                                 layers=1, heads=2, max_positions=12)
         head_cfg = CnnHeadConfig(hidden=8, classes=2, kernel_sizes=(2, 3),
                                  filters=3)
-        enc_weights = EncoderWeights(enc_cfg, {
+        enc_weights = WeightSet(encoder_shapes(enc_cfg), {
             name: Tensor(np.ones(shape) if name.endswith("norm.scale")
                          else 0.2 * rng.normal(size=shape), requires_grad=True)
             for name, shape in encoder_shapes(enc_cfg).items()})
-        head_weights = CnnHeadWeights(head_cfg, {
+        head_weights = WeightSet(head_shapes(head_cfg), {
             name: Tensor(0.2 * rng.normal(size=shape), requires_grad=True)
             for name, shape in head_shapes(head_cfg).items()})
         encoder = Encoder(enc_cfg, enc_weights)
