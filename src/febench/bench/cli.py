@@ -103,11 +103,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SynthesisError, ReportError,
-            DatasetFormatError) as exc:
-        print(f"bench: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, SynthesisError, ReportError, DatasetFormatError,
+            OSError) as exc:
         print(f"bench: error: {exc}", file=sys.stderr)
         return 2
 

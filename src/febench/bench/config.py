@@ -30,11 +30,6 @@ from febench.encoders import PRESETS
 
 _CELL_ID = re.compile(r"^[A-Za-z0-9_.-]+$")
 
-_BENCH_KEYS = {"dataset", "format", "repeats", "seed", "out", "vocab",
-               "baseline"}
-_CELL_KEYS = {"preset", "mode", "epochs", "batch", "lr", "threshold",
-              "max_len", "kernels", "filters"}
-
 
 class ConfigError(ValueError):
     """A benchmark config file failed to parse or validate."""
@@ -117,75 +112,84 @@ class BenchmarkConfig:
         raise KeyError(cell_id)
 
 
-def _get_typed(section, key, convert, kind):
-    raw = section[key]
-    try:
-        return convert(raw)
-    except ValueError:
-        raise ConfigError(f"[{section.name}] {key} = {raw!r} is not "
-                          f"{kind}") from None
-
-
-def _reject_unknown(section, allowed):
-    extra = set(section) - allowed
-    if extra:
-        raise ConfigError(f"[{section.name}] has unknown keys: "
-                          f"{', '.join(sorted(extra))}")
-
-
-def _parse_kernels(section):
-    raw = section["kernels"]
-    try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise ConfigError(f"[{section.name}] kernels = {raw!r} is not a "
-                          f"comma-separated list of integers") from None
-
-
-def _parse_cell(section):
-    cell_id = section.name.split(":", 1)[1]
-    _reject_unknown(section, _CELL_KEYS)
-    for required in ("preset", "mode"):
-        if required not in section:
-            raise ConfigError(f"[{section.name}] is missing {required!r}")
-    kwargs = {"cell_id": cell_id, "preset": section["preset"],
-              "mode": section["mode"]}
-    if "epochs" in section:
-        kwargs["epochs"] = _get_typed(section, "epochs", int, "an integer")
-    if "batch" in section:
-        kwargs["batch_size"] = _get_typed(section, "batch", int, "an integer")
-    if "lr" in section:
-        kwargs["learning_rate"] = _get_typed(section, "lr", float, "a number")
-    if "threshold" in section:
-        kwargs["threshold"] = _get_typed(section, "threshold", float,
-                                         "a number")
-    if "max_len" in section:
-        kwargs["max_len"] = _get_typed(section, "max_len", int, "an integer")
-    if "kernels" in section:
-        kwargs["kernel_sizes"] = _parse_kernels(section)
-    if "filters" in section:
-        kwargs["filters"] = _get_typed(section, "filters", int, "an integer")
-    return CellSpec(**kwargs)
-
-
-def load_config(path):
-    """Parse and validate a benchmark config file."""
+def read_ini(path, error, what):
+    """Parse the INI file at ``path``; a file that cannot be read or parsed
+    raises ``error`` naming it as the ``what`` (config, spec)."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from None
+        raise error(f"cannot parse {what} {path}: {exc}") from None
+    return parser
 
+
+def _int_tuple(raw):
+    return tuple(int(part) for part in raw.split(","))
+
+
+TEXT = (str, "text")
+INTEGER = (int, "an integer")
+NUMBER = (float, "a number")
+INTEGERS = (_int_tuple, "a comma-separated list of integers")
+
+
+def read_section(section, fields, error, required=()):
+    """Dataclass keyword arguments from one INI section.
+
+    ``fields`` maps each allowed key to ``(field name, (convert, kind))``.
+    Unknown keys, missing ``required`` keys and values that ``convert``
+    rejects raise ``error``.
+    """
+    extra = set(section) - set(fields)
+    if extra:
+        raise error(f"[{section.name}] has unknown keys: "
+                    f"{', '.join(sorted(extra))}")
+    for key in required:
+        if key not in section:
+            raise error(f"[{section.name}] is missing {key!r}")
+    kwargs = {}
+    for key, raw in section.items():
+        field, (convert, kind) = fields[key]
+        try:
+            kwargs[field] = convert(raw)
+        except ValueError:
+            raise error(f"[{section.name}] {key} = {raw!r} is not "
+                        f"{kind}") from None
+    return kwargs
+
+
+_BENCH_FIELDS = {
+    "dataset": ("dataset_path", TEXT),
+    "format": ("dataset_format", TEXT),
+    "repeats": ("repeats", INTEGER),
+    "seed": ("seed", INTEGER),
+    "out": ("out_dir", TEXT),
+    "vocab": ("vocab_size", INTEGER),
+    "baseline": ("baseline", TEXT),
+}
+_CELL_FIELDS = {
+    "preset": ("preset", TEXT),
+    "mode": ("mode", TEXT),
+    "epochs": ("epochs", INTEGER),
+    "batch": ("batch_size", INTEGER),
+    "lr": ("learning_rate", NUMBER),
+    "threshold": ("threshold", NUMBER),
+    "max_len": ("max_len", INTEGER),
+    "kernels": ("kernel_sizes", INTEGERS),
+    "filters": ("filters", INTEGER),
+}
+
+
+def load_config(path):
+    """Parse and validate a benchmark config file."""
+    parser = read_ini(path, ConfigError, "config")
     if "benchmark" not in parser:
         raise ConfigError("config is missing the [benchmark] section")
-    bench = parser["benchmark"]
-    _reject_unknown(bench, _BENCH_KEYS)
-    if "dataset" not in bench:
-        raise ConfigError("[benchmark] is missing 'dataset'")
-
+    kwargs = read_section(parser["benchmark"], _BENCH_FIELDS, ConfigError,
+                          required=("dataset",))
     cells = []
     for name in parser.sections():
         if name == "benchmark":
@@ -193,22 +197,11 @@ def load_config(path):
         if not name.startswith("cell:"):
             raise ConfigError(f"unexpected section [{name}] (cells are "
                               f"named [cell:<id>])")
-        cells.append(_parse_cell(parser[name]))
-
-    kwargs = {"dataset_path": bench["dataset"], "cells": tuple(cells)}
-    if "format" in bench:
-        kwargs["dataset_format"] = bench["format"]
-    if "repeats" in bench:
-        kwargs["repeats"] = _get_typed(bench, "repeats", int, "an integer")
-    if "seed" in bench:
-        kwargs["seed"] = _get_typed(bench, "seed", int, "an integer")
-    if "out" in bench:
-        kwargs["out_dir"] = bench["out"]
-    if "vocab" in bench:
-        kwargs["vocab_size"] = _get_typed(bench, "vocab", int, "an integer")
-    if "baseline" in bench:
-        kwargs["baseline"] = bench["baseline"]
-    return BenchmarkConfig(**kwargs)
+        cells.append(CellSpec(
+            cell_id=name.split(":", 1)[1],
+            **read_section(parser[name], _CELL_FIELDS, ConfigError,
+                           required=("preset", "mode"))))
+    return BenchmarkConfig(cells=tuple(cells), **kwargs)
 
 
 def apply_overrides(config, seed=None, repeats=None, out=None):

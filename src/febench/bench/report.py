@@ -65,6 +65,24 @@ def default_baseline(records):
     return best
 
 
+def _read_jsonl(path):
+    """One JSON object per non-blank line, each naming its ``cell``."""
+    records = []
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ReportError(f"{path}:{number}: {exc}") from None
+            if not isinstance(record, dict) or "cell" not in record:
+                raise ReportError(f"{path}:{number}: not an object with a "
+                                  f"'cell' key")
+            records.append(record)
+    return records
+
+
 def load_results(path):
     """Read result records, merging the timing file when present.
 
@@ -74,23 +92,10 @@ def load_results(path):
     results_path = root / RESULTS_FILE if root.is_dir() else root
     if not results_path.exists():
         raise ReportError(f"no results at {results_path}")
-    records = []
-    with open(results_path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ReportError(f"{results_path}:{number}: {exc}") from None
+    records = _read_jsonl(results_path)
     timing_path = results_path.parent / TIMING_FILE
-    timing = {}
-    if timing_path.exists():
-        with open(timing_path, encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    entry = json.loads(line)
-                    timing[entry["cell"]] = entry
+    timing = ({entry["cell"]: entry for entry in _read_jsonl(timing_path)}
+              if timing_path.exists() else {})
     for record in records:
         entry = timing.get(record["cell"], {})
         record.setdefault("epoch_seconds", entry.get("epoch_seconds", []))

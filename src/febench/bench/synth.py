@@ -9,17 +9,26 @@ configurable density target. Everything else is filler drawn from a small
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from febench.text import Dataset, LabeledExample, save_dataset
+from febench.bench.config import INTEGER, NUMBER, TEXT, read_ini, read_section
+from febench.text import Dataset, LabeledExample
 
-_SPEC_KEYS = {"task", "classes", "train", "test", "vocab", "doc_len",
-              "density", "seed", "name"}
+_SPEC_FIELDS = {
+    "task": ("task_kind", TEXT),
+    "classes": ("classes", INTEGER),
+    "train": ("train_docs", INTEGER),
+    "test": ("test_docs", INTEGER),
+    "vocab": ("vocab", INTEGER),
+    "doc_len": ("doc_len", INTEGER),
+    "density": ("density", NUMBER),
+    "seed": ("seed", INTEGER),
+    "name": ("name", TEXT),
+}
 
 
 class SynthesisError(ValueError):
@@ -145,57 +154,14 @@ def make_synthetic(spec):
                          f"documents; use more documents")
 
 
-def write_synthetic(spec, out_dir, fmt="jsonl"):
-    """Generate and write ``train``/``test`` files; returns the paths."""
-    dataset = make_synthetic(spec)
-    return save_dataset(dataset, out_dir, fmt=fmt)
-
-
 def load_synth_spec(path, seed=None):
     """Parse a ``[synthetic]`` INI spec file."""
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise SynthesisError(f"cannot read spec {path}: {exc}") from None
-    except configparser.Error as exc:
-        raise SynthesisError(f"cannot parse spec {path}: {exc}") from None
+    parser = read_ini(path, SynthesisError, "spec")
     if "synthetic" not in parser:
         raise SynthesisError("spec is missing the [synthetic] section")
-    section = parser["synthetic"]
-    extra = set(section) - _SPEC_KEYS
-    if extra:
-        raise SynthesisError(f"[synthetic] has unknown keys: "
-                             f"{', '.join(sorted(extra))}")
-
-    def typed(key, convert, kind):
-        try:
-            return convert(section[key])
-        except ValueError:
-            raise SynthesisError(f"[synthetic] {key} = {section[key]!r} is "
-                                 f"not {kind}") from None
-
-    kwargs = {"name": Path(path).stem}
-    if "task" in section:
-        kwargs["task_kind"] = section["task"]
-    if "classes" in section:
-        kwargs["classes"] = typed("classes", int, "an integer")
-    if "train" in section:
-        kwargs["train_docs"] = typed("train", int, "an integer")
-    if "test" in section:
-        kwargs["test_docs"] = typed("test", int, "an integer")
-    if "vocab" in section:
-        kwargs["vocab"] = typed("vocab", int, "an integer")
-    if "doc_len" in section:
-        kwargs["doc_len"] = typed("doc_len", int, "an integer")
-    if "density" in section:
-        kwargs["density"] = typed("density", float, "a number")
-    if "seed" in section:
-        kwargs["seed"] = typed("seed", int, "an integer")
-    if "name" in section:
-        kwargs["name"] = section["name"]
-    spec = SynthSpec(**kwargs)
+    spec = SynthSpec(**{"name": Path(path).stem,
+                        **read_section(parser["synthetic"], _SPEC_FIELDS,
+                                       SynthesisError)})
     if seed is not None:
         spec = replace(spec, seed=seed)
     return spec

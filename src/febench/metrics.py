@@ -7,8 +7,6 @@ as 0 so early epochs with empty predictions stay finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -27,47 +25,20 @@ def accuracy(predictions, golds):
     return hits / len(golds)
 
 
-@dataclass(frozen=True)
-class ConfusionTotals:
-    """Micro-summed confusion counts over all documents and classes."""
-
-    true_positive: int = 0
-    false_positive: int = 0
-    false_negative: int = 0
-
-    def __add__(self, other):
-        return ConfusionTotals(
-            self.true_positive + other.true_positive,
-            self.false_positive + other.false_positive,
-            self.false_negative + other.false_negative)
-
-    @classmethod
-    def from_sets(cls, pred_set, gold_set):
-        pred_set, gold_set = set(pred_set), set(gold_set)
-        return cls(true_positive=len(pred_set & gold_set),
-                   false_positive=len(pred_set - gold_set),
-                   false_negative=len(gold_set - pred_set))
-
-    def precision(self):
-        denom = self.true_positive + self.false_positive
-        return self.true_positive / denom if denom else 0.0
-
-    def recall(self):
-        denom = self.true_positive + self.false_negative
-        return self.true_positive / denom if denom else 0.0
-
-    def f1(self):
-        p, r = self.precision(), self.recall()
-        return 2 * p * r / (p + r) if p + r else 0.0
-
-
 def micro_prf(pred_sets, gold_sets):
-    """(precision, recall, F1) from confusion totals summed over documents."""
+    """(precision, recall, F1) from confusion counts summed over documents."""
     _check_paired(pred_sets, gold_sets)
-    totals = ConfusionTotals()
+    tp = fp = fn = 0
     for pred, gold in zip(pred_sets, gold_sets):
-        totals = totals + ConfusionTotals.from_sets(pred, gold)
-    return totals.precision(), totals.recall(), totals.f1()
+        pred, gold = set(pred), set(gold)
+        tp += len(pred & gold)
+        fp += len(pred - gold)
+        fn += len(gold - pred)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = (2 * precision * recall / (precision + recall)
+          if precision + recall else 0.0)
+    return precision, recall, f1
 
 
 def label_density(dataset):

@@ -414,13 +414,3 @@ PRIMITIVES = {
     "softmax_xent": softmax_xent,
     "sigmoid_bce": sigmoid_bce,
 }
-
-
-def apply_primitive(kind, inputs, **attrs):
-    """Dispatch by kind name; ``inputs`` is a sequence of tensors."""
-    fn = PRIMITIVES.get(kind)
-    if fn is None:
-        raise ValueError(f"unknown primitive {kind!r}; known: {sorted(PRIMITIVES)}")
-    if kind in ("concat", "stack"):
-        return fn(tuple(inputs), **attrs)
-    return fn(*inputs, **attrs)

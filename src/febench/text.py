@@ -141,9 +141,6 @@ class Dataset:
             if self.task_kind == "single_label" and len(ex.labels) != 1:
                 raise ValueError("single-label datasets need exactly one label per example")
 
-    def label_index(self, label):
-        return self.label_space.index(label)
-
 
 def _parse_jsonl(path):
     examples = []

@@ -26,7 +26,7 @@ from febench.cnn import CnnHead, CnnHeadConfig
 from febench.encoders import Encoder
 from febench.metrics import label_density, micro_prf
 from febench.profiling import TimingTrace, relative_times
-from febench.text import build_vocab
+from febench.text import build_vocab, save_dataset
 from febench.training import RunConfig, RunResult, aggregate_runs, train
 
 GRAD_TOLERANCE = 1e-4      # max relative error, central differences, eps 1e-5
@@ -244,11 +244,10 @@ def test_criterion_6_report_arithmetic():
 
 
 def test_criterion_7_cli_determinism(tmp_path):
-    from febench.bench.synth import write_synthetic
-    write_synthetic(SynthSpec(classes=2, train_docs=16, test_docs=8,
-                              vocab=15, doc_len=8, seed=DATA_SEED,
-                              name="clikw"),
-                    tmp_path / "data")
+    save_dataset(make_synthetic(SynthSpec(classes=2, train_docs=16,
+                                          test_docs=8, vocab=15, doc_len=8,
+                                          seed=DATA_SEED, name="clikw")),
+                 tmp_path / "data")
     (tmp_path / "bench.ini").write_text(
         "[benchmark]\n"
         f"dataset = {tmp_path / 'data'}\n"

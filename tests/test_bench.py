@@ -19,9 +19,9 @@ from febench.bench.report import (ReportError, default_baseline, emit_report,
 from febench.bench.runner import (execute, resolve_out_dir, run_benchmark,
                                   write_outputs)
 from febench.bench.synth import (SynthSpec, SynthesisError, load_synth_spec,
-                                 make_synthetic, write_synthetic)
+                                 make_synthetic)
 from febench.metrics import label_density
-from febench.text import load_dataset
+from febench.text import load_dataset, save_dataset
 
 
 def write_config(tmp_path, body, name="bench.ini"):
@@ -119,6 +119,12 @@ class TestConfig:
          "kernels = 3;4\n", "kernels"),
         ("[benchmark]\ndataset = d\n\n[cell:a]\npreset = tiny\nmode = FE\n"
          "threshold = 1.5\n", "threshold"),
+        ("[benchmark]\ndataset = d\n\n[cell:a]\npreset = tiny\nmode = FE\n"
+         "lr = fast\n", "not a number"),
+        ("[benchmark]\ndataset = d\n\n[cell:a]\npreset = tiny\nmode = FE\n"
+         "kernels = 3,x\n", "kernels"),
+        ("dataset = d\n[benchmark]\n\n[cell:a]\npreset = tiny\nmode = FE\n",
+         "cannot parse"),
     ])
     def test_rejects(self, tmp_path, body, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -127,6 +133,12 @@ class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.ini")
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(b"[benchmark]\ndataset = caf\xe9\n")
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(path)
 
     def test_overrides(self, tmp_path):
         config = load_config(write_config(tmp_path, FULL_CONFIG))
@@ -233,7 +245,7 @@ class TestSynthFiles:
     def test_written_files_load_back(self, tmp_path):
         spec = SynthSpec(classes=2, train_docs=12, test_docs=6, vocab=15,
                          doc_len=8, seed=2, name="disk")
-        write_synthetic(spec, tmp_path / "disk")
+        save_dataset(make_synthetic(spec), tmp_path / "disk")
         ds = load_dataset(tmp_path / "disk")
         assert ds.task_kind == "single_label"
         assert len(ds.train) == 12
@@ -242,8 +254,8 @@ class TestSynthFiles:
     def test_repeat_writes_identical_bytes(self, tmp_path):
         spec = SynthSpec(classes=2, train_docs=10, test_docs=5, vocab=15,
                          doc_len=8, seed=4)
-        write_synthetic(spec, tmp_path / "a")
-        write_synthetic(spec, tmp_path / "b")
+        save_dataset(make_synthetic(spec), tmp_path / "a")
+        save_dataset(make_synthetic(spec), tmp_path / "b")
         assert ((tmp_path / "a" / "train.jsonl").read_bytes()
                 == (tmp_path / "b" / "train.jsonl").read_bytes())
         assert ((tmp_path / "a" / "test.jsonl").read_bytes()
@@ -273,6 +285,20 @@ class TestSynthFiles:
         path = tmp_path / "bad.ini"
         path.write_text("[synthetic]\nclasses = 2\nshape = round\n")
         with pytest.raises(SynthesisError, match="unknown keys"):
+            load_synth_spec(path)
+
+    @pytest.mark.parametrize("body, fragment", [
+        ("[synthetic]\nclasses = two\n", "not an integer"),
+        ("[synthetic]\ntask = multi_label\ndensity = high\n",
+         "not a number"),
+        ("[spec]\nclasses = 2\n", r"\[synthetic\] section"),
+        (None, "cannot read"),
+    ])
+    def test_spec_rejects(self, tmp_path, body, fragment):
+        path = tmp_path / "spec.ini"
+        if body is not None:
+            path.write_text(body)
+        with pytest.raises(SynthesisError, match=fragment):
             load_synth_spec(path)
 
 
@@ -424,7 +450,7 @@ def synth_to_disk(tmp_path, **kwargs):
     defaults.update(kwargs)
     spec = SynthSpec(**defaults)
     out = tmp_path / "data"
-    write_synthetic(spec, out)
+    save_dataset(make_synthetic(spec), out)
     return out
 
 
@@ -607,6 +633,26 @@ class TestCli:
         assert main(["report", str(results), "--baseline", "a"]) == 0
         assert "baseline a" in capsys.readouterr().out
         assert main(["report", str(results), "--baseline", "zz"]) == 2
+
+    @pytest.mark.parametrize("second_line", [b'{"cell": "b", ',
+                                             b'{"cell": "caf\xe9"}'])
+    def test_report_on_malformed_timing_exits_two(self, tmp_path, capsys,
+                                                  second_line):
+        record = forced_record("a", "tiny", "FE")
+        (tmp_path / "results.jsonl").write_text(
+            json.dumps(record, sort_keys=True) + "\n")
+        (tmp_path / "timing.jsonl").write_bytes(
+            b'{"cell": "a", "epoch_seconds": [1.0]}\n' + second_line + b"\n")
+        assert main(["report", str(tmp_path)]) == 2
+        assert "timing.jsonl:2:" in capsys.readouterr().err
+
+    def test_report_on_record_without_cell_exits_two(self, tmp_path, capsys):
+        record = forced_record("a", "tiny", "FE")
+        del record["cell"]
+        (tmp_path / "results.jsonl").write_text(
+            "\n" + json.dumps(record, sort_keys=True) + "\n")
+        assert main(["report", str(tmp_path)]) == 2
+        assert "results.jsonl:2:" in capsys.readouterr().err
 
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BENCH_OUT_ROOT", str(tmp_path / "root"))

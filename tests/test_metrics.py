@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from febench.metrics import (ConfusionTotals, accuracy, label_density,
-                             mean_std, micro_prf)
+from febench.metrics import accuracy, label_density, mean_std, micro_prf
 from febench.text import Dataset, LabeledExample
 
 
@@ -95,11 +94,6 @@ class TestMicroPrf:
         mapped = micro_prf([{perm[l] for l in s} for s in preds],
                            [{perm[l] for l in s} for s in golds])
         assert base == pytest.approx(mapped, abs=1e-12)
-
-    def test_confusion_totals_addition(self):
-        a = ConfusionTotals(1, 2, 3)
-        b = ConfusionTotals(4, 5, 6)
-        assert a + b == ConfusionTotals(5, 7, 9)
 
 
 class TestLabelDensity:

@@ -8,7 +8,6 @@ import pytest
 from febench import (ComputationRecord, KernelTooLongError, ShapeMismatchError,
                      Tensor, backward)
 from febench import ops
-from febench.ops import apply_primitive
 
 
 def run(fn, *args, **kwargs):
@@ -345,20 +344,6 @@ class TestLosses:
 
 
 class TestDispatch:
-    def test_apply_primitive_matches_direct_call(self):
-        x = Tensor(np.array([-2.0, 2.0]))
-        np.testing.assert_array_equal(run(apply_primitive, "relu", [x]),
-                                      run(ops.relu, x))
-
-    def test_attrs_forwarded(self):
-        x = Tensor(np.arange(6.0).reshape(3, 2))
-        out = run(apply_primitive, "max_over_time", [x], limit=2)
-        np.testing.assert_array_equal(out, [2.0, 3.0])
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown primitive"):
-            apply_primitive("transpose", [Tensor(np.ones(2))])
-
     def test_every_registered_kind_is_callable(self):
         assert set(ops.PRIMITIVES) >= {
             "matmul", "add", "conv1d_valid", "max_over_time", "relu", "gelu",
