@@ -3,7 +3,7 @@
 from .cnn import CnnHead, CnnHeadConfig
 from .encoders import Encoder, EncoderConfig, preset_config
 from .metrics import accuracy, label_density, mean_std, micro_prf
-from .profiling import MemoryLedger, Stopwatch, TimingTrace, ledger_scope, relative_times
+from .profiling import MemoryLedger, TimingTrace, ledger_scope, relative_times
 from .tensor import (ComputationRecord, KernelTooLongError, NonScalarLossError,
                      ShapeMismatchError, StaleRecordError, Tensor, backward,
                      grad_check, no_grad)
@@ -27,7 +27,6 @@ __all__ = [
     "RunResult",
     "ShapeMismatchError",
     "StaleRecordError",
-    "Stopwatch",
     "Tensor",
     "TimingTrace",
     "accuracy",

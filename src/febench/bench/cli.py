@@ -22,23 +22,23 @@ from febench.bench.synth import (SynthesisError, load_synth_spec,
 from febench.text import DatasetFormatError, save_dataset
 
 
-def _cell_summary(result):
-    if result.failed:
-        return f"FAILED ({result.error})"
-    parts = [f"{name} {format_percent(result.metrics_mean[name], result.metrics_std[name])}"
-             for name in sorted(result.metrics_mean)]
-    return ", ".join(parts) + f"  [{result.total_seconds:.1f} s]"
+def _cell_summary(record):
+    if record["failed"]:
+        return f"FAILED ({record['error']})"
+    parts = [f"{name} {format_percent(entry['mean'], entry['std'])}"
+             for name, entry in sorted(record["metrics"].items())]
+    return ", ".join(parts) + f"  [{record['total_seconds']:.1f} s]"
 
 
 def _cmd_run(args):
     outcome, out_dir = run_benchmark(args.config, seed=args.seed,
                                      repeats=args.repeats, out=args.out)
-    for result in outcome.results:
-        print(f"{result.cell_id} ({result.preset}/{result.mode}): "
-              f"{_cell_summary(result)}")
+    for record in outcome.results:
+        print(f"{record['cell']} ({record['preset']}/{record['mode']}): "
+              f"{_cell_summary(record)}")
     print(f"results written to {out_dir}")
     if not outcome.ok:
-        failed = [r.cell_id for r in outcome.results if r.failed]
+        failed = [r["cell"] for r in outcome.results if r["failed"]]
         print(f"bench: {len(failed)} cell(s) failed: "
               f"{', '.join(failed)}", file=sys.stderr)
         return 1

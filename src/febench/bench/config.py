@@ -105,12 +105,6 @@ class BenchmarkConfig:
             raise ConfigError(f"baseline {self.baseline!r} is not a "
                               f"configured cell")
 
-    def cell(self, cell_id):
-        for c in self.cells:
-            if c.cell_id == cell_id:
-                return c
-        raise KeyError(cell_id)
-
 
 def read_ini(path, error, what):
     """Parse the INI file at ``path``; a file that cannot be read or parsed

@@ -4,13 +4,19 @@ Three audiences share one set of numbers: ``results.jsonl`` holds the
 deterministic per-cell records, ``timing.jsonl`` the wall-clock measurements
 (kept apart so reruns with the same config and seed produce byte-identical
 result records), and the TSV/text tables render the merged view.
+
+These files come from outside the program, so :func:`load_results` checks
+every record on load: each key the runner writes, with the JSON type it
+writes. A malformed line raises :class:`ReportError` naming the file, the
+line and the cell, before any table is built.
 """
 
 import json
+import math
 from pathlib import Path
 
-from febench.encoders import param_count, preset_config
-from febench.profiling import MissingBaselineError, relative_times
+from febench.encoders import PRESETS, param_count, preset_config
+from febench.profiling import relative_times
 
 _METRIC_ORDER = ("accuracy", "precision", "recall", "f1")
 _NOMINAL_VOCAB = 30000
@@ -23,9 +29,13 @@ class ReportError(ValueError):
     """Results are missing, malformed, or lack a usable baseline."""
 
 
+def _percent(fraction):
+    return f"{100.0 * fraction:.2f}"
+
+
 def format_percent(mean, std):
     """Fractions in, percentage cell out: (0.9297, 0.0006) -> '92.97 ± 0.06'."""
-    return f"{100.0 * mean:.2f} ± {100.0 * std:.2f}"
+    return f"{_percent(mean)} ± {_percent(std)}"
 
 
 def format_mib(byte_count):
@@ -42,19 +52,12 @@ def format_hours(seconds):
     return f"{seconds / 3600.0:.2f}"
 
 
-def _mean_epoch_seconds(record):
-    epochs = record.get("epoch_seconds") or []
-    if not epochs:
-        return None
-    return sum(epochs) / len(epochs)
-
-
 def default_baseline(records):
     """The largest FE cell, sized by encoder parameter count."""
     best = None
     best_count = -1
     for record in records:
-        if record["mode"] != "FE" or record.get("failed"):
+        if record["mode"] != "FE" or record["failed"]:
             continue
         count = param_count(preset_config(record["preset"], _NOMINAL_VOCAB))
         if count > best_count:
@@ -65,8 +68,50 @@ def default_baseline(records):
     return best
 
 
+def _number(value):
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _is_metrics(value):
+    return isinstance(value, dict) and all(
+        isinstance(entry, dict) and _number(entry.get("mean"))
+        and _number(entry.get("std")) for entry in value.values())
+
+
+_TEXT = (lambda v: isinstance(v, str), "a string")
+# key -> (test, what its value must be), for every key the runner writes
+RESULT_KEYS = {
+    **dict.fromkeys(("cell", "mode", "dataset", "task_kind", "config_hash"),
+                    _TEXT),
+    "preset": (lambda v: isinstance(v, str) and v in PRESETS,
+               f"one of {sorted(PRESETS)}"),
+    "metrics": (_is_metrics, "an object of {mean, std} numbers"),
+    "peak_bytes": (_number, "a number"),
+    "seeds": (lambda v: isinstance(v, list)
+              and all(type(s) is int for s in v), "a list of integers"),
+    "repeats": (lambda v: type(v) is int, "an integer"),
+    "failed": (lambda v: isinstance(v, bool), "true or false"),
+    "error": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
+# epochs are measured durations, so a timed baseline's mean is positive
+TIMING_KEYS = {
+    "cell": _TEXT,
+    "epoch_seconds": (lambda v: isinstance(v, list)
+                      and all(_number(s) and s > 0 for s in v),
+                      "a list of positive numbers"),
+    "total_seconds": (lambda v: v is None or _number(v), "a number or null"),
+}
+
+
+def _check(record, keys, where):
+    for key, (test, kind) in keys.items():
+        if key not in record or not test(record[key]):
+            raise ReportError(f"{where}: cell {record['cell']!r}: {key} is "
+                              f"missing or not {kind}")
+
+
 def _read_jsonl(path):
-    """One JSON object per non-blank line, each naming its ``cell``."""
+    """``(path:line, object)`` per non-blank line, each naming its ``cell``."""
     records = []
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, start=1):
@@ -79,12 +124,12 @@ def _read_jsonl(path):
             if not isinstance(record, dict) or "cell" not in record:
                 raise ReportError(f"{path}:{number}: not an object with a "
                                   f"'cell' key")
-            records.append(record)
+            records.append((f"{path}:{number}", record))
     return records
 
 
 def load_results(path):
-    """Read result records, merging the timing file when present.
+    """Read and check result records, merging the timing file when present.
 
     ``path`` may be the results file itself or the directory holding it.
     """
@@ -92,216 +137,174 @@ def load_results(path):
     results_path = root / RESULTS_FILE if root.is_dir() else root
     if not results_path.exists():
         raise ReportError(f"no results at {results_path}")
-    records = _read_jsonl(results_path)
+    results = _read_jsonl(results_path)
     timing_path = results_path.parent / TIMING_FILE
-    timing = ({entry["cell"]: entry for entry in _read_jsonl(timing_path)}
-              if timing_path.exists() else {})
-    for record in records:
+    timing = {}
+    for where, entry in (_read_jsonl(timing_path) if timing_path.exists()
+                         else []):
+        entry.setdefault("total_seconds", None)
+        _check(entry, TIMING_KEYS, where)
+        timing[entry["cell"]] = entry
+    for where, record in results:
+        _check(record, RESULT_KEYS, where)
         entry = timing.get(record["cell"], {})
         record.setdefault("epoch_seconds", entry.get("epoch_seconds", []))
         record.setdefault("total_seconds", entry.get("total_seconds"))
-    return records
+        _check(record, TIMING_KEYS, where)
+    return [record for _, record in results]
 
 
-def _check_unique_cells(records):
-    seen = set()
-    for record in records:
-        if record["cell"] in seen:
-            raise ReportError(f"duplicate cell {record['cell']!r} in results")
-        seen.add(record["cell"])
-
-
-def _resolve_baseline(records, baseline_cell):
+def _baseline(records, baseline_cell):
+    """The explicit baseline cell, or else the default one; None when the
+    grid has no default. An explicit baseline that cannot serve raises."""
     if baseline_cell is None:
-        return default_baseline(records)
+        try:
+            return default_baseline(records)
+        except ReportError:
+            return None
     by_id = {r["cell"]: r for r in records}
     if baseline_cell not in by_id:
         raise ReportError(f"baseline {baseline_cell!r} is not among the "
                           f"result cells")
-    if by_id[baseline_cell].get("failed"):
+    if by_id[baseline_cell]["failed"]:
         raise ReportError(f"baseline {baseline_cell!r} failed; choose "
                           f"another cell")
     return baseline_cell
 
 
-def _baseline_and_relatives(records, baseline_cell):
-    """The resolved baseline cell and each cell's epoch time relative to it.
-
-    Without an explicit baseline, a grid with no usable default gets
-    ``(None, {})``; an explicit baseline that cannot serve raises.  The
-    relative map is empty when the baseline has no epoch timing.
-    """
-    try:
-        baseline = _resolve_baseline(records, baseline_cell)
-    except ReportError:
-        if baseline_cell is not None:
-            raise
-        return None, {}
-    epoch_means = {r["cell"]: _mean_epoch_seconds(r) for r in records
-                   if not r.get("failed") and _mean_epoch_seconds(r)}
-    if baseline not in epoch_means:
-        return baseline, {}
-    try:
-        return baseline, relative_times(epoch_means, baseline)
-    except (MissingBaselineError, ValueError):
-        return baseline, {}
+def _rows(records, baseline_cell):
+    """The resolved baseline and each cell's values for both tables; a value
+    the cell lacks, such as a failed cell's memory, is None."""
+    if not records:
+        raise ReportError("no result records")
+    seen = set()
+    for record in records:
+        if record["cell"] in seen:
+            raise ReportError(f"duplicate cell {record['cell']!r} in results")
+        seen.add(record["cell"])
+    baseline = _baseline(records, baseline_cell)
+    means = {r["cell"]: (sum(r["epoch_seconds"]) / len(r["epoch_seconds"])
+                         if r["epoch_seconds"] else None) for r in records}
+    timed = {r["cell"]: means[r["cell"]] for r in records
+             if not r["failed"] and means[r["cell"]]}
+    relatives = relative_times(timed, baseline) if baseline in timed else {}
+    rows = []
+    for r in records:
+        mean, ratio = means[r["cell"]], relatives.get(r["cell"])
+        rows.append({
+            "cell": r["cell"], "preset": r["preset"], "mode": r["mode"],
+            "task_kind": r["task_kind"], "failed": r["failed"],
+            "error": r["error"],
+            "metrics": {} if r["failed"] else r["metrics"],
+            "mib": None if r["failed"] else format_mib(r["peak_bytes"]),
+            "epoch": None if mean is None else f"{mean:.3f}",
+            "relative": None if ratio is None else format_ratio(ratio),
+            "hours": (None if r["total_seconds"] is None
+                      else format_hours(r["total_seconds"])),
+            "seeds": ",".join(str(s) for s in r["seeds"])})
+    return baseline, rows
 
 
 def _metric_names(records):
     present = set()
     for record in records:
-        present.update(record.get("metrics", {}))
+        present.update(record["metrics"])
     return [name for name in _METRIC_ORDER if name in present]
 
 
-def _format_table(headers, rows):
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in [headers] + rows:
-        lines.append("  " + "  ".join(cell.ljust(widths[i])
-                                      for i, cell in enumerate(row)).rstrip())
-    return lines
+def _table(title, rows, headers, values):
+    """A titled table: each row's cell, preset and mode, then its entry of
+    ``values`` under ``headers``."""
+    table = [["cell", "preset", "mode"] + headers] + [
+        [row["cell"], row["preset"], row["mode"]] + value
+        for row, value in zip(rows, values)]
+    widths = [max(len(line[i]) for line in table)
+              for i in range(len(table[0]))]
+    return [title] + ["  " + "  ".join(
+        cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
+        for line in table] + [""]
 
 
-def _metric_cell(record, name):
-    if record.get("failed"):
+def _metric_cell(row, name):
+    if row["failed"]:
         return "FAILED"
-    entry = record.get("metrics", {}).get(name)
-    if entry is None:
-        return "-"
-    return format_percent(entry["mean"], entry["std"])
-
-
-def _effectiveness_block(records, task_kind, metric_names, title):
-    subset = [r for r in records if r.get("task_kind") == task_kind]
-    if not subset or not metric_names:
-        return []
-    headers = ["cell", "preset", "mode"] + list(metric_names)
-    rows = [[r["cell"], r["preset"], r["mode"]]
-            + [_metric_cell(r, name) for name in metric_names]
-            for r in subset]
-    return [title] + _format_table(headers, rows) + [""]
-
-
-def _provenance_block(records, master_seed):
-    hashes = {r.get("config_hash") for r in records} - {None}
-    lines = ["provenance"]
-    if hashes:
-        lines.append("  config hash: " + (hashes.pop() if len(hashes) == 1
-                                          else "mixed"))
-    if master_seed is not None:
-        lines.append(f"  master seed: {master_seed}")
-    seeds = "; ".join(
-        f"{r['cell']}: {','.join(str(s) for s in r.get('seeds', []))}"
-        for r in records)
-    lines.append(f"  run seeds: {seeds}")
-    lines.append("  precision: float32 training arithmetic")
-    lines.append("  memory: peak tracked tensor bytes (parameters, "
-                 "gradients, optimizer state, activations), not device VRAM")
-    lines.append("  time totals: wall clock including per-epoch test "
-                 "evaluation")
-    lines.append("  spread: population standard deviation over repeats")
-    return lines
+    entry = row["metrics"].get(name)
+    return "-" if entry is None else format_percent(entry["mean"],
+                                                    entry["std"])
 
 
 def emit_report(records, baseline_cell=None, master_seed=None):
     """Build the human-readable table document."""
-    if not records:
-        raise ReportError("no result records")
-    _check_unique_cells(records)
-    metric_names = _metric_names(records)
-    datasets = sorted({r.get("dataset", "?") for r in records})
-    failed = [r for r in records if r.get("failed")]
-    baseline, relatives = _baseline_and_relatives(records, baseline_cell)
-
+    baseline, rows = _rows(records, baseline_cell)
+    names = _metric_names(records)
+    failed = [row for row in rows if row["failed"]]
     lines = ["text-classification benchmark",
              "=============================",
              "",
-             f"dataset: {', '.join(datasets)}",
-             f"cells: {len(records)}  failed: {len(failed)}",
+             f"dataset: {', '.join(sorted({r['dataset'] for r in records}))}",
+             f"cells: {len(rows)}  failed: {len(failed)}",
              ""]
-
-    single_metrics = [n for n in metric_names if n == "accuracy"]
-    multi_metrics = [n for n in metric_names if n != "accuracy"]
-    lines += _effectiveness_block(records, "single_label", single_metrics,
-                                  "test accuracy (%), mean ± std")
-    lines += _effectiveness_block(records, "multi_label", multi_metrics,
-                                  "micro precision / recall / F1 (%), "
-                                  "mean ± std")
-
-    rows = [[r["cell"], r["preset"], r["mode"],
-             "FAILED" if r.get("failed") else format_mib(r["peak_bytes"])]
-            for r in records]
-    lines += ["peak tracked memory (MiB)"]
-    lines += _format_table(["cell", "preset", "mode", "MiB"], rows) + [""]
-
-    lines.append("relative epoch time" + (f" (baseline {baseline})"
-                                          if baseline else ""))
-    if relatives:
-        rows = []
-        for r in records:
-            value = relatives.get(r["cell"])
-            rows.append([r["cell"], r["preset"], r["mode"],
-                         format_ratio(value) if value is not None else "-"])
-        lines += _format_table(["cell", "preset", "mode", "x baseline"], rows)
+    for kind, kind_names, title in (
+            ("single_label", [n for n in names if n == "accuracy"],
+             "test accuracy (%), mean ± std"),
+            ("multi_label", [n for n in names if n != "accuracy"],
+             "micro precision / recall / F1 (%), mean ± std")):
+        subset = [row for row in rows if row["task_kind"] == kind]
+        if subset and kind_names:
+            lines += _table(title, subset, kind_names,
+                            [[_metric_cell(row, n) for n in kind_names]
+                             for row in subset])
+    lines += _table("peak tracked memory (MiB)", rows, ["MiB"],
+                    [["FAILED" if row["failed"] else row["mib"]]
+                     for row in rows])
+    title = "relative epoch time" + (f" (baseline {baseline})"
+                                     if baseline else "")
+    if any(row["relative"] for row in rows):
+        lines += _table(title, rows, ["x baseline"],
+                        [[row["relative"] or "-"] for row in rows])
     else:
-        lines.append("  unavailable (no baseline cell with timing)")
-    lines.append("")
-
-    rows = []
-    for r in records:
-        total = r.get("total_seconds")
-        rows.append([r["cell"], r["preset"], r["mode"],
-                     format_hours(total) if total is not None else "-"])
-    lines += ["total training time (hours)"]
-    lines += _format_table(["cell", "preset", "mode", "hours"], rows) + [""]
-
+        lines += [title, "  unavailable (no baseline cell with timing)", ""]
+    lines += _table("total training time (hours)", rows, ["hours"],
+                    [[row["hours"] or "-"] for row in rows])
     if failed:
-        lines.append("failed cells")
-        for r in failed:
-            lines.append(f"  {r['cell']}: FAILED ({r.get('error', '?')})")
-        lines.append("")
+        lines += (["failed cells"]
+                  + [f"  {row['cell']}: FAILED ({row['error']})"
+                     for row in failed] + [""])
 
-    lines += _provenance_block(records, master_seed)
+    hashes = {r["config_hash"] for r in records}
+    lines += ["provenance", "  config hash: "
+              + (hashes.pop() if len(hashes) == 1 else "mixed")]
+    if master_seed is not None:
+        lines.append(f"  master seed: {master_seed}")
+    lines += [
+        "  run seeds: " + "; ".join(f"{row['cell']}: {row['seeds']}"
+                                    for row in rows),
+        "  precision: float32 training arithmetic",
+        "  memory: peak tracked tensor bytes (parameters, gradients, "
+        "optimizer state, activations), not device VRAM",
+        "  time totals: wall clock including per-epoch test evaluation",
+        "  spread: population standard deviation over repeats"]
     return "\n".join(lines) + "\n"
 
 
 def render_tsv(records, baseline_cell=None):
     """Tab-separated table with one row per cell."""
-    if not records:
-        raise ReportError("no result records")
-    _check_unique_cells(records)
-    metric_names = _metric_names(records)
-    _, relatives = _baseline_and_relatives(records, baseline_cell)
-
-    headers = ["cell", "preset", "mode", "status"]
-    for name in metric_names:
-        headers += [f"{name}_pct_mean", f"{name}_pct_std"]
-    headers += ["peak_mib", "mean_epoch_seconds", "relative_epoch_time",
-                "total_hours", "seeds"]
-
+    _, rows = _rows(records, baseline_cell)
+    names = _metric_names(records)
+    headers = (["cell", "preset", "mode", "status"]
+               + [f"{name}_pct_{stat}" for name in names
+                  for stat in ("mean", "std")]
+               + ["peak_mib", "mean_epoch_seconds", "relative_epoch_time",
+                  "total_hours", "seeds"])
     lines = ["\t".join(headers)]
-    for r in records:
-        failed = r.get("failed", False)
-        row = [r["cell"], r["preset"], r["mode"],
-               f"FAILED: {r.get('error', '?')}" if failed else "ok"]
-        for name in metric_names:
-            entry = r.get("metrics", {}).get(name)
-            if failed or entry is None:
-                row += ["", ""]
-            else:
-                row += [f"{100.0 * entry['mean']:.2f}",
-                        f"{100.0 * entry['std']:.2f}"]
-        row.append("" if failed else format_mib(r["peak_bytes"]))
-        mean_epoch = _mean_epoch_seconds(r)
-        row.append(f"{mean_epoch:.3f}" if mean_epoch is not None else "")
-        ratio = relatives.get(r["cell"])
-        row.append(format_ratio(ratio) if ratio is not None else "")
-        total = r.get("total_seconds")
-        row.append(format_hours(total) if total is not None else "")
-        row.append(",".join(str(s) for s in r.get("seeds", [])))
-        lines.append("\t".join(row))
+    for row in rows:
+        fields = [row["cell"], row["preset"], row["mode"],
+                  f"FAILED: {row['error']}" if row["failed"] else "ok"]
+        for name in names:
+            entry = row["metrics"].get(name)
+            fields += (["", ""] if entry is None else
+                       [_percent(entry["mean"]), _percent(entry["std"])])
+        fields += [row[key] or "" for key in ("mib", "epoch", "relative",
+                                              "hours", "seeds")]
+        lines.append("\t".join(fields))
     return "\n".join(lines) + "\n"

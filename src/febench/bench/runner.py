@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from febench.bench.config import (ConfigError, apply_overrides, config_hash,
                                   load_config)
-from febench.bench.report import (RESULTS_FILE, TIMING_FILE, emit_report,
-                                  load_results, render_tsv)
+from febench.bench.report import (RESULTS_FILE, TIMING_FILE, TIMING_KEYS,
+                                  emit_report, load_results, render_tsv)
 from febench.cnn import CnnHead, CnnHeadConfig
 from febench.encoders import Encoder, preset_config
 from febench.text import build_vocab, load_dataset
@@ -21,31 +21,16 @@ OUT_ROOT_VAR = "BENCH_OUT_ROOT"
 
 
 @dataclass
-class CellResult:
-    cell_id: str
-    preset: str
-    mode: str
-    metrics_mean: dict = field(default_factory=dict)
-    metrics_std: dict = field(default_factory=dict)
-    peak_bytes: float = 0.0
-    epoch_seconds: List[float] = field(default_factory=list)
-    total_seconds: float = 0.0
-    seeds: List[int] = field(default_factory=list)
-    failed: bool = False
-    error: Optional[str] = None
-
-
-@dataclass
 class BenchmarkOutcome:
+    """The config that ran and one results record per cell, in config
+    order; each record also carries the cell's timing keys."""
+
     config: object
-    dataset_name: str
-    task_kind: str
-    results: List[CellResult]
-    config_hash: str
+    results: List[dict]
 
     @property
     def ok(self):
-        return not any(r.failed for r in self.results)
+        return not any(r["failed"] for r in self.results)
 
 
 def _resolve_epochs(config, dataset):
@@ -75,6 +60,8 @@ _MIN_VOCAB = 5
 
 
 def _run_cell(cell, config, dataset, vocab, epochs):
+    """The cell's results record; a cell whose training raises is recorded
+    as failed, with its error."""
     run_cfg = RunConfig(mode=cell.mode, epochs=epochs,
                         batch_size=cell.batch_size,
                         learning_rate=cell.learning_rate, seed=config.seed,
@@ -91,20 +78,26 @@ def _run_cell(cell, config, dataset, vocab, epochs):
         head = CnnHead.build(head_cfg, seed=[seed, 1])
         return encoder, head, vocab
 
-    seeds = [config.seed + i for i in range(config.repeats)]
+    record = {"cell": cell.cell_id, "preset": cell.preset, "mode": cell.mode,
+              "dataset": dataset.name, "task_kind": dataset.task_kind,
+              "metrics": {}, "peak_bytes": 0.0,
+              "seeds": [config.seed + i for i in range(config.repeats)],
+              "repeats": config.repeats, "config_hash": config_hash(config),
+              "failed": False, "error": None,
+              "epoch_seconds": [], "total_seconds": 0.0}
     try:
         agg = run_experiment(run_cfg, dataset, make_model,
                              repeats=config.repeats)
     except Exception as exc:
-        return CellResult(cell_id=cell.cell_id, preset=cell.preset,
-                          mode=cell.mode, seeds=seeds, failed=True,
-                          error=f"{type(exc).__name__}: {exc}")
-    return CellResult(cell_id=cell.cell_id, preset=cell.preset,
-                      mode=cell.mode, metrics_mean=dict(agg.metrics_mean),
-                      metrics_std=dict(agg.metrics_std),
-                      peak_bytes=agg.peak_bytes,
-                      epoch_seconds=list(agg.epoch_seconds),
-                      total_seconds=agg.total_seconds, seeds=list(agg.seeds))
+        record.update(failed=True, error=f"{type(exc).__name__}: {exc}")
+        return record
+    record.update(metrics={name: {"mean": agg.metrics_mean[name],
+                                  "std": agg.metrics_std[name]}
+                           for name in sorted(agg.metrics_mean)},
+                  peak_bytes=agg.peak_bytes, seeds=list(agg.seeds),
+                  epoch_seconds=list(agg.epoch_seconds),
+                  total_seconds=agg.total_seconds)
+    return record
 
 
 def execute(config):
@@ -116,27 +109,16 @@ def execute(config):
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load dataset "
                           f"{config.dataset_path!r}: {exc}") from None
+    for split in ("train", "test"):
+        if not getattr(dataset, split):
+            raise ConfigError(f"dataset {config.dataset_path!r} has an "
+                              f"empty {split} split")
     epochs = _resolve_epochs(config, dataset)
     vocab = build_vocab([ex.text for ex in dataset.train],
                         max_size=config.vocab_size)
-    results = [_run_cell(cell, config, dataset, vocab, epochs[cell.cell_id])
-               for cell in config.cells]
-    return BenchmarkOutcome(config=config, dataset_name=dataset.name,
-                            task_kind=dataset.task_kind, results=results,
-                            config_hash=config_hash(config))
-
-
-def _result_record(outcome, result):
-    metrics = {name: {"mean": result.metrics_mean[name],
-                      "std": result.metrics_std[name]}
-               for name in sorted(result.metrics_mean)}
-    return {"cell": result.cell_id, "preset": result.preset,
-            "mode": result.mode, "dataset": outcome.dataset_name,
-            "task_kind": outcome.task_kind, "metrics": metrics,
-            "peak_bytes": result.peak_bytes, "seeds": result.seeds,
-            "repeats": outcome.config.repeats,
-            "config_hash": outcome.config_hash, "failed": result.failed,
-            "error": result.error}
+    return BenchmarkOutcome(config=config, results=[
+        _run_cell(cell, config, dataset, vocab, epochs[cell.cell_id])
+        for cell in config.cells])
 
 
 def write_outputs(outcome, out_dir):
@@ -148,18 +130,14 @@ def write_outputs(outcome, out_dir):
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
-    results_path = root / RESULTS_FILE
-    with open(results_path, "w", encoding="utf-8") as fh:
-        for result in outcome.results:
-            fh.write(json.dumps(_result_record(outcome, result),
-                                sort_keys=True) + "\n")
-
-    with open(root / TIMING_FILE, "w", encoding="utf-8") as fh:
-        for result in outcome.results:
-            fh.write(json.dumps({"cell": result.cell_id,
-                                 "epoch_seconds": result.epoch_seconds,
-                                 "total_seconds": result.total_seconds},
-                                sort_keys=True) + "\n")
+    with open(root / RESULTS_FILE, "w", encoding="utf-8") as results, \
+            open(root / TIMING_FILE, "w", encoding="utf-8") as timing:
+        for record in outcome.results:
+            kept = {key: value for key, value in record.items()
+                    if key == "cell" or key not in TIMING_KEYS}
+            timed = {key: record[key] for key in TIMING_KEYS}
+            results.write(json.dumps(kept, sort_keys=True) + "\n")
+            timing.write(json.dumps(timed, sort_keys=True) + "\n")
 
     records = load_results(root)
     baseline = outcome.config.baseline

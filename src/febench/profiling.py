@@ -9,7 +9,6 @@ interpreter and allocator overhead.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 CATEGORIES = ("parameters", "gradients", "optimizer_state", "activations")
@@ -136,19 +135,6 @@ class TimingTrace:
         # total includes setup/evaluation outside the epoch loops
         if self.total_seconds < sum(self.epoch_seconds):
             raise ValueError("total duration cannot undercut the epoch sum")
-
-
-class Stopwatch:
-    """Minimal monotonic stopwatch (time.perf_counter)."""
-
-    def __init__(self):
-        self._t0 = time.perf_counter()
-
-    def restart(self):
-        self._t0 = time.perf_counter()
-
-    def elapsed(self):
-        return time.perf_counter() - self._t0
 
 
 def relative_times(epoch_times, baseline_method):

@@ -9,6 +9,7 @@ weight init, shuffles, and batch order depend only on (seed, epoch).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import ops
 from .metrics import accuracy, mean_std, micro_prf
 from .cnn import predict
-from .profiling import MemoryLedger, Stopwatch, TimingTrace, ledger_scope
+from .profiling import MemoryLedger, TimingTrace, ledger_scope
 from .tensor import ComputationRecord, ShapeMismatchError, backward, no_grad
 from .text import encode
 
@@ -221,7 +222,7 @@ def train(config, dataset, encoder, head, vocab):
     """Run FE or FiT training; returns a RunResult with metrics/time/memory."""
     if not dataset.train or not dataset.test:
         raise ValueError("dataset needs non-empty train and test splits")
-    total_watch = Stopwatch()
+    started = time.perf_counter()
     encoder.set_trainable(config.mode == "FiT")
     all_params = list(encoder.weights.tensors.values()) + \
         list(head.weights.tensors.values())
@@ -244,7 +245,7 @@ def train(config, dataset, encoder, head, vocab):
     train_losses, epoch_metrics, epoch_seconds = [], [], []
     with ledger_scope(ledger):
         for epoch in range(config.epochs):
-            watch = Stopwatch()
+            epoch_started = time.perf_counter()
             order = np.random.default_rng(
                 [config.seed, 2, epoch]).permutation(n)
             batch_losses = []
@@ -261,10 +262,10 @@ def train(config, dataset, encoder, head, vocab):
                                    dataset.task_kind, config.threshold)
             train_losses.append(float(np.mean(batch_losses)))
             epoch_metrics.append(_metrics(predictions, gold, dataset.task_kind))
-            epoch_seconds.append(watch.elapsed())
+            epoch_seconds.append(time.perf_counter() - epoch_started)
 
     timing = TimingTrace(epoch_seconds=epoch_seconds,
-                         total_seconds=total_watch.elapsed())
+                         total_seconds=time.perf_counter() - started)
     return RunResult(mode=config.mode, seed=config.seed,
                      train_losses=train_losses, epoch_metrics=epoch_metrics,
                      final_metrics=dict(epoch_metrics[-1]), timing=timing,

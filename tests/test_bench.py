@@ -68,7 +68,7 @@ class TestConfig:
         assert config.vocab_size == 500
         assert config.baseline == "small-fe"
         assert [c.cell_id for c in config.cells] == ["small-fe", "small-fit"]
-        fe = config.cell("small-fe")
+        fe = config.cells[0]
         assert (fe.preset, fe.mode, fe.epochs) == ("tiny", "FE", 4)
         assert fe.batch_size == 8
         assert fe.learning_rate == pytest.approx(1e-4)
@@ -444,6 +444,221 @@ class TestResultsFiles:
         assert rows[0]["seeds"] == "1,2,3"
 
 
+def mixed_grid():
+    """Records as ``load_results`` returns them: a single-label FE/FiT pair,
+    a multi-label cell, a failed cell and a cell without timing."""
+    multi = forced_record("multi", "tiny", "FE", task_kind="multi_label",
+                          peak_mib=2.37, epoch_seconds=(4.0, 6.0), total=600.0)
+    multi["metrics"] = {"f1": {"mean": 0.5, "std": 0.01},
+                        "precision": {"mean": 0.625, "std": 0.0125},
+                        "recall": {"mean": 0.41, "std": 0.0}}
+    return [forced_record("base-fe", "base", "FE"),
+            forced_record("base-fit", "base", "FiT",
+                          accuracy=(0.91115, 0.002),
+                          epoch_seconds=(26.2, 24.8), total=9000.0),
+            multi,
+            forced_record("broken", "tiny", "FiT", peak_mib=0.0,
+                          epoch_seconds=(), total=0.0, metrics={},
+                          failed=True,
+                          error="ShapeMismatchError: kernel 20 > 12"),
+            forced_record("untimed", "static", "FE", epoch_seconds=(),
+                          total=None, seeds=[7])]
+
+
+def fit_only_grid():
+    """No FE cell, so no default baseline."""
+    return [r for r in mixed_grid() if r["mode"] == "FiT"]
+
+
+PROVENANCE_TAIL = """\
+  precision: float32 training arithmetic
+  memory: peak tracked tensor bytes (parameters, gradients, optimizer state, activations), not device VRAM
+  time totals: wall clock including per-epoch test evaluation
+  spread: population standard deviation over repeats
+"""
+
+MIXED_HEAD = """\
+text-classification benchmark
+=============================
+
+dataset: forced
+cells: 5  failed: 1
+
+test accuracy (%), mean ± std
+  cell      preset  mode  accuracy
+  base-fe   base    FE    92.97 ± 0.06
+  base-fit  base    FiT   91.11 ± 0.20
+  broken    tiny    FiT   FAILED
+  untimed   static  FE    92.97 ± 0.06
+
+micro precision / recall / F1 (%), mean ± std
+  cell   preset  mode  precision     recall        f1
+  multi  tiny    FE    62.50 ± 1.25  41.00 ± 0.00  50.00 ± 1.00
+
+peak tracked memory (MiB)
+  cell      preset  mode  MiB
+  base-fe   base    FE    693
+  base-fit  base    FiT   693
+  multi     tiny    FE    2.37
+  broken    tiny    FiT   FAILED
+  untimed   static  FE    693
+
+"""
+
+MIXED_TAIL = """\
+total training time (hours)
+  cell      preset  mode  hours
+  base-fe   base    FE    1.50
+  base-fit  base    FiT   2.50
+  multi     tiny    FE    0.17
+  broken    tiny    FiT   0.00
+  untimed   static  FE    -
+
+failed cells
+  broken: FAILED (ShapeMismatchError: kernel 20 > 12)
+
+provenance
+  config hash: cafe
+  master seed: 11
+  run seeds: base-fe: 1,2,3; base-fit: 1,2,3; multi: 1,2,3; broken: 1,2,3; untimed: 7
+""" + PROVENANCE_TAIL
+
+GOLDEN_REPORTS = {
+    ("mixed", None): MIXED_HEAD + """\
+relative epoch time (baseline base-fe)
+  cell      preset  mode  x baseline
+  base-fe   base    FE    1.00
+  base-fit  base    FiT   2.55
+  multi     tiny    FE    0.50
+  broken    tiny    FiT   -
+  untimed   static  FE    -
+
+""" + MIXED_TAIL,
+    ("mixed", "base-fit"): MIXED_HEAD + """\
+relative epoch time (baseline base-fit)
+  cell      preset  mode  x baseline
+  base-fe   base    FE    0.39
+  base-fit  base    FiT   1.00
+  multi     tiny    FE    0.20
+  broken    tiny    FiT   -
+  untimed   static  FE    -
+
+""" + MIXED_TAIL,
+    ("mixed", "untimed"): MIXED_HEAD + """\
+relative epoch time (baseline untimed)
+  unavailable (no baseline cell with timing)
+
+""" + MIXED_TAIL,
+    ("fit-only", None): """\
+text-classification benchmark
+=============================
+
+dataset: forced
+cells: 2  failed: 1
+
+test accuracy (%), mean ± std
+  cell      preset  mode  accuracy
+  base-fit  base    FiT   91.11 ± 0.20
+  broken    tiny    FiT   FAILED
+
+peak tracked memory (MiB)
+  cell      preset  mode  MiB
+  base-fit  base    FiT   693
+  broken    tiny    FiT   FAILED
+
+relative epoch time
+  unavailable (no baseline cell with timing)
+
+total training time (hours)
+  cell      preset  mode  hours
+  base-fit  base    FiT   2.50
+  broken    tiny    FiT   0.00
+
+failed cells
+  broken: FAILED (ShapeMismatchError: kernel 20 > 12)
+
+provenance
+  config hash: cafe
+  master seed: 11
+  run seeds: base-fit: 1,2,3; broken: 1,2,3
+""" + PROVENANCE_TAIL,
+}
+
+MIXED_TSV_HEADER = [
+    "cell", "preset", "mode", "status", "accuracy_pct_mean",
+    "accuracy_pct_std", "precision_pct_mean", "precision_pct_std",
+    "recall_pct_mean", "recall_pct_std", "f1_pct_mean", "f1_pct_std",
+    "peak_mib", "mean_epoch_seconds", "relative_epoch_time", "total_hours",
+    "seeds"]
+BROKEN_TSV_STATUS = "FAILED: ShapeMismatchError: kernel 20 > 12"
+
+
+def mixed_tsv(relative):
+    """The mixed grid's TSV rows, given each cell's relative epoch time."""
+    fe, fit, multi = relative
+    return [MIXED_TSV_HEADER,
+            ["base-fe", "base", "FE", "ok", "92.97", "0.06", "", "", "", "",
+             "", "", "693", "10.000", fe, "1.50", "1,2,3"],
+            ["base-fit", "base", "FiT", "ok", "91.11", "0.20", "", "", "",
+             "", "", "", "693", "25.500", fit, "2.50", "1,2,3"],
+            ["multi", "tiny", "FE", "ok", "", "", "62.50", "1.25", "41.00",
+             "0.00", "50.00", "1.00", "2.37", "5.000", multi, "0.17",
+             "1,2,3"],
+            ["broken", "tiny", "FiT", BROKEN_TSV_STATUS, "", "", "", "", "",
+             "", "", "", "", "", "", "0.00", "1,2,3"],
+            ["untimed", "static", "FE", "ok", "92.97", "0.06", "", "", "",
+             "", "", "", "693", "", "", "", "7"]]
+
+
+GOLDEN_TSV = {
+    ("mixed", None): mixed_tsv(("1.00", "2.55", "0.50")),
+    ("mixed", "base-fit"): mixed_tsv(("0.39", "1.00", "0.20")),
+    ("mixed", "untimed"): mixed_tsv(("", "", "")),
+    ("fit-only", None): [
+        ["cell", "preset", "mode", "status", "accuracy_pct_mean",
+         "accuracy_pct_std", "peak_mib", "mean_epoch_seconds",
+         "relative_epoch_time", "total_hours", "seeds"],
+        ["base-fit", "base", "FiT", "ok", "91.11", "0.20", "693", "25.500",
+         "", "2.50", "1,2,3"],
+        ["broken", "tiny", "FiT", BROKEN_TSV_STATUS, "", "", "", "", "",
+         "0.00", "1,2,3"]],
+}
+
+GRIDS = {"mixed": mixed_grid, "fit-only": fit_only_grid}
+
+
+class TestGoldenReport:
+    """Both tables, byte for byte, for a grid that exercises every branch."""
+
+    @pytest.mark.parametrize("grid, baseline", sorted(
+        GOLDEN_REPORTS, key=str))
+    def test_text(self, grid, baseline):
+        doc = emit_report(GRIDS[grid](), baseline_cell=baseline,
+                          master_seed=11)
+        assert doc == GOLDEN_REPORTS[grid, baseline]
+
+    @pytest.mark.parametrize("grid, baseline", sorted(GOLDEN_TSV, key=str))
+    def test_tsv(self, grid, baseline):
+        tsv = render_tsv(GRIDS[grid](), baseline_cell=baseline)
+        assert tsv == "".join("\t".join(row) + "\n"
+                              for row in GOLDEN_TSV[grid, baseline])
+
+    def test_grid_loads_back_unchanged(self, tmp_path):
+        """Split into the two files a run writes, the grid passes the checks
+        on load and reads back as it was; ``untimed`` has no timing line."""
+        records = mixed_grid()
+        timed = ("epoch_seconds", "total_seconds")
+        with open(tmp_path / "results.jsonl", "w") as results, \
+                open(tmp_path / "timing.jsonl", "w") as timing:
+            for r in records:
+                results.write(json.dumps({k: v for k, v in r.items()
+                                          if k not in timed}) + "\n")
+                if r["cell"] != "untimed":
+                    timing.write(json.dumps(
+                        {k: r[k] for k in ("cell",) + timed}) + "\n")
+        assert load_results(tmp_path) == records
+
+
 def synth_to_disk(tmp_path, **kwargs):
     defaults = dict(classes=2, train_docs=16, test_docs=8, vocab=15,
                     doc_len=8, seed=6, name="kw")
@@ -522,10 +737,10 @@ class TestRunner:
             EXTRA_CELL.format(cell_id="broken", mode="FE", kernels="20")
         outcome, out_dir = run_benchmark(write_config(tmp_path, body))
         assert not outcome.ok
-        by_id = {r.cell_id: r for r in outcome.results}
-        assert not by_id["stat-fe"].failed
-        assert by_id["broken"].failed
-        assert "ShapeMismatchError" in by_id["broken"].error
+        by_id = {r["cell"]: r for r in outcome.results}
+        assert not by_id["stat-fe"]["failed"]
+        assert by_id["broken"]["failed"]
+        assert "ShapeMismatchError" in by_id["broken"]["error"]
         records = load_results(out_dir)
         marked = [r for r in records if r["failed"]]
         assert len(marked) == 1
@@ -545,7 +760,7 @@ class TestRunner:
             "repeats = 2", "repeats = 1")
         outcome, _ = run_benchmark(write_config(tmp_path, body))
         assert outcome.ok
-        assert outcome.results[0].metrics_mean["accuracy"] >= 0.0
+        assert outcome.results[0]["metrics"]["accuracy"]["mean"] >= 0.0
 
     def test_relative_out_resolves_under_out_root(self, tmp_path,
                                                   monkeypatch):
@@ -653,6 +868,44 @@ class TestCli:
             "\n" + json.dumps(record, sort_keys=True) + "\n")
         assert main(["report", str(tmp_path)]) == 2
         assert "results.jsonl:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, fields, message", [
+        ("results.jsonl", None, "mode is missing or not a string"),
+        ("results.jsonl", {"preset": "nope"},
+         "preset is missing or not one of ['L-12', 'L-2', 'base', 'static', "
+         "'tiny']"),
+        ("results.jsonl", {"peak_bytes": "big"},
+         "peak_bytes is missing or not a number"),
+        ("results.jsonl", {"peak_bytes": float("nan")},
+         "peak_bytes is missing or not a number"),
+        ("results.jsonl", {"metrics": {"accuracy": {"mean": 0.9}}},
+         "metrics is missing or not an object of {mean, std} numbers"),
+        ("timing.jsonl", {"epoch_seconds": "fast"},
+         "epoch_seconds is missing or not a list of positive numbers"),
+    ])
+    def test_report_on_malformed_record_exits_two(self, tmp_path, capsys,
+                                                  name, fields, message):
+        """``fields`` replace keys of a good line; None leaves only its
+        ``cell``."""
+        record = forced_record("a", "tiny", "FE")
+        timing = {"cell": "a", "epoch_seconds": record.pop("epoch_seconds"),
+                  "total_seconds": record.pop("total_seconds")}
+        lines = {"results.jsonl": record, "timing.jsonl": timing}
+        lines[name] = dict(lines[name], **fields) if fields else {"cell": "a"}
+        for file, line in lines.items():
+            (tmp_path / file).write_text(json.dumps(line) + "\n")
+        assert main(["report", str(tmp_path)]) == 2
+        assert f"{name}:1: cell 'a': {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_run_on_empty_split_exits_two(self, tmp_path, capsys, split):
+        data = synth_to_disk(tmp_path)
+        (data / f"{split}.jsonl").write_text("")
+        config_path = write_config(tmp_path, RUN_CONFIG.format(
+            data=data, out=tmp_path / "out"))
+        assert main(["run", str(config_path)]) == 2
+        assert f"empty {split} split" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BENCH_OUT_ROOT", str(tmp_path / "root"))

@@ -1,11 +1,9 @@
 """Byte-accounting ledger and wall-clock helpers."""
 
-import time
-
 import numpy as np
 import pytest
 
-from febench import MemoryLedger, Stopwatch, TimingTrace, ledger_scope, relative_times
+from febench import MemoryLedger, TimingTrace, ledger_scope, relative_times
 from febench.profiling import LedgerError, MissingBaselineError, active_ledger
 
 
@@ -82,13 +80,6 @@ class TestMemoryLedger:
 
 
 class TestTiming:
-    def test_stopwatch_advances(self):
-        sw = Stopwatch()
-        time.sleep(0.01)
-        assert sw.elapsed() >= 0.005
-        sw.restart()
-        assert sw.elapsed() < 0.5
-
     def test_trace_check_accepts_consistent_totals(self):
         TimingTrace(epoch_seconds=[0.5, 0.4], total_seconds=1.0).check()
 
