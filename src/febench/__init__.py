@@ -3,10 +3,10 @@
 from .cnn import CnnHead, CnnHeadConfig
 from .encoders import Encoder, EncoderConfig, preset_config
 from .metrics import accuracy, label_density, mean_std, micro_prf
-from .profiling import MemoryLedger, TimingTrace, ledger_scope, relative_times
+from .profiling import MemoryLedger, TimingTrace, relative_times
 from .tensor import (ComputationRecord, KernelTooLongError, NonScalarLossError,
-                     ShapeMismatchError, StaleRecordError, Tensor, backward,
-                     grad_check, no_grad)
+                     NoRecordError, ShapeMismatchError, StaleRecordError,
+                     Tensor, backward, grad_check, no_grad)
 from .text import Dataset, LabeledExample, build_vocab, encode, load_dataset, tokenize
 from .training import RunConfig, RunResult, run_experiment, train
 
@@ -22,6 +22,7 @@ __all__ = [
     "KernelTooLongError",
     "LabeledExample",
     "MemoryLedger",
+    "NoRecordError",
     "NonScalarLossError",
     "RunConfig",
     "RunResult",
@@ -35,7 +36,6 @@ __all__ = [
     "encode",
     "grad_check",
     "label_density",
-    "ledger_scope",
     "load_dataset",
     "mean_std",
     "micro_prf",

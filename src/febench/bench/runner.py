@@ -84,7 +84,7 @@ def _run_cell(cell, config, dataset, vocab, epochs):
               "seeds": [config.seed + i for i in range(config.repeats)],
               "repeats": config.repeats, "config_hash": config_hash(config),
               "failed": False, "error": None,
-              "epoch_seconds": [], "total_seconds": 0.0}
+              "epoch_seconds": [], "total_seconds": None}
     try:
         agg = run_experiment(run_cfg, dataset, make_model,
                              repeats=config.repeats)

@@ -1,7 +1,9 @@
 """Differentiable primitives.
 
 Each primitive validates shapes, computes the forward value with numpy, and
-appends one entry to the active computation record.  The backward closure is
+appends one entry to the innermost active computation record, which ledgers
+the output's bytes.  Outside every record a primitive only computes: its
+output needs no gradient and nothing keeps it alive.  The backward closure is
 only kept when some input requires a gradient and taping is enabled, so
 forward-only passes (frozen encoders, evaluation) retain no backward state.
 A backward closure returns one gradient per input, or ``None`` for an input
@@ -28,11 +30,12 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def _emit(kind, inputs, out_data, backward_fn):
+    record = current_record()
+    if record is None:
+        return Tensor(out_data)
     keep = grad_enabled() and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=keep)
-    record = current_record()
     record.append(kind, inputs, out, backward_fn if keep else None)
-    out._record = record
     return out
 
 

@@ -1,10 +1,13 @@
 """Byte-exact memory accounting for tracked tensors, plus wall-clock timing.
 
 Memory is accounted as *tracked tensor bytes*: every live array registered
-with the active :class:`MemoryLedger` contributes to one of four categories
-(parameters, gradients, optimizer_state, activations).  This is a
-machine-independent proxy for device memory; it deliberately excludes
-interpreter and allocator overhead.
+with a :class:`MemoryLedger` contributes to one of four categories
+(parameters, gradients, optimizer_state, activations).  The ledger only
+counts; its owners decide when bytes live and die:
+:class:`~febench.tensor.ComputationRecord` charges activations and
+gradients, and :mod:`febench.training` charges parameters and optimizer
+state.  This is a machine-independent proxy for device memory; it
+deliberately excludes interpreter and allocator overhead.
 """
 
 from __future__ import annotations
@@ -97,29 +100,6 @@ class MemoryLedger:
             "group_current": {f"{c}/{g}": v for (c, g), v in sorted(self._group_current.items())},
             "group_peak": {f"{c}/{g}": v for (c, g), v in sorted(self._group_peak.items())},
         }
-
-
-_ledgers = []
-
-
-def active_ledger():
-    """The innermost installed ledger, or None."""
-    return _ledgers[-1] if _ledgers else None
-
-
-class ledger_scope:
-    """Context manager installing a ledger as the active one."""
-
-    def __init__(self, ledger):
-        self.ledger = ledger
-
-    def __enter__(self):
-        _ledgers.append(self.ledger)
-        return self.ledger
-
-    def __exit__(self, exc_type, exc, tb):
-        _ledgers.pop()
-        return False
 
 
 @dataclass

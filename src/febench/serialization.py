@@ -53,10 +53,9 @@ class WeightSet:
 
     @classmethod
     def from_arrays(cls, shapes, arrays, trainable, group):
-        """Float32 parameter tensors ledgered under ``group``."""
+        """Float32 parameter tensors attributed to ``group``."""
         tensors = {name: Tensor(np.asarray(arr, dtype=np.float32),
-                                requires_grad=trainable,
-                                category="parameters", group=group)
+                                requires_grad=trainable, group=group)
                    for name, arr in arrays.items()}
         return cls(shapes=shapes, tensors=tensors)
 

@@ -1,12 +1,16 @@
 """Dense tensors on numpy storage with taped reverse-mode differentiation.
 
 A :class:`Tensor` wraps one contiguous float array.  Primitive applications
-(see :mod:`febench.ops`) append entries to the active
-:class:`ComputationRecord`; :func:`backward` replays the record once in
+(see :mod:`febench.ops`) append entries to the innermost active
+:class:`ComputationRecord`; :func:`backward` replays that record once in
 reverse to produce exact gradients for every tensor that requires them.
 Frozen tensors (``requires_grad=False``) never receive gradients, and
 subgraphs reachable only through frozen tensors are not taped for backward
-at all.
+at all.  Outside every record nothing is taped.
+
+The record is also the one owner of activation and gradient bytes: given a
+:class:`~febench.profiling.MemoryLedger`, it charges what it makes live and
+frees it on :meth:`ComputationRecord.release`.
 
 Training arithmetic runs in float32.  :func:`grad_check` re-runs the same
 code paths in float64 and compares against central finite differences.
@@ -18,8 +22,6 @@ import itertools
 from contextlib import contextmanager
 
 import numpy as np
-
-from .profiling import active_ledger
 
 
 class ShapeMismatchError(ValueError):
@@ -38,20 +40,18 @@ class StaleRecordError(RuntimeError):
     """A computation record was traversed twice without a new forward pass."""
 
 
+class NoRecordError(RuntimeError):
+    """backward was called outside every computation record."""
+
+
 _tid_counter = itertools.count(1)
 _records = []
-_ambient = None
 _grad_enabled = True
 
 
 def current_record():
-    """The record ops append to: innermost active one, else a module default."""
-    global _ambient
-    if _records:
-        return _records[-1]
-    if _ambient is None:
-        _ambient = ComputationRecord()
-    return _ambient
+    """The innermost active record, or None outside every record."""
+    return _records[-1] if _records else None
 
 
 def grad_enabled():
@@ -73,10 +73,9 @@ def no_grad():
 class Tensor:
     """A dense float array, optionally participating in differentiation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "tid", "category", "group",
-                 "_record", "_mem", "_grad_mem")
+    __slots__ = ("data", "requires_grad", "grad", "tid", "group")
 
-    def __init__(self, data, requires_grad=False, category="activations", group=None):
+    def __init__(self, data, requires_grad=False, group=None):
         arr = np.asarray(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float32)
@@ -84,21 +83,12 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad = None
         self.tid = next(_tid_counter)
-        self.category = category
         self.group = group
-        self._record = None
-        self._grad_mem = None
-        ledger = active_ledger()
-        if ledger is not None:
-            ledger.record_alloc(category, arr.nbytes, group=group)
-            self._mem = (ledger, category, group, arr.nbytes)
-        else:
-            self._mem = None
 
     @classmethod
     def param(cls, data, group=None):
-        """A trainable parameter tensor, ledgered under 'parameters'."""
-        return cls(data, requires_grad=True, category="parameters", group=group)
+        """A trainable parameter tensor attributed to ``group``."""
+        return cls(data, requires_grad=True, group=group)
 
     @property
     def shape(self):
@@ -114,29 +104,6 @@ class Tensor:
 
     def numpy(self):
         return self.data
-
-    def release_storage(self):
-        """Report this tensor's bytes as freed. Idempotent."""
-        if self._mem is not None:
-            ledger, category, group, nbytes = self._mem
-            ledger.record_free(category, nbytes, group=group)
-            self._mem = None
-
-    def _set_grad(self, grad_array):
-        if self._grad_mem is not None:
-            self.clear_grad()
-        self.grad = grad_array
-        ledger = active_ledger()
-        if ledger is not None:
-            ledger.record_alloc("gradients", grad_array.nbytes, group=self.group)
-            self._grad_mem = (ledger, grad_array.nbytes)
-
-    def clear_grad(self):
-        if self._grad_mem is not None:
-            ledger, nbytes = self._grad_mem
-            ledger.record_free("gradients", nbytes, group=self.group)
-            self._grad_mem = None
-        self.grad = None
 
     def __repr__(self):
         flags = []
@@ -162,15 +129,18 @@ class ComputationRecord:
     """Ordered tape of primitive applications for one forward/backward cycle.
 
     Entries are appended in execution order, so every input precedes its
-    consumers; backward walks them once in reverse.  The record also owns the
-    lifecycle of the activations it produced: :meth:`release` reports their
-    bytes (and any gradients of the last traversal) as freed.
+    consumers; backward walks them once in reverse.  The record is the one
+    owner of the bytes a forward/backward cycle makes live: with a ``ledger``
+    it charges every output to ``activations`` and every gradient of the
+    last traversal to ``gradients`` (under the tensor's group), and
+    :meth:`release` frees both.
     """
 
-    def __init__(self):
+    def __init__(self, ledger=None):
         self.entries = []
+        self.ledger = ledger
         self._fresh = True
-        self._grad_tensors = []
+        self._grads = []
 
     def __enter__(self):
         _records.append(self)
@@ -183,29 +153,60 @@ class ComputationRecord:
     def append(self, kind, inputs, output, backward_fn):
         self.entries.append(_Entry(kind, tuple(inputs), output, backward_fn))
         self._fresh = True
+        if self.ledger is not None:
+            self.ledger.record_alloc("activations", output.data.nbytes)
+
+    def _hold_grads(self, grads):
+        """Set each (tensor, array) gradient, freeing the last traversal's first."""
+        self._free_grads()
+        for t, g in grads:
+            t.grad = g
+            if self.ledger is not None:
+                self.ledger.record_alloc("gradients", g.nbytes, group=t.group)
+        self._grads = grads
+
+    def _free_grads(self):
+        held = {}
+        for t, g in self._grads:
+            t.grad = None
+            held[t.group] = held.get(t.group, 0) + g.nbytes
+        if self.ledger is not None:
+            for group, nbytes in held.items():
+                self.ledger.record_free("gradients", nbytes, group=group)
+        self._grads = []
 
     def release(self):
         """Free all activations recorded here plus gradients of the last backward."""
-        for entry in self.entries:
-            entry.output.release_storage()
-        for t in self._grad_tensors:
-            t.clear_grad()
+        if self.ledger is not None and self.entries:
+            self.ledger.record_free(
+                "activations", sum(e.output.data.nbytes for e in self.entries))
+        self._free_grads()
         self.entries.clear()
-        self._grad_tensors = []
         self._fresh = True
 
 
+def _producer(loss):
+    """The innermost active record that taped ``loss``, else the innermost one."""
+    for record in reversed(_records):
+        if any(entry.output is loss for entry in reversed(record.entries)):
+            return record
+    return current_record()
+
+
 def backward(loss):
-    """Reverse-mode traversal from a scalar loss.
+    """Reverse-mode traversal from a scalar loss over the record that taped it.
 
     Returns ``{tensor id -> gradient array}`` covering every tensor with
     ``requires_grad=True`` that the loss depends on; frozen tensors and
     anything reachable only through them are absent.  Each traversed tensor
-    also gets its ``grad`` attribute set.
+    also gets its ``grad`` attribute set until the record is released or
+    traversed again.
     """
     if loss.data.ndim != 0:
         raise NonScalarLossError(f"loss must be scalar, got shape {tuple(loss.shape)}")
-    record = loss._record if loss._record is not None else current_record()
+    record = _producer(loss)
+    if record is None:
+        raise NoRecordError("backward needs an active ComputationRecord")
     if not record._fresh:
         raise StaleRecordError("record already traversed; run a new forward pass first")
     record._fresh = False
@@ -231,15 +232,9 @@ def backward(loss):
                 got[1] = got[1] + g
                 got[2] = True
 
-    grad_map = {}
-    touched = []
-    for tid, (t, g, _) in pending.items():
-        g = np.asarray(g)
-        t._set_grad(g)
-        touched.append(t)
-        grad_map[tid] = g
-    record._grad_tensors = touched
-    return grad_map
+    grads = [(t, np.asarray(g)) for t, g, _ in pending.values()]
+    record._hold_grads(grads)
+    return {t.tid: g for t, g in grads}
 
 
 def grad_check(function, point, eps=1e-5):

@@ -1,9 +1,10 @@
 """Training loops: loss, Adam, seeded epochs, and multi-run aggregation.
 
 A run owns one memory ledger and one timing trace.  Parameters are
-registered up front; per-batch activations and gradients are released after
-each optimizer step, so the ledger peak reflects the training-step
-high-water mark.  Everything downstream of the seed is deterministic:
+registered up front and optimizer moments when first created; each step's
+and each evaluated document's record charges its activations and gradients
+to the same ledger and releases them when done, so the ledger peak reflects
+the training-step high-water mark.  Everything downstream of the seed is deterministic:
 weight init, shuffles, and batch order depend only on (seed, epoch).
 """
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import ops
 from .metrics import accuracy, mean_std, micro_prf
 from .cnn import predict
-from .profiling import MemoryLedger, TimingTrace, ledger_scope
+from .profiling import MemoryLedger, TimingTrace
 from .tensor import ComputationRecord, ShapeMismatchError, backward, no_grad
 from .text import encode
 
@@ -166,7 +167,7 @@ def forward_batch(encoder, head, ids_batch, valid_batch):
 def train_step(encoder, head, params, state, ids_batch, valid_batch, targets,
                task_kind, lr):
     """One forward/backward/update cycle; returns the batch loss as a float."""
-    with ComputationRecord() as record:
+    with ComputationRecord(state.ledger) as record:
         logits = forward_batch(encoder, head, ids_batch, valid_batch)
         loss = compute_loss(logits, targets, task_kind)
         value = float(loss.data)
@@ -177,12 +178,12 @@ def train_step(encoder, head, params, state, ids_batch, valid_batch, targets,
     return value
 
 
-def evaluate(encoder, head, ids, valid, task_kind, threshold=0.5):
+def evaluate(encoder, head, ids, valid, task_kind, threshold=0.5, ledger=None):
     """Predicted label-index sets for an encoded test split."""
     predictions = []
     with no_grad():
         for doc_ids, doc_valid in zip(ids, valid):
-            with ComputationRecord() as record:
+            with ComputationRecord(ledger) as record:
                 logits = head.forward(encoder.forward(doc_ids, int(doc_valid)),
                                       int(doc_valid))
                 predictions.append(predict(logits, task_kind, threshold))
@@ -243,26 +244,24 @@ def train(config, dataset, encoder, head, vocab):
 
     n = len(dataset.train)
     train_losses, epoch_metrics, epoch_seconds = [], [], []
-    with ledger_scope(ledger):
-        for epoch in range(config.epochs):
-            epoch_started = time.perf_counter()
-            order = np.random.default_rng(
-                [config.seed, 2, epoch]).permutation(n)
-            batch_losses = []
-            for batch_index, start in enumerate(range(0, n, config.batch_size)):
-                chosen = order[start:start + config.batch_size]
-                value = train_step(
-                    encoder, head, trainable, state, train_ids[chosen],
-                    train_valid[chosen], train_targets[chosen],
-                    dataset.task_kind, config.learning_rate)
-                if not np.isfinite(value):
-                    raise TrainingDivergedError(epoch, batch_index, value)
-                batch_losses.append(value)
-            predictions = evaluate(encoder, head, test_ids, test_valid,
-                                   dataset.task_kind, config.threshold)
-            train_losses.append(float(np.mean(batch_losses)))
-            epoch_metrics.append(_metrics(predictions, gold, dataset.task_kind))
-            epoch_seconds.append(time.perf_counter() - epoch_started)
+    for epoch in range(config.epochs):
+        epoch_started = time.perf_counter()
+        order = np.random.default_rng([config.seed, 2, epoch]).permutation(n)
+        batch_losses = []
+        for batch_index, start in enumerate(range(0, n, config.batch_size)):
+            chosen = order[start:start + config.batch_size]
+            value = train_step(
+                encoder, head, trainable, state, train_ids[chosen],
+                train_valid[chosen], train_targets[chosen],
+                dataset.task_kind, config.learning_rate)
+            if not np.isfinite(value):
+                raise TrainingDivergedError(epoch, batch_index, value)
+            batch_losses.append(value)
+        predictions = evaluate(encoder, head, test_ids, test_valid,
+                               dataset.task_kind, config.threshold, ledger)
+        train_losses.append(float(np.mean(batch_losses)))
+        epoch_metrics.append(_metrics(predictions, gold, dataset.task_kind))
+        epoch_seconds.append(time.perf_counter() - epoch_started)
 
     timing = TimingTrace(epoch_seconds=epoch_seconds,
                          total_seconds=time.perf_counter() - started)

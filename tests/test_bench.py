@@ -746,6 +746,22 @@ class TestRunner:
         assert len(marked) == 1
         assert "FAILED" in (out_dir / "report.txt").read_text()
 
+    def test_failed_cell_is_untimed(self, tmp_path):
+        data = synth_to_disk(tmp_path)
+        body = RUN_CONFIG.format(data=data, out=tmp_path / "run") + \
+            EXTRA_CELL.format(cell_id="broken", mode="FE", kernels="20")
+        _, out_dir = run_benchmark(write_config(tmp_path, body))
+        timing = {entry["cell"]: entry for entry in map(
+            json.loads, (out_dir / "timing.jsonl").read_text().splitlines())}
+        assert timing["broken"]["total_seconds"] is None
+        assert timing["stat-fe"]["total_seconds"] > 0
+        report = (out_dir / "report.txt").read_text()
+        hours = report.split("total training time (hours)\n")[1].split("\n\n")[0]
+        rows = {line.split()[0]: line.split()[-1]
+                for line in hours.splitlines()[1:]}
+        assert rows["broken"] == "-"
+        assert rows["stat-fe"] != "-"
+
     def test_missing_epochs_for_unknown_dataset(self, tmp_path):
         data = synth_to_disk(tmp_path)
         body = RUN_CONFIG.format(data=data, out=tmp_path / "run").replace(

@@ -1,10 +1,11 @@
 """The names the benchmark tracer patches, and the result-file keys its CLI
 workload reads, must exist in febench.
 
-``perfbench/tracer.py`` wraps febench functions by module and attribute name
-and reports primitives by kind, and ``perfbench/workloads.py`` reads the
-records ``bench run`` writes; a rename in the package would otherwise only
-surface when the benchmark runs.
+``perfbench/tracer.py`` wraps febench functions by module and attribute name,
+patches ``ComputationRecord.append`` and ``MemoryLedger.record_alloc`` /
+``record_free`` on their classes, and reports primitives by kind, and
+``perfbench/workloads.py`` reads the records ``bench run`` writes; a rename
+in the package would otherwise only surface when the benchmark runs.
 """
 
 import importlib
@@ -14,10 +15,14 @@ from pathlib import Path
 
 import pytest
 
-from febench import ops
+from febench import ops, training
 from febench.bench.runner import run_benchmark
 from febench.bench.synth import SynthSpec, make_synthetic
-from febench.text import save_dataset
+from febench.cnn import CnnHead, CnnHeadConfig
+from febench.encoders import Encoder
+from febench.profiling import MemoryLedger
+from febench.tensor import ComputationRecord
+from febench.text import build_vocab, save_dataset
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -41,6 +46,29 @@ def test_spanned_function_exists(span):
 
 def test_reported_op_kinds_are_primitives():
     assert set(TRACER.OP_KINDS) <= set(ops.PRIMITIVES)
+
+
+def test_class_patches_see_a_run_and_are_restored():
+    """The tracer counts tape entries through ``ComputationRecord.append``
+    and ledger calls through ``MemoryLedger``; both must fire in a real run
+    and be put back afterwards."""
+    append, alloc = ComputationRecord.append, MemoryLedger.record_alloc
+    dataset = make_synthetic(SynthSpec(classes=2, train_docs=8, test_docs=4,
+                                       vocab=10, doc_len=8, seed=1))
+    vocab = build_vocab([ex.text for ex in dataset.train], max_size=50)
+    encoder = Encoder.from_preset("static", vocab.size, seed=[1, 0],
+                                  frozen=False)
+    head = CnnHead.build(CnnHeadConfig(hidden=encoder.config.hidden,
+                                       classes=2, filters=2), seed=[1, 1])
+    config = training.RunConfig(mode="FiT", epochs=1, batch_size=4,
+                                max_len=12)
+    with TRACER.Tracer() as trace:
+        training.train(config, dataset, encoder, head, vocab)
+    assert trace.tape_entries > 0
+    assert trace.ledger_calls["allocs"] > 0
+    assert trace.ledger_calls["frees"] > 0
+    assert ComputationRecord.append is append
+    assert MemoryLedger.record_alloc is alloc
 
 
 CONFIG = """\

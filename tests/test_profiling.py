@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from febench import MemoryLedger, TimingTrace, ledger_scope, relative_times
-from febench.profiling import LedgerError, MissingBaselineError, active_ledger
+from febench import MemoryLedger, TimingTrace, relative_times
+from febench.profiling import LedgerError, MissingBaselineError
 
 
 class TestMemoryLedger:
@@ -60,23 +60,14 @@ class TestMemoryLedger:
         assert b["current"]["parameters"] == 4
         assert b["group_peak"]["parameters/encoder"] == 4
 
-    def test_scope_installs_and_restores(self):
-        outer, inner = MemoryLedger(), MemoryLedger()
-        assert active_ledger() is None
-        with ledger_scope(outer):
-            assert active_ledger() is outer
-            with ledger_scope(inner):
-                assert active_ledger() is inner
-            assert active_ledger() is outer
-        assert active_ledger() is None
-
     def test_float32_tensor_bytes(self):
         """Ledger figures come from array nbytes: 4 bytes per float32 element."""
-        from febench import Tensor
+        from febench import ComputationRecord, Tensor, ops
         ledger = MemoryLedger()
-        with ledger_scope(ledger):
-            Tensor(np.zeros((10, 3), dtype=np.float32), category="parameters")
-        assert ledger.current("parameters") == 120
+        x = Tensor(np.zeros((10, 3), dtype=np.float32))
+        with ComputationRecord(ledger):
+            ops.relu(x)
+        assert ledger.current("activations") == 120
 
 
 class TestTiming:

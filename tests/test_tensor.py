@@ -1,10 +1,13 @@
 """Tensor container, record lifecycle, and backward traversal mechanics."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from febench import (ComputationRecord, MemoryLedger, NonScalarLossError,
-                     StaleRecordError, Tensor, backward, ledger_scope, no_grad)
+from febench import (ComputationRecord, MemoryLedger, NoRecordError,
+                     NonScalarLossError, StaleRecordError, Tensor, backward,
+                     no_grad)
 from febench import ops
 
 
@@ -21,7 +24,6 @@ class TestTensor:
     def test_param_constructor(self):
         p = Tensor.param(np.ones((2, 2)), group="head")
         assert p.requires_grad
-        assert p.category == "parameters"
         assert p.group == "head"
 
     def test_ids_are_unique(self):
@@ -139,26 +141,84 @@ class TestNoGrad:
 class TestRecordLifecycle:
     def test_release_frees_activation_bytes(self):
         ledger = MemoryLedger()
-        with ledger_scope(ledger):
-            x = Tensor(np.ones(8, dtype=np.float32), requires_grad=True,
-                       category="parameters")
-            with ComputationRecord() as rec:
-                loss = ops.sum_all(ops.relu(x))
-                backward(loss)
-                assert ledger.current("activations") > 0
-                assert ledger.current("gradients") > 0
-                rec.release()
-            assert ledger.current("activations") == 0
-            assert ledger.current("gradients") == 0
-            assert ledger.current("parameters") == x.data.nbytes
+        x = Tensor.param(np.ones(8, dtype=np.float32))
+        with ComputationRecord(ledger) as rec:
+            loss = ops.sum_all(ops.relu(x))
+            backward(loss)
+            assert ledger.current("activations") > 0
+            assert ledger.current("gradients") > 0
+            rec.release()
+        assert ledger.current("activations") == 0
+        assert ledger.current("gradients") == 0
+        assert ledger.current() == 0
 
-    def test_release_is_idempotent_per_tensor(self):
+    def test_hand_computed_program(self):
+        """matmul [4, 3] @ [3, 2], relu, sum: every byte accounted by hand."""
         ledger = MemoryLedger()
-        with ledger_scope(ledger):
-            t = Tensor(np.ones(4, dtype=np.float32))
-            t.release_storage()
-            t.release_storage()
-            assert ledger.current("activations") == 0
+        w = Tensor.param(np.full((3, 2), 0.5, dtype=np.float32), group="head")
+        x = Tensor(np.ones((4, 3), dtype=np.float32))
+        with ComputationRecord(ledger) as rec:
+            loss = ops.sum_all(ops.relu(ops.matmul(x, w)))
+            # matmul and relu outputs are [4, 2] float32, the loss a scalar
+            assert ledger.current("activations") == 32 + 32 + 4
+            assert ledger.current("gradients") == 0
+            backward(loss)
+            # loss, relu output and matmul output carry no group; w is "head"
+            assert ledger.current("gradients") == 4 + 32 + 32 + 24
+            assert ledger.group_current("gradients", "head") == 24
+            assert ledger.peak() == 68 + 92
+            rec.release()
+        assert ledger.current("activations") == 0
+        assert ledger.current("gradients") == 0
+        assert ledger.group_current("gradients", "head") == 0
+        assert ledger.peak() == 68 + 92
+        assert x.grad is None and w.grad is None
+
+    def test_second_backward_holds_one_traversal(self):
+        ledger = MemoryLedger()
+        w = Tensor.param(np.ones((3, 2), dtype=np.float32), group="head")
+        x = Tensor(np.ones((4, 3), dtype=np.float32))
+        with ComputationRecord(ledger) as rec:
+            loss = ops.sum_all(ops.relu(ops.matmul(x, w)))
+            backward(loss)
+            once = ledger.current("gradients")
+            ops.relu(x)  # a new entry makes the record traversable again
+            backward(loss)
+            assert ledger.current("gradients") == once
+            assert ledger.group_current("gradients", "head") == 24
+            rec.release()
+        assert ledger.current("gradients") == 0
+
+    def test_second_backward_frees_the_first_loss_gradient(self):
+        ledger = MemoryLedger()
+        x = Tensor.param(np.ones(4, dtype=np.float32))
+        with ComputationRecord(ledger) as rec:
+            backward(ops.sum_all(x))
+            backward(ops.sum_all(x))
+            # x's 16 bytes plus one scalar loss gradient, not two
+            assert ledger.current("gradients") == 16 + 4
+            rec.release()
+        assert ledger.current("gradients") == 0
+
+    def test_release_twice_frees_once(self):
+        ledger = MemoryLedger()
+        x = Tensor.param(np.ones(4, dtype=np.float32))
+        with ComputationRecord(ledger) as rec:
+            backward(ops.sum_all(ops.relu(x)))
+            rec.release()
+            # a second free of the same bytes would be an over-free error
+            rec.release()
+        assert ledger.current() == 0
+
+    def test_ops_outside_a_record_hold_nothing(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        out = ops.relu(x)
+        assert not out.requires_grad
+        data = weakref.ref(out.data)
+        del out
+        assert data() is None
+        with pytest.raises(NoRecordError):
+            backward(ops.sum_all(x))
 
     def test_nested_records_are_independent(self):
         x = Tensor(np.array(2.0), requires_grad=True)
@@ -172,3 +232,11 @@ class TestRecordLifecycle:
             outer_loss = ops.sum_all(ops.mul(x, x))
             grads = backward(outer_loss)
         assert float(grads[x.tid]) == 4.0
+
+    def test_backward_walks_the_record_that_taped_the_loss(self):
+        x = Tensor(np.array([1.0, -1.0]), requires_grad=True)
+        with ComputationRecord():
+            loss = ops.sum_all(ops.relu(x))
+            with ComputationRecord():
+                grads = backward(loss)
+        np.testing.assert_array_equal(grads[x.tid], [1.0, 0.0])
