@@ -78,6 +78,10 @@ class CellSpec:
                 or any(k < 1 for k in self.kernel_sizes)):
             raise ConfigError(f"cell {self.cell_id!r}: kernels must be "
                               f"distinct positive integers")
+        if self.max_len < max(self.kernel_sizes):
+            raise ConfigError(f"cell {self.cell_id!r}: max_len "
+                              f"{self.max_len} is shorter than the largest "
+                              f"kernel {max(self.kernel_sizes)}")
 
 
 @dataclass(frozen=True)

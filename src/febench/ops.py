@@ -9,7 +9,9 @@ forward-only passes (frozen encoders, evaluation) retain no backward state.
 A backward closure returns one gradient per input, or ``None`` for an input
 that needs no gradient (PyTorch's ``needs_input_grad`` rule), which
 :func:`~febench.tensor.backward` skips; :func:`conv1d_valid` does so for a
-frozen input.
+frozen input.  Likewise :func:`conv1d_valid`'s backward multiplies through
+only the live windows, whose row of the upstream gradient is not all zero;
+after ReLU and max-over-time pooling at most one window per filter is live.
 
 All primitives accept and return :class:`~febench.tensor.Tensor`; integer
 side inputs (token ids, class targets) are plain numpy arrays passed as
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .tensor import (KernelTooLongError, ShapeMismatchError, Tensor,
                      current_record, grad_enabled)
@@ -164,7 +166,11 @@ def conv1d_valid(x, w, b):
     ``x`` is [T, H], ``w`` is [k, H, f], ``b`` is [f]; output is
     [T - k + 1, f].  A kernel longer than the sequence is an error.  When
     ``x`` needs no gradient (a frozen encoder's output), the backward closure
-    returns ``None`` for it and skips computing it.
+    returns ``None`` for it and skips computing it.  The backward also skips
+    every dead window, whose row of the upstream gradient is all zero (as
+    pooling leaves most rows): such a row adds only exact zeros, so the
+    gradients equal the all-window formula's, up to the rounding of the BLAS
+    kernel chosen for the smaller product.
     """
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise ShapeMismatchError(
@@ -182,18 +188,23 @@ def conv1d_valid(x, w, b):
         raise KernelTooLongError(
             f"kernel size {k} exceeds sequence length {t_len}")
     n = t_len - k + 1
-    # a zero-copy view of x; a copied im2col matrix would stay alive in bwd
-    cols = sliding_window_view(x.data, k, axis=0).transpose(0, 2, 1).reshape(n, k * h)
+    xd = np.ascontiguousarray(x.data)
+    # row t of this read-only view is the flattened window x[t:t+k]; its
+    # contiguous copy feeds one matmul and dies here, bwd gathers live rows
+    windows = as_strided(xd, (n, k * h), xd.strides, writeable=False)
     w2 = w.data.reshape(k * h, f)
-    out = cols @ w2 + b.data
+    out = windows.copy() @ w2 + b.data
     need_dx = x.requires_grad
 
     def bwd(g):
-        gw = (cols.T @ g).reshape(k, h, f)
+        rows = np.flatnonzero(g.any(axis=1))
+        g_live = g[rows]
+        gw = (windows[rows].T @ g_live).reshape(k, h, f)
         gb = g.sum(axis=0)
         if not need_dx:
             return None, gw, gb
-        dcols = (g @ w2.T).reshape(n, k, h)
+        dcols = np.zeros((n, k, h), dtype=g.dtype)
+        dcols[rows] = (g_live @ w2.T).reshape(rows.size, k, h)
         dx = np.zeros((t_len, h), dtype=g.dtype)
         for i in range(k):
             dx[i:i + n] += dcols[:, i, :]

@@ -77,6 +77,16 @@ def _case_conv1d_valid_frozen_input(rng):
             [rng.normal(size=(3, 4, 5)), rng.normal(size=5)])
 
 
+def _case_conv1d_valid_pooled(rng):
+    """Conv pooled over its first 4 of 7 windows by 2 filters: the conv
+    backward sees dead rows (past the limit, and never a column's max)."""
+    def fn(x, w, b):
+        pooled = ops.max_over_time(ops.conv1d_valid(x, w, b), limit=4)
+        return ops.sum_all(ops.mul(pooled, pooled))
+    return fn, [rng.normal(size=(9, 4)), rng.normal(size=(3, 4, 2)),
+                rng.normal(size=2)]
+
+
 def _case_max_over_time(rng):
     def fn(x):
         pooled = ops.max_over_time(x, limit=4)
@@ -213,6 +223,7 @@ PRIMITIVE_GRAD_CASES = {
     "layer_norm": _case_layer_norm,
     "conv1d_valid": _case_conv1d_valid,
     "conv1d_valid_frozen_input": _case_conv1d_valid_frozen_input,
+    "conv1d_valid_pooled": _case_conv1d_valid_pooled,
     "max_over_time": _case_max_over_time,
     "embedding_lookup": _case_embedding_lookup,
     "scaled_dot_attention": _case_scaled_dot_attention,

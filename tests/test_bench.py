@@ -123,6 +123,8 @@ class TestConfig:
          "lr = fast\n", "not a number"),
         ("[benchmark]\ndataset = d\n\n[cell:a]\npreset = tiny\nmode = FE\n"
          "kernels = 3,x\n", "kernels"),
+        ("[benchmark]\ndataset = d\n\n[cell:a]\npreset = tiny\nmode = FE\n"
+         "max_len = 4\n", "'a': max_len 4 is shorter than the largest kernel 6"),
         ("dataset = d\n[benchmark]\n\n[cell:a]\npreset = tiny\nmode = FE\n",
          "cannot parse"),
     ])
@@ -693,7 +695,7 @@ preset = static
 mode = {mode}
 epochs = 2
 batch = 8
-max_len = 12
+max_len = 24
 kernels = {kernels}
 filters = 4
 """
@@ -814,6 +816,16 @@ class TestCli:
         path = write_config(tmp_path, "[benchmark]\nrepeats = 1\n")
         assert main(["run", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_max_len_below_largest_kernel_exits_two(self, tmp_path, capsys):
+        data = synth_to_disk(tmp_path)
+        body = RUN_CONFIG.format(data=data, out=tmp_path / "out").replace(
+            "max_len = 12", "max_len = 4").replace("kernels = 2,3",
+                                                    "kernels = 3,6")
+        assert main(["run", str(write_config(tmp_path, body))]) == 2
+        assert "max_len 4 is shorter than the largest kernel 6" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.ini")]) == 2

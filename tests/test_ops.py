@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from febench import (ComputationRecord, KernelTooLongError, ShapeMismatchError,
                      Tensor, backward)
@@ -184,6 +185,98 @@ class TestConvolution:
         with pytest.raises(KernelTooLongError):
             run(ops.conv1d_valid, Tensor(np.ones((2, 4))),
                 Tensor(np.ones((3, 4, 1))), Tensor(np.zeros(1)))
+
+
+def _dense_conv(xd, wd, bd, g, need_dx):
+    """The dense reference: every window of a ``sliding_window_view``."""
+    t_len, h = xd.shape
+    k, _, f = wd.shape
+    n = t_len - k + 1
+    cols = sliding_window_view(xd, k, axis=0).transpose(0, 2, 1).reshape(n, k * h)
+    w2 = wd.reshape(k * h, f)
+    out, gw, gb = cols @ w2 + bd, (cols.T @ g).reshape(k, h, f), g.sum(axis=0)
+    if not need_dx:
+        return out, None, gw, gb
+    dcols = (g @ w2.T).reshape(n, k, h)
+    dx = np.zeros((t_len, h), dtype=g.dtype)
+    for i in range(k):
+        dx[i:i + n] += dcols[:, i, :]
+    return out, dx, gw, gb
+
+
+def _upstream(kind, out, rng):
+    """Upstream gradient of the conv output: all rows live, the rows that
+    relu and max-over-time pooling (limit n - 2) keep, or none."""
+    n, f = out.shape
+    if kind == "dense":
+        return rng.normal(size=(n, f)).astype(out.dtype)
+    g = np.zeros_like(out)
+    if kind == "pooled":
+        active = np.maximum(out, 0)
+        idx = active[:max(1, n - 2)].argmax(axis=0)
+        g[idx, np.arange(f)] = rng.normal(size=f)
+        g *= out > 0
+    return g
+
+
+def _conv(xd, wd, bd, g=None, need_dx=True):
+    """``conv1d_valid``'s output, then its backward of ``g`` if given."""
+    x = Tensor(xd, requires_grad=need_dx)
+    w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
+    with ComputationRecord() as record:
+        out = ops.conv1d_valid(x, w, b).numpy()
+        if g is None:
+            return out
+        return (out,) + record.entries[-1].backward_fn(g)
+
+
+class TestConvolutionDeadRows:
+    """The backward skips the windows whose gradient row is all zero.
+
+    A dead row adds only exact zeros, so at the head's shapes (width 128, 100
+    filters) the result is bit-identical to the dense formula.  At tiny
+    shapes BLAS may pick another kernel for the smaller live-row product, or
+    numpy a naive loop for a strided one-column product, so there the two
+    agree to rounding only.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("need_dx", [True, False])
+    @pytest.mark.parametrize("kind", ["dense", "pooled", "zero"])
+    @pytest.mark.parametrize("t_len, k", [(16, 3), (16, 6), (128, 3), (128, 6)])
+    def test_bit_identical_to_dense(self, dtype, need_dx, kind, t_len, k):
+        rng = np.random.default_rng([t_len, k])
+        xd = rng.normal(size=(t_len, 128)).astype(dtype)
+        wd = rng.normal(0.0, 0.02, size=(k, 128, 100)).astype(dtype)
+        bd = rng.normal(0.0, 0.02, size=100).astype(dtype)
+        out = _conv(xd, wd, bd)
+        g = _upstream(kind, out, rng)
+        if kind == "pooled":
+            assert 0 < np.count_nonzero(g.any(axis=1)) < g.shape[0]
+        got = _conv(xd, wd, bd, g, need_dx)
+        want = _dense_conv(xd, wd, bd, g, need_dx)
+        assert (got[1] is None) == (not need_dx)
+        for name, a, b in zip(("out", "dx", "gw", "gb"), got, want):
+            if b is not None:
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["dense", "pooled", "zero"])
+    @pytest.mark.parametrize("t_len, h, k, f", [
+        (3, 4, 3, 2), (7, 1, 3, 1), (9, 4, 3, 5), (6, 16, 5, 7), (40, 1, 2, 3)])
+    def test_small_shapes_match_dense(self, dtype, kind, t_len, h, k, f):
+        rng = np.random.default_rng([t_len, h, k, f])
+        xd = rng.normal(size=(t_len, h)).astype(dtype)
+        wd = rng.normal(size=(k, h, f)).astype(dtype)
+        bd = rng.normal(size=f).astype(dtype)
+        out = _conv(xd, wd, bd)
+        g = _upstream(kind, out, rng)
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for a, b in zip(_conv(xd, wd, bd, g),
+                        _dense_conv(xd, wd, bd, g, True)):
+            np.testing.assert_allclose(a, b, rtol=tol,
+                                       atol=tol * max(1.0, np.abs(b).max()))
 
 
 class TestMaxOverTime:

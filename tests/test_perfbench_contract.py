@@ -88,7 +88,7 @@ filters = 2
 preset = static
 mode = FE
 epochs = 1
-max_len = 12
+max_len = 24
 kernels = 20
 """
 
