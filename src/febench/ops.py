@@ -13,6 +13,14 @@ frozen input.  Likewise :func:`conv1d_valid`'s backward multiplies through
 only the live windows, whose row of the upstream gradient is not all zero;
 after ReLU and max-over-time pooling at most one window per filter is live.
 
+A closure may return a parameter's gradient in a form that
+:func:`~febench.tensor.backward` reduces once per step, not once per
+document, into a dense map value: :func:`matmul` and 2-d :func:`linear`
+return their weight gradient as stacked factors ``(a, g)``, meaning
+``a.T @ g``, and :func:`embedding_lookup` a row-sparse update.  The conv
+weight gradient and the 1-d ``linear``'s outer product stay dense per
+document; deferred conv factors would keep each document's windows alive.
+
 All primitives accept and return :class:`~febench.tensor.Tensor`; integer
 side inputs (token ids, class targets) are plain numpy arrays passed as
 keyword attributes.
@@ -23,10 +31,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .tensor import (KernelTooLongError, ShapeMismatchError, Tensor,
-                     current_record, grad_enabled)
+from .tensor import (Factors, KernelTooLongError, RowSparse, ShapeMismatchError,
+                     Tensor, current_record, grad_enabled)
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -52,7 +59,7 @@ def matmul(a, b):
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return g @ bd.T, ad.T @ g
+        return g @ bd.T, Factors(ad, g)
 
     return _emit("matmul", (a, b), ad @ bd, bwd)
 
@@ -189,9 +196,12 @@ def conv1d_valid(x, w, b):
             f"kernel size {k} exceeds sequence length {t_len}")
     n = t_len - k + 1
     xd = np.ascontiguousarray(x.data)
-    # row t of this read-only view is the flattened window x[t:t+k]; its
-    # contiguous copy feeds one matmul and dies here, bwd gathers live rows
-    windows = as_strided(xd, (n, k * h), xd.strides, writeable=False)
+    # row t of this read-only view is the flattened window x[t:t+k]; row
+    # n - 1 ends at element (n - 1 + k)·H = T·H, so the view covers exactly
+    # x's T·H elements.  Its contiguous copy feeds one matmul and dies here,
+    # bwd gathers live rows
+    windows = np.ndarray((n, k * h), xd.dtype, buffer=xd, strides=xd.strides)
+    windows.flags.writeable = False
     w2 = w.data.reshape(k * h, f)
     out = windows.copy() @ w2 + b.data
     need_dx = x.requires_grad
@@ -249,9 +259,11 @@ def embedding_lookup(table, ids):
     shape, dtype = table.shape, table.data.dtype
 
     def bwd(g):
-        gt = np.zeros(shape, dtype=dtype)
-        np.add.at(gt, ids, g)
-        return (gt,)
+        # per-row sums in id order, as np.add.at into a zero table sums them
+        rows, where = np.unique(ids, return_inverse=True)
+        sums = np.zeros((rows.size, shape[1]), dtype=dtype)
+        np.add.at(sums, where.reshape(ids.shape), g)
+        return (RowSparse(rows, sums),)
 
     return _emit("embedding_lookup", (table,), table.data[ids], bwd)
 
@@ -357,7 +369,7 @@ def linear(x, w, b):
             return wd @ g, np.outer(xd, g), g
     else:
         def bwd(g):
-            return g @ wd.T, xd.T @ g, g.sum(axis=0)
+            return g @ wd.T, Factors(xd, g), g.sum(axis=0)
 
     return _emit("linear", (x, w, b), xd @ wd + b.data, bwd)
 

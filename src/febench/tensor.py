@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,6 +116,20 @@ class Tensor:
         return f"<Tensor #{self.tid} shape={tuple(self.shape)} {self.dtype}{tag}>"
 
 
+class Factors(NamedTuple):
+    """The gradient ``a.T @ g``, left unmultiplied for :func:`backward`."""
+
+    a: np.ndarray
+    g: np.ndarray
+
+
+class RowSparse(NamedTuple):
+    """A gradient that is ``values`` at the unique ``rows`` and zero elsewhere."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+
 class _Entry:
     __slots__ = ("kind", "inputs", "output", "backward_fn")
 
@@ -201,6 +216,14 @@ def backward(loss):
     anything reachable only through them are absent.  Each traversed tensor
     also gets its ``grad`` attribute set until the record is released or
     traversed again.
+
+    A closure may return a gradient as :class:`Factors` or :class:`RowSparse`,
+    so that each parameter's gradient is reduced once per step, not once per
+    document.  The walk stacks a tensor's factors and multiplies them out
+    once, ``concatenate(a).T @ concatenate(g)``, when the tensor's producer
+    needs its gradient or, for a parameter, at the end; it adds row-sparse
+    updates in place into the tensor's one dense gradient.  Every value in
+    the returned map, and every ``grad``, is a dense array.
     """
     if loss.data.ndim != 0:
         raise NonScalarLossError(f"loss must be scalar, got shape {tuple(loss.shape)}")
@@ -211,30 +234,65 @@ def backward(loss):
         raise StaleRecordError("record already traversed; run a new forward pass first")
     record._fresh = False
 
-    # slot layout: [tensor, grad array, owns_array]
-    pending = {loss.tid: [loss, np.ones((), dtype=loss.data.dtype), True]}
+    # slot layout: [tensor, dense grad or None, owns_array, Factors list]
+    pending = {loss.tid: [loss, np.ones((), dtype=loss.data.dtype), True, []]}
     for entry in reversed(record.entries):
         if entry.backward_fn is None:
             continue
         slot = pending.get(entry.output.tid)
         if slot is None:
             continue
-        input_grads = entry.backward_fn(slot[1])
+        input_grads = entry.backward_fn(_reduce(slot))
         for t, g in zip(entry.inputs, input_grads):
             if g is None or not t.requires_grad:
                 continue
             got = pending.get(t.tid)
             if got is None:
-                pending[t.tid] = [t, g, False]
-            elif got[2]:
-                got[1] += g
-            else:
-                got[1] = got[1] + g
-                got[2] = True
+                got = pending[t.tid] = [t, None, False, []]
+            _accumulate(got, g)
 
-    grads = [(t, np.asarray(g)) for t, g, _ in pending.values()]
+    grads = [(slot[0], np.asarray(_reduce(slot))) for slot in pending.values()]
     record._hold_grads(grads)
     return {t.tid: g for t, g in grads}
+
+
+def _accumulate(slot, g):
+    """Add one closure's gradient for ``slot``'s tensor into the slot.
+
+    A dense array that a closure returned may be shared with another slot,
+    so it is only added into in place once the slot owns a copy.
+    """
+    if isinstance(g, Factors):
+        slot[3].append(g)
+        return
+    if isinstance(g, RowSparse):
+        # absent rows would only add exact zeros, as a dense table's do
+        if slot[1] is None:
+            slot[1] = np.zeros(slot[0].shape, dtype=slot[0].dtype)
+        elif not slot[2]:
+            slot[1] = slot[1].copy()
+        slot[2] = True
+        slot[1][g.rows] += g.values
+    elif slot[1] is None:
+        slot[1] = g
+    elif slot[2]:
+        slot[1] += g
+    else:
+        slot[1], slot[2] = slot[1] + g, True
+
+
+def _reduce(slot):
+    """The slot's dense gradient, once its stacked factors are multiplied out."""
+    factors = slot[3]
+    if factors:
+        slot[3] = []
+        if len(factors) == 1:
+            a, g = factors[0]
+        else:
+            a = np.concatenate([f.a for f in factors])
+            g = np.concatenate([f.g for f in factors])
+        _accumulate(slot, a.T @ g)
+    return slot[1]
 
 
 def grad_check(function, point, eps=1e-5):

@@ -100,6 +100,40 @@ def _case_embedding_lookup(rng):
             [rng.normal(size=(5, 4))])
 
 
+def _case_embedding_two_lookups(rng):
+    """One table looked up by two documents' ids, repeated within and across
+    them: the walk adds both row-sparse updates into one table gradient."""
+    first, second = np.array([0, 3, 3, 1]), np.array([3, 1, 1, 4, 0, 3])
+
+    def fn(t):
+        rows = ops.concat([ops.embedding_lookup(t, ids=first),
+                           ops.embedding_lookup(t, ids=second)])
+        return ops.sum_all(ops.tanh(rows))
+    return fn, [rng.normal(size=(6, 3))]
+
+
+def _case_shared_weight(rng):
+    """One weight in two documents' matmul and 2-d linear calls: the walk
+    stacks its four factor pairs and multiplies them out once."""
+    def fn(x1, x2, w, b):
+        parts = [ops.matmul(x1, w), ops.matmul(x2, w),
+                 ops.linear(x1, w, b), ops.linear(x2, w, b)]
+        return ops.sum_all(ops.tanh(ops.concat(parts)))
+    return fn, [rng.normal(size=(3, 4)), rng.normal(size=(2, 4)),
+                rng.normal(size=(4, 2)), rng.normal(size=2)]
+
+
+def _case_factors_into_non_leaf(rng):
+    """Two matmuls by one tanh(w): their factors reach a non-leaf and must be
+    multiplied out before tanh's closure runs."""
+    def fn(x1, x2, w):
+        tw = ops.tanh(w)
+        both = ops.concat([ops.matmul(x1, tw), ops.matmul(x2, tw)])
+        return ops.sum_all(ops.mul(both, both))
+    return fn, [rng.normal(size=(3, 4)), rng.normal(size=(2, 4)),
+                rng.normal(size=(4, 2))]
+
+
 def _case_scaled_dot_attention(rng):
     def fn(q, k, v):
         out = ops.scaled_dot_attention(q, k, v, num_heads=2, valid_length=4)
@@ -226,11 +260,14 @@ PRIMITIVE_GRAD_CASES = {
     "conv1d_valid_pooled": _case_conv1d_valid_pooled,
     "max_over_time": _case_max_over_time,
     "embedding_lookup": _case_embedding_lookup,
+    "embedding_two_lookups": _case_embedding_two_lookups,
     "scaled_dot_attention": _case_scaled_dot_attention,
     "concat": _case_concat,
     "stack": _case_stack,
     "linear": _case_linear,
     "linear_vec": _case_linear_vec,
+    "shared_weight": _case_shared_weight,
+    "factors_into_non_leaf": _case_factors_into_non_leaf,
     "softmax_xent": _case_softmax_xent,
     "sigmoid_bce": _case_sigmoid_bce,
 }

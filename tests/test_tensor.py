@@ -122,6 +122,85 @@ class TestBackward:
         assert x.tid not in grads
 
 
+def _probe_sum(out, probe):
+    """sum(out * probe): its backward hands ``out`` exactly ``probe``."""
+    return ops.sum_all(ops.mul(out, Tensor(probe)))
+
+
+class TestDeferredGradients:
+    """Factors and row-sparse updates reduce to the per-document formulas."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_table_gradient_bit_identical_to_dense_tables(self, dtype):
+        rng = np.random.default_rng(31)
+        table = Tensor.param(rng.normal(size=(40, 16)).astype(dtype))
+        docs = [np.array([3, 7, 3, 0, 39, 7, 7]), np.array([7, 1, 3, 3]),
+                np.array([0, 0, 7, 25, 3, 39])]
+        probes = [rng.normal(size=(ids.size, 16)).astype(dtype) for ids in docs]
+        with ComputationRecord():
+            losses = [_probe_sum(ops.embedding_lookup(table, ids=ids), probe)
+                      for ids, probe in zip(docs, probes)]
+            loss = ops.add(ops.add(losses[0], losses[1]), losses[2])
+            got = backward(loss)[table.tid]
+        # one dense table per document, summed in the order the walk visits
+        # the documents: the last one taped first
+        tables = []
+        for ids, probe in zip(docs, probes):
+            gt = np.zeros(table.shape, dtype=dtype)
+            np.add.at(gt, ids, probe)
+            tables.append(gt)
+        want = tables[2]
+        for gt in (tables[1], tables[0]):
+            want = want + gt
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["matmul", "linear"])
+    def test_one_document_weight_gradient_is_one_product(self, kind):
+        rng = np.random.default_rng(32)
+        ad = rng.normal(size=(16, 128)).astype(np.float32)
+        g = rng.normal(size=(16, 64)).astype(np.float32)
+        w = Tensor.param(rng.normal(size=(128, 64)).astype(np.float32))
+        b = Tensor.param(np.zeros(64, dtype=np.float32))
+        with ComputationRecord():
+            if kind == "matmul":
+                out = ops.matmul(Tensor(ad), w)
+            else:
+                out = ops.linear(Tensor(ad), w, b)
+            grads = backward(_probe_sum(out, g))
+        np.testing.assert_array_equal(grads[w.tid], ad.T @ g)
+
+    def test_row_sparse_update_does_not_corrupt_a_shared_gradient(self):
+        """add hands one array to both inputs; the table's later row-sparse
+        update must go into a copy, not into the array its sibling holds."""
+        table = Tensor.param(np.zeros((3, 2)))
+        other = Tensor.param(np.zeros((3, 2)))
+        with ComputationRecord():
+            rows = ops.embedding_lookup(table, ids=np.array([2, 2]))
+            grads = backward(ops.add(ops.sum_all(rows),
+                                     ops.sum_all(ops.add(table, other))))
+        np.testing.assert_array_equal(grads[table.tid], [[1, 1], [1, 1], [3, 3]])
+        np.testing.assert_array_equal(grads[other.tid], np.ones((3, 2)))
+
+    def test_every_gradient_is_a_dense_array(self):
+        rng = np.random.default_rng(33)
+        table = Tensor.param(rng.normal(size=(5, 4)))
+        w = Tensor.param(rng.normal(size=(4, 4)))
+        b = Tensor.param(np.zeros(4))
+        with ComputationRecord() as record:
+            docs = []
+            for ids in (np.array([0, 2, 2]), np.array([4, 0])):
+                x = ops.embedding_lookup(table, ids=ids)
+                docs.append(ops.linear(ops.matmul(x, w), w, b))
+            grads = backward(ops.sum_all(ops.tanh(ops.concat(docs))))
+            tensors = {t.tid: t for e in record.entries
+                       for t in e.inputs + (e.output,)}
+            assert {table.tid, w.tid, b.tid} <= set(grads)
+            for tid, g in grads.items():
+                assert type(g) is np.ndarray
+                assert type(tensors[tid].grad) is np.ndarray
+
+
 class TestNoGrad:
     def test_outputs_not_differentiable(self):
         x = Tensor(np.ones(2), requires_grad=True)
@@ -173,6 +252,20 @@ class TestRecordLifecycle:
         assert ledger.group_current("gradients", "head") == 0
         assert ledger.peak() == 68 + 92
         assert x.grad is None and w.grad is None
+
+    def test_shared_weight_holds_one_gradient(self):
+        """Two documents through one head weight charge one weight's bytes."""
+        ledger = MemoryLedger()
+        w = Tensor.param(np.full((3, 2), 0.5, dtype=np.float32), group="head")
+        with ComputationRecord(ledger) as rec:
+            docs = [ops.matmul(Tensor(np.ones((n, 3), dtype=np.float32)), w)
+                    for n in (4, 5)]
+            backward(ops.sum_all(ops.relu(ops.concat(docs))))
+            assert ledger.group_current("gradients", "head") == w.data.nbytes
+            assert w.grad.shape == w.shape
+            rec.release()
+        assert ledger.group_current("gradients", "head") == 0
+        assert ledger.group_peak("gradients", "head") == w.data.nbytes
 
     def test_second_backward_holds_one_traversal(self):
         ledger = MemoryLedger()
