@@ -1,11 +1,13 @@
 """Differentiable primitives.
 
 Each primitive validates shapes, computes the forward value with numpy, and
-appends one entry to the innermost active computation record, which ledgers
-the output's bytes.  Outside every record a primitive only computes: its
-output needs no gradient and nothing keeps it alive.  The backward closure is
+makes one ``append`` call on the innermost active computation record, which
+ledgers the output's bytes.  Outside every record a primitive only computes:
+its output needs no gradient and nothing keeps it alive.  The backward closure is
 only kept when some input requires a gradient and taping is enabled, so
-forward-only passes (frozen encoders, evaluation) retain no backward state.
+forward-only passes (frozen encoders, evaluation) retain no backward state
+and no outputs: the record charges such an output but keeps no reference to
+it, so it dies with its last consumer.
 A backward closure returns one gradient per input, or ``None`` for an input
 that needs no gradient (PyTorch's ``needs_input_grad`` rule), which
 :func:`~febench.tensor.backward` skips; :func:`conv1d_valid` does so for a

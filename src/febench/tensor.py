@@ -9,8 +9,9 @@ subgraphs reachable only through frozen tensors are not taped for backward
 at all.  Outside every record nothing is taped.
 
 The record is also the one owner of activation and gradient bytes: given a
-:class:`~febench.profiling.MemoryLedger`, it charges what it makes live and
-frees it on :meth:`ComputationRecord.release`.
+:class:`~febench.profiling.MemoryLedger`, it charges every primitive output
+and every gradient it holds, and frees them on
+:meth:`ComputationRecord.release`.  It keeps alive only what backward reads.
 
 Training arithmetic runs in float32.  :func:`grad_check` re-runs the same
 code paths in float64 and compares against central finite differences.
@@ -143,12 +144,15 @@ class _Entry:
 class ComputationRecord:
     """Ordered tape of primitive applications for one forward/backward cycle.
 
-    Entries are appended in execution order, so every input precedes its
-    consumers; backward walks them once in reverse.  The record is the one
-    owner of the bytes a forward/backward cycle makes live: with a ``ledger``
-    it charges every output to ``activations`` and every gradient of the
-    last traversal to ``gradients`` (under the tensor's group), and
-    :meth:`release` frees both.
+    Every primitive applied inside the record goes through :meth:`append`,
+    but the tape holds an entry, with its inputs and output, only for a
+    primitive whose backward closure is kept; backward walks those entries
+    once in reverse.  A closure-less primitive (no input needs a gradient,
+    or taping is off) leaves no reference behind, so its output dies with
+    its last consumer.  With a ``ledger`` the record charges every output
+    to ``activations``, held or not, and every gradient of the last
+    traversal to ``gradients`` (under the tensor's group); :meth:`release`
+    frees both.
     """
 
     def __init__(self, ledger=None):
@@ -156,6 +160,7 @@ class ComputationRecord:
         self.ledger = ledger
         self._fresh = True
         self._grads = []
+        self._charged = 0
 
     def __enter__(self):
         _records.append(self)
@@ -166,38 +171,48 @@ class ComputationRecord:
         return False
 
     def append(self, kind, inputs, output, backward_fn):
-        self.entries.append(_Entry(kind, tuple(inputs), output, backward_fn))
+        """Charge ``output`` and, if ``backward_fn`` is kept, tape the entry."""
+        if backward_fn is not None:
+            self.entries.append(_Entry(kind, tuple(inputs), output, backward_fn))
         self._fresh = True
         if self.ledger is not None:
             self.ledger.record_alloc("activations", output.data.nbytes)
+            self._charged += output.data.nbytes
 
     def _hold_grads(self, grads):
         """Set each (tensor, array) gradient, freeing the last traversal's first."""
         self._free_grads()
         for t, g in grads:
             t.grad = g
-            if self.ledger is not None:
-                self.ledger.record_alloc("gradients", g.nbytes, group=t.group)
         self._grads = grads
+        if self.ledger is not None:
+            for group, nbytes in _bytes_by_group(grads).items():
+                self.ledger.record_alloc("gradients", nbytes, group=group)
 
     def _free_grads(self):
-        held = {}
-        for t, g in self._grads:
+        for t, _ in self._grads:
             t.grad = None
-            held[t.group] = held.get(t.group, 0) + g.nbytes
         if self.ledger is not None:
-            for group, nbytes in held.items():
+            for group, nbytes in _bytes_by_group(self._grads).items():
                 self.ledger.record_free("gradients", nbytes, group=group)
         self._grads = []
 
     def release(self):
-        """Free all activations recorded here plus gradients of the last backward."""
-        if self.ledger is not None and self.entries:
-            self.ledger.record_free(
-                "activations", sum(e.output.data.nbytes for e in self.entries))
+        """Free all activations charged here plus gradients of the last backward."""
+        if self._charged:
+            self.ledger.record_free("activations", self._charged)
+            self._charged = 0
         self._free_grads()
         self.entries.clear()
         self._fresh = True
+
+
+def _bytes_by_group(grads):
+    """Total gradient bytes per group of (tensor, array) pairs."""
+    held = {}
+    for t, g in grads:
+        held[t.group] = held.get(t.group, 0) + g.nbytes
+    return held
 
 
 def _producer(loss):
@@ -237,8 +252,6 @@ def backward(loss):
     # slot layout: [tensor, dense grad or None, owns_array, Factors list]
     pending = {loss.tid: [loss, np.ones((), dtype=loss.data.dtype), True, []]}
     for entry in reversed(record.entries):
-        if entry.backward_fn is None:
-            continue
         slot = pending.get(entry.output.tid)
         if slot is None:
             continue

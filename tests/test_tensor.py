@@ -121,6 +121,18 @@ class TestBackward:
             grads = backward(ops.sum_all(frozen_feature))
         assert x.tid not in grads
 
+    def test_frozen_loss_backward(self):
+        """A loss of frozen inputs only: the map holds the loss alone, once."""
+        x = Tensor(np.array([-1.0, 2.0]))
+        with ComputationRecord():
+            loss = ops.sum_all(ops.relu(x))
+            grads = backward(loss)
+            assert list(grads) == [loss.tid]
+            assert float(grads[loss.tid]) == 1.0
+            assert loss.grad is grads[loss.tid]
+            with pytest.raises(StaleRecordError):
+                backward(loss)
+
 
 def _probe_sum(out, probe):
     """sum(out * probe): its backward hands ``out`` exactly ``probe``."""
@@ -292,6 +304,61 @@ class TestRecordLifecycle:
             assert ledger.current("gradients") == 16 + 4
             rec.release()
         assert ledger.current("gradients") == 0
+
+    def test_gradients_charged_once_per_group(self):
+        """Two groups plus the ungrouped intermediates: one gradient charge
+        per group and traversal, with every peak pinned by hand."""
+
+        class CountingLedger(MemoryLedger):
+            allocs = 0
+
+            def record_alloc(self, category, nbytes, group=None):
+                self.allocs += category == "gradients"
+                super().record_alloc(category, nbytes, group)
+
+        ledger = CountingLedger()
+        enc = Tensor.param(np.ones((3, 2), dtype=np.float32), group="encoder")
+        head = Tensor.param(np.ones((2, 1), dtype=np.float32), group="head")
+        x = Tensor(np.ones((4, 3), dtype=np.float32))
+        with ComputationRecord(ledger) as rec:
+            loss = ops.sum_all(ops.matmul(ops.relu(ops.matmul(x, enc)), head))
+            # [4, 2] matmul, [4, 2] relu, [4, 1] matmul, scalar loss
+            assert ledger.current("activations") == 32 + 32 + 16 + 4
+            backward(loss)
+            assert ledger.allocs == 3
+            assert ledger.current("gradients") == 84 + 24 + 8
+            assert ledger.peak() == 84 + 116
+            ops.relu(x)  # 48 more activation bytes; the record is fresh again
+            backward(loss)
+            assert ledger.allocs == 6
+            rec.release()
+        assert ledger.current() == 0
+        assert ledger.peak("activations") == 84 + 48
+        assert ledger.peak("gradients") == 116
+        assert ledger.group_peak("gradients", "encoder") == 24
+        assert ledger.group_peak("gradients", "head") == 8
+        assert ledger.peak() == 132 + 116
+
+    def test_frozen_outputs_die_with_their_consumer(self):
+        """A frozen chain is charged until release but held by nothing."""
+        ledger = MemoryLedger()
+        table = Tensor(np.ones((5, 4), dtype=np.float32))
+        pos = Tensor(np.ones((3, 4), dtype=np.float32))
+        scale = Tensor(np.ones(4, dtype=np.float32))
+        offset = Tensor(np.zeros(4, dtype=np.float32))
+        with ComputationRecord(ledger) as rec:
+            rows = ops.embedding_lookup(table, ids=np.array([0, 2, 2]))
+            summed = ops.add(rows, pos)
+            out = ops.layer_norm(summed, scale, offset)
+            dead = [weakref.ref(rows.data), weakref.ref(summed.data)]
+            del rows, summed
+            assert all(ref() is None for ref in dead)
+            # three [3, 4] float32 outputs, out the only one still alive
+            assert ledger.current("activations") == 3 * 48
+            assert out.shape == (3, 4) and rec.entries == []
+            rec.release()
+            assert ledger.current("activations") == 0
+        assert ledger.current() == 0
 
     def test_release_twice_frees_once(self):
         ledger = MemoryLedger()
