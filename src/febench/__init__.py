@@ -4,9 +4,9 @@ from .cnn import CnnHead, CnnHeadConfig
 from .encoders import Encoder, EncoderConfig, preset_config
 from .metrics import accuracy, label_density, mean_std, micro_prf
 from .profiling import MemoryLedger, TimingTrace, relative_times
-from .tensor import (ComputationRecord, KernelTooLongError, NonScalarLossError,
-                     NoRecordError, ShapeMismatchError, StaleRecordError,
-                     Tensor, backward, grad_check, no_grad)
+from .tensor import (ComputationRecord, KernelTooLongError, NestedRecordError,
+                     NonScalarLossError, NoRecordError, ShapeMismatchError,
+                     StaleRecordError, Tensor, backward, grad_check)
 from .text import Dataset, LabeledExample, build_vocab, encode, load_dataset, tokenize
 from .training import RunConfig, RunResult, run_experiment, train
 
@@ -22,6 +22,7 @@ __all__ = [
     "KernelTooLongError",
     "LabeledExample",
     "MemoryLedger",
+    "NestedRecordError",
     "NoRecordError",
     "NonScalarLossError",
     "RunConfig",
@@ -39,7 +40,6 @@ __all__ = [
     "load_dataset",
     "mean_std",
     "micro_prf",
-    "no_grad",
     "preset_config",
     "relative_times",
     "run_experiment",

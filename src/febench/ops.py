@@ -1,13 +1,13 @@
 """Differentiable primitives.
 
 Each primitive validates shapes, computes the forward value with numpy, and
-makes one ``append`` call on the innermost active computation record, which
-ledgers the output's bytes.  Outside every record a primitive only computes:
-its output needs no gradient and nothing keeps it alive.  The backward closure is
-only kept when some input requires a gradient and taping is enabled, so
-forward-only passes (frozen encoders, evaluation) retain no backward state
-and no outputs: the record charges such an output but keeps no reference to
-it, so it dies with its last consumer.
+makes one ``append`` call on the active computation record, which ledgers
+the output's bytes.  Outside a record (evaluation, for one) a primitive only
+computes: its output needs no gradient, nothing is charged and nothing keeps
+it alive.  Inside a record the backward closure is only kept when some input
+requires a gradient, so a forward-only subgraph (a frozen encoder) retains
+no backward state and no outputs: the record charges such an output but
+keeps no reference to it, so it dies with its last consumer.
 A backward closure returns one gradient per input, or ``None`` for an input
 that needs no gradient (PyTorch's ``needs_input_grad`` rule), which
 :func:`~febench.tensor.backward` skips; :func:`conv1d_valid` does so for a
@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .tensor import (Factors, KernelTooLongError, RowSparse, ShapeMismatchError,
-                     Tensor, current_record, grad_enabled)
+                     Tensor, current_record)
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -44,7 +44,7 @@ def _emit(kind, inputs, out_data, backward_fn):
     record = current_record()
     if record is None:
         return Tensor(out_data)
-    keep = grad_enabled() and any(t.requires_grad for t in inputs)
+    keep = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=keep)
     record.append(kind, inputs, out, backward_fn if keep else None)
     return out

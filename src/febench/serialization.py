@@ -7,7 +7,7 @@ File layout: magic ``FEB1``, one version byte, a four-byte entry count, then per
 entry a name (u16 length + UTF-8 bytes), a dtype code (0 = float32), a rank
 byte and u32 dims; after the header come the raw little-endian float32
 payloads in header order.  Header order is name-sorted so identical maps
-always produce identical files.
+always produce identical files; a name appears at most once.
 """
 
 from __future__ import annotations
@@ -120,20 +120,26 @@ def load_tensor_map(path):
     if version != VERSION:
         raise WeightFormatError(f"{path}: unsupported version {version}")
     (count,) = reader.take("<I")
-    headers = []
+    headers = {}
     for _ in range(count):
         (name_len,) = reader.take("<H")
         if reader.pos + name_len > len(blob):
             raise WeightFormatError(f"{path}: truncated header")
-        name = blob[reader.pos:reader.pos + name_len].decode("utf-8")
+        raw = blob[reader.pos:reader.pos + name_len]
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise WeightFormatError(
+                f"{path}: tensor name {raw!r} is not UTF-8") from None
+        if name in headers:
+            raise WeightFormatError(f"{path}: repeated tensor name {name!r}")
         reader.pos += name_len
         dtype_code, ndim = reader.take("<BB")
         if dtype_code != _DTYPE_F32:
             raise WeightFormatError(f"{path}: unknown dtype code {dtype_code}")
-        shape = reader.take(f"<{ndim}I")
-        headers.append((name, shape))
+        headers[name] = reader.take(f"<{ndim}I")
     arrays = {}
-    for name, shape in headers:
+    for name, shape in headers.items():
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = n * 4
         if reader.pos + nbytes > len(blob):

@@ -1,16 +1,17 @@
 """Dense tensors on numpy storage with taped reverse-mode differentiation.
 
 A :class:`Tensor` wraps one contiguous float array.  Primitive applications
-(see :mod:`febench.ops`) append entries to the innermost active
-:class:`ComputationRecord`; :func:`backward` replays that record once in
-reverse to produce exact gradients for every tensor that requires them.
-Frozen tensors (``requires_grad=False``) never receive gradients, and
-subgraphs reachable only through frozen tensors are not taped for backward
-at all.  Outside every record nothing is taped.
+(see :mod:`febench.ops`) append entries to the active
+:class:`ComputationRecord`, of which there is at most one; :func:`backward`
+replays that record once in reverse and returns a map from tensor id to
+gradient for every tensor that requires one.  Frozen tensors
+(``requires_grad=False``) never receive gradients, and subgraphs reachable
+only through frozen tensors are not taped for backward at all.  Outside a
+record nothing is taped or charged: that is how evaluation runs.
 
 The record is also the one owner of activation and gradient bytes: given a
 :class:`~febench.profiling.MemoryLedger`, it charges every primitive output
-and every gradient it holds, and frees them on
+and the gradients of its last traversal, and frees them on
 :meth:`ComputationRecord.release`.  It keeps alive only what backward reads.
 
 Training arithmetic runs in float32.  :func:`grad_check` re-runs the same
@@ -20,7 +21,6 @@ code paths in float64 and compares against central finite differences.
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -46,36 +46,23 @@ class NoRecordError(RuntimeError):
     """backward was called outside every computation record."""
 
 
+class NestedRecordError(RuntimeError):
+    """A computation record was entered while another one was active."""
+
+
 _tid_counter = itertools.count(1)
-_records = []
-_grad_enabled = True
+_active = None
 
 
 def current_record():
-    """The innermost active record, or None outside every record."""
-    return _records[-1] if _records else None
-
-
-def grad_enabled():
-    return _grad_enabled
-
-
-@contextmanager
-def no_grad():
-    """Disable taping for backward inside the block (forward only)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
+    """The active record, or None outside every record."""
+    return _active
 
 
 class Tensor:
     """A dense float array, optionally participating in differentiation."""
 
-    __slots__ = ("data", "requires_grad", "grad", "tid", "group")
+    __slots__ = ("data", "requires_grad", "tid", "group")
 
     def __init__(self, data, requires_grad=False, group=None):
         arr = np.asarray(data)
@@ -83,7 +70,6 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = requires_grad
-        self.grad = None
         self.tid = next(_tid_counter)
         self.group = group
 
@@ -132,10 +118,9 @@ class RowSparse(NamedTuple):
 
 
 class _Entry:
-    __slots__ = ("kind", "inputs", "output", "backward_fn")
+    __slots__ = ("inputs", "output", "backward_fn")
 
-    def __init__(self, kind, inputs, output, backward_fn):
-        self.kind = kind
+    def __init__(self, inputs, output, backward_fn):
         self.inputs = inputs
         self.output = output
         self.backward_fn = backward_fn
@@ -144,58 +129,61 @@ class _Entry:
 class ComputationRecord:
     """Ordered tape of primitive applications for one forward/backward cycle.
 
-    Every primitive applied inside the record goes through :meth:`append`,
-    but the tape holds an entry, with its inputs and output, only for a
+    At most one record is active at a time; entering a second one raises
+    :class:`NestedRecordError` and leaves the active one as it was.  Every
+    primitive applied inside the record goes through :meth:`append`, but
+    the tape holds an entry, with its inputs and output, only for a
     primitive whose backward closure is kept; backward walks those entries
-    once in reverse.  A closure-less primitive (no input needs a gradient,
-    or taping is off) leaves no reference behind, so its output dies with
-    its last consumer.  With a ``ledger`` the record charges every output
-    to ``activations``, held or not, and every gradient of the last
-    traversal to ``gradients`` (under the tensor's group); :meth:`release`
-    frees both.
+    once in reverse.  A closure-less primitive (no input needs a gradient)
+    leaves no reference behind, so its output dies with its last consumer.
+    With a ``ledger`` the record charges every output to ``activations``,
+    held or not, and every gradient of the last traversal to ``gradients``
+    (under the tensor's group); :meth:`release` frees both.
     """
 
     def __init__(self, ledger=None):
         self.entries = []
         self.ledger = ledger
         self._fresh = True
-        self._grads = []
+        self._grad_bytes = {}
         self._charged = 0
 
     def __enter__(self):
-        _records.append(self)
+        global _active
+        if _active is not None:
+            raise NestedRecordError("a computation record is already active")
+        _active = self
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _records.pop()
+        global _active
+        _active = None
         return False
 
     def append(self, kind, inputs, output, backward_fn):
         """Charge ``output`` and, if ``backward_fn`` is kept, tape the entry."""
         if backward_fn is not None:
-            self.entries.append(_Entry(kind, tuple(inputs), output, backward_fn))
+            self.entries.append(_Entry(tuple(inputs), output, backward_fn))
         self._fresh = True
         if self.ledger is not None:
             self.ledger.record_alloc("activations", output.data.nbytes)
             self._charged += output.data.nbytes
 
     def _hold_grads(self, grads):
-        """Set each (tensor, array) gradient, freeing the last traversal's first."""
+        """Charge (tensor, array) gradients per group, freeing the last first."""
         self._free_grads()
+        held = self._grad_bytes
         for t, g in grads:
-            t.grad = g
-        self._grads = grads
+            held[t.group] = held.get(t.group, 0) + g.nbytes
         if self.ledger is not None:
-            for group, nbytes in _bytes_by_group(grads).items():
+            for group, nbytes in held.items():
                 self.ledger.record_alloc("gradients", nbytes, group=group)
 
     def _free_grads(self):
-        for t, _ in self._grads:
-            t.grad = None
         if self.ledger is not None:
-            for group, nbytes in _bytes_by_group(self._grads).items():
+            for group, nbytes in self._grad_bytes.items():
                 self.ledger.record_free("gradients", nbytes, group=group)
-        self._grads = []
+        self._grad_bytes = {}
 
     def release(self):
         """Free all activations charged here plus gradients of the last backward."""
@@ -207,30 +195,14 @@ class ComputationRecord:
         self._fresh = True
 
 
-def _bytes_by_group(grads):
-    """Total gradient bytes per group of (tensor, array) pairs."""
-    held = {}
-    for t, g in grads:
-        held[t.group] = held.get(t.group, 0) + g.nbytes
-    return held
-
-
-def _producer(loss):
-    """The innermost active record that taped ``loss``, else the innermost one."""
-    for record in reversed(_records):
-        if any(entry.output is loss for entry in reversed(record.entries)):
-            return record
-    return current_record()
-
-
 def backward(loss):
-    """Reverse-mode traversal from a scalar loss over the record that taped it.
+    """Reverse-mode traversal from a scalar loss over the active record.
 
     Returns ``{tensor id -> gradient array}`` covering every tensor with
     ``requires_grad=True`` that the loss depends on; frozen tensors and
-    anything reachable only through them are absent.  Each traversed tensor
-    also gets its ``grad`` attribute set until the record is released or
-    traversed again.
+    anything reachable only through them are absent.  The map is the only
+    view of the gradients; the record charges their bytes until it is
+    released or traversed again.
 
     A closure may return a gradient as :class:`Factors` or :class:`RowSparse`,
     so that each parameter's gradient is reduced once per step, not once per
@@ -238,11 +210,11 @@ def backward(loss):
     once, ``concatenate(a).T @ concatenate(g)``, when the tensor's producer
     needs its gradient or, for a parameter, at the end; it adds row-sparse
     updates in place into the tensor's one dense gradient.  Every value in
-    the returned map, and every ``grad``, is a dense array.
+    the returned map is a dense array.
     """
     if loss.data.ndim != 0:
         raise NonScalarLossError(f"loss must be scalar, got shape {tuple(loss.shape)}")
-    record = _producer(loss)
+    record = _active
     if record is None:
         raise NoRecordError("backward needs an active ComputationRecord")
     if not record._fresh:
@@ -330,11 +302,8 @@ def grad_check(function, point, eps=1e-5):
         record.release()
 
     def evaluate():
-        with no_grad(), ComputationRecord() as rec:
-            y = function(*points)
-            value = float(y.data)
-            rec.release()
-        return value
+        # outside every record: nothing is taped
+        return float(function(*points).data)
 
     max_err = 0.0
     for p, grads in zip(points, analytic):

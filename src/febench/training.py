@@ -1,11 +1,15 @@
 """Training loops: loss, Adam, seeded epochs, and multi-run aggregation.
 
 A run owns one memory ledger and one timing trace.  Parameters are
-registered up front and optimizer moments when first created; each step's
-and each evaluated document's record charges its activations and gradients
-to the same ledger and releases them when done, so the ledger peak reflects
-the training-step high-water mark.  Everything downstream of the seed is deterministic:
-weight init, shuffles, and batch order depend only on (seed, epoch).
+registered up front and optimizer moments when first created; each training
+step's record charges its activations and gradients to the same ledger and
+releases them when done, so the ledger peak is the training-step high-water
+mark.  Evaluation runs outside every record, so it is neither taped nor
+charged: a test document's outputs have the shapes of one training
+document's, set by ``max_len`` alone, and a step always charges at least one
+document plus its gradients, so evaluation could never set the peak.
+Everything downstream of the seed is deterministic: weight init, shuffles,
+and batch order depend only on (seed, epoch).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from . import ops
 from .metrics import accuracy, mean_std, micro_prf
 from .cnn import predict
 from .profiling import MemoryLedger, TimingTrace
-from .tensor import ComputationRecord, ShapeMismatchError, backward, no_grad
+from .tensor import ComputationRecord, ShapeMismatchError, backward
 from .text import encode
 
 # (FE epochs, FiT epochs) per corpus, as configured for the full-scale grid
@@ -113,9 +117,6 @@ class AdamState:
                                          group=param.group)
         return slot, self.v[param.tid]
 
-    def state_bytes(self):
-        return sum(2 * arr.nbytes for arr in self.m.values())
-
 
 def adam_step(params, grad_map, state, lr):
     """Bias-corrected Adam update for every parameter present in the map."""
@@ -178,17 +179,14 @@ def train_step(encoder, head, params, state, ids_batch, valid_batch, targets,
     return value
 
 
-def evaluate(encoder, head, ids, valid, task_kind, threshold=0.5, ledger=None):
-    """Predicted label-index sets for an encoded test split."""
-    predictions = []
-    with no_grad():
-        for doc_ids, doc_valid in zip(ids, valid):
-            with ComputationRecord(ledger) as record:
-                logits = head.forward(encoder.forward(doc_ids, int(doc_valid)),
-                                      int(doc_valid))
-                predictions.append(predict(logits, task_kind, threshold))
-                record.release()
-    return predictions
+def evaluate(encoder, head, ids, valid, task_kind, threshold=0.5):
+    """Predicted label-index sets for an encoded test split.
+
+    ``train`` calls it outside every record, so it tapes and charges nothing.
+    """
+    return [predict(head.forward(encoder.forward(doc_ids, int(n)), int(n)),
+                    task_kind, threshold)
+            for doc_ids, n in zip(ids, valid)]
 
 
 def _gold_sets(targets, task_kind):
@@ -258,7 +256,7 @@ def train(config, dataset, encoder, head, vocab):
                 raise TrainingDivergedError(epoch, batch_index, value)
             batch_losses.append(value)
         predictions = evaluate(encoder, head, test_ids, test_valid,
-                               dataset.task_kind, config.threshold, ledger)
+                               dataset.task_kind, config.threshold)
         train_losses.append(float(np.mean(batch_losses)))
         epoch_metrics.append(_metrics(predictions, gold, dataset.task_kind))
         epoch_seconds.append(time.perf_counter() - epoch_started)

@@ -82,3 +82,20 @@ class TestCorruption:
         path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
         with pytest.raises(WeightFormatError, match="trailing"):
             load_tensor_map(path)
+
+    @pytest.mark.parametrize("name, match", [(b"a", "repeated tensor name 'a'"),
+                                             (b"\xff", "not UTF-8")])
+    def test_bad_second_name(self, tmp_path, name, match):
+        """A second entry named like the first, or not in UTF-8, is refused
+        rather than overwriting the first payload or escaping as a
+        UnicodeDecodeError."""
+        path = tmp_path / "w.feb"
+        save_tensor_map({"a": np.ones(2, np.float32),
+                         "b": np.zeros(2, np.float32)}, path)
+        blob = path.read_bytes()
+        entry = b"\x01\x00b"  # u16 length 1, then the name
+        assert blob.count(entry) == 1
+        path.write_bytes(blob.replace(entry, b"\x01\x00" + name))
+        with pytest.raises(WeightFormatError, match=match) as info:
+            load_tensor_map(path)
+        assert str(path) in str(info.value)

@@ -5,9 +5,9 @@ import weakref
 import numpy as np
 import pytest
 
-from febench import (ComputationRecord, MemoryLedger, NoRecordError,
-                     NonScalarLossError, StaleRecordError, Tensor, backward,
-                     no_grad)
+from febench import (ComputationRecord, MemoryLedger, NestedRecordError,
+                     NoRecordError, NonScalarLossError, StaleRecordError,
+                     Tensor, backward)
 from febench import ops
 
 
@@ -38,7 +38,6 @@ class TestBackward:
             loss = ops.sum_all(ops.relu(x))
             grads = backward(loss)
         np.testing.assert_array_equal(grads[x.tid], [0.0, 1.0])
-        np.testing.assert_array_equal(x.grad, [0.0, 1.0])
         assert float(loss.data) == 2.0
 
     def test_product_rule(self):
@@ -77,7 +76,6 @@ class TestBackward:
             grads = backward(ops.sum_all(ops.add(frozen, live)))
         assert live.tid in grads
         assert frozen.tid not in grads
-        assert frozen.grad is None
 
     def test_map_includes_loss_and_intermediates(self):
         x = Tensor(np.ones(2), requires_grad=True)
@@ -114,10 +112,9 @@ class TestBackward:
     def test_branch_behind_frozen_tensor_gets_no_gradient(self):
         """requires_grad must not propagate through a frozen intermediate."""
         x = Tensor(np.ones(2), requires_grad=True)
+        frozen_feature = ops.relu(x)  # outside the record: untaped
+        assert not frozen_feature.requires_grad
         with ComputationRecord():
-            with no_grad():
-                frozen_feature = ops.relu(x)
-            assert not frozen_feature.requires_grad
             grads = backward(ops.sum_all(frozen_feature))
         assert x.tid not in grads
 
@@ -129,7 +126,6 @@ class TestBackward:
             grads = backward(loss)
             assert list(grads) == [loss.tid]
             assert float(grads[loss.tid]) == 1.0
-            assert loss.grad is grads[loss.tid]
             with pytest.raises(StaleRecordError):
                 backward(loss)
 
@@ -199,34 +195,15 @@ class TestDeferredGradients:
         table = Tensor.param(rng.normal(size=(5, 4)))
         w = Tensor.param(rng.normal(size=(4, 4)))
         b = Tensor.param(np.zeros(4))
-        with ComputationRecord() as record:
+        with ComputationRecord():
             docs = []
             for ids in (np.array([0, 2, 2]), np.array([4, 0])):
                 x = ops.embedding_lookup(table, ids=ids)
                 docs.append(ops.linear(ops.matmul(x, w), w, b))
             grads = backward(ops.sum_all(ops.tanh(ops.concat(docs))))
-            tensors = {t.tid: t for e in record.entries
-                       for t in e.inputs + (e.output,)}
-            assert {table.tid, w.tid, b.tid} <= set(grads)
-            for tid, g in grads.items():
-                assert type(g) is np.ndarray
-                assert type(tensors[tid].grad) is np.ndarray
-
-
-class TestNoGrad:
-    def test_outputs_not_differentiable(self):
-        x = Tensor(np.ones(2), requires_grad=True)
-        with ComputationRecord(), no_grad():
-            y = ops.relu(x)
-        assert not y.requires_grad
-
-    def test_flag_restored_after_exit(self):
-        x = Tensor(np.ones(2), requires_grad=True)
-        with ComputationRecord():
-            with no_grad():
-                pass
-            y = ops.relu(x)
-        assert y.requires_grad
+        assert {table.tid, w.tid, b.tid} <= set(grads)
+        for g in grads.values():
+            assert type(g) is np.ndarray
 
 
 class TestRecordLifecycle:
@@ -263,7 +240,6 @@ class TestRecordLifecycle:
         assert ledger.current("gradients") == 0
         assert ledger.group_current("gradients", "head") == 0
         assert ledger.peak() == 68 + 92
-        assert x.grad is None and w.grad is None
 
     def test_shared_weight_holds_one_gradient(self):
         """Two documents through one head weight charge one weight's bytes."""
@@ -272,9 +248,9 @@ class TestRecordLifecycle:
         with ComputationRecord(ledger) as rec:
             docs = [ops.matmul(Tensor(np.ones((n, 3), dtype=np.float32)), w)
                     for n in (4, 5)]
-            backward(ops.sum_all(ops.relu(ops.concat(docs))))
+            grads = backward(ops.sum_all(ops.relu(ops.concat(docs))))
             assert ledger.group_current("gradients", "head") == w.data.nbytes
-            assert w.grad.shape == w.shape
+            assert grads[w.tid].shape == w.shape
             rec.release()
         assert ledger.group_current("gradients", "head") == 0
         assert ledger.group_peak("gradients", "head") == w.data.nbytes
@@ -380,23 +356,23 @@ class TestRecordLifecycle:
         with pytest.raises(NoRecordError):
             backward(ops.sum_all(x))
 
-    def test_nested_records_are_independent(self):
-        x = Tensor(np.array(2.0), requires_grad=True)
-        with ComputationRecord():
-            ops.mul(x, x)
-            with ComputationRecord() as inner:
-                loss = ops.mul(x, x)
-                grads = backward(loss)
-                inner.release()
-            assert float(grads[x.tid]) == 4.0
-            outer_loss = ops.sum_all(ops.mul(x, x))
-            grads = backward(outer_loss)
-        assert float(grads[x.tid]) == 4.0
-
-    def test_backward_walks_the_record_that_taped_the_loss(self):
-        x = Tensor(np.array([1.0, -1.0]), requires_grad=True)
-        with ComputationRecord():
+    def test_nested_record_raises_and_outer_stays_usable(self):
+        ledger = MemoryLedger()
+        x = Tensor.param(np.array([1.0, -1.0], dtype=np.float32))
+        with ComputationRecord(ledger) as outer:
+            ops.relu(x)
+            with pytest.raises(NestedRecordError):
+                with ComputationRecord(MemoryLedger()):
+                    pass
             loss = ops.sum_all(ops.relu(x))
-            with ComputationRecord():
-                grads = backward(loss)
+            grads = backward(loss)
+            # two [2] relu outputs and the scalar loss, all in the outer record
+            assert ledger.current("activations") == 8 + 8 + 4
+            assert len(outer.entries) == 3
+            outer.release()
         np.testing.assert_array_equal(grads[x.tid], [1.0, 0.0])
+        assert ledger.current() == 0
+        # once the outer record is closed a new one may open
+        with ComputationRecord():
+            grads = backward(ops.sum_all(x))
+        np.testing.assert_array_equal(grads[x.tid], [1.0, 1.0])

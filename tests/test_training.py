@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from febench import ComputationRecord, Tensor, no_grad
+from febench import ComputationRecord, MemoryLedger, Tensor
 from febench.cnn import CnnHead, CnnHeadConfig
 from febench.cnn import expected_shapes as head_shapes
 from febench.encoders import Encoder, EncoderConfig, init_weights
@@ -141,11 +141,12 @@ class TestAdam:
     def test_absent_parameters_untouched_and_stateless(self):
         live = Tensor.param(np.array([1.0]))
         frozen = Tensor(np.array([5.0]), requires_grad=False)
-        state = AdamState()
+        ledger = MemoryLedger()
+        state = AdamState(ledger=ledger)
         adam_step([live, frozen], {live.tid: np.array([0.5])}, state, lr=0.1)
         np.testing.assert_array_equal(frozen.data, [5.0])
         assert frozen.tid not in state.m
-        assert state.state_bytes() == 2 * live.data.nbytes
+        assert ledger.current("optimizer_state") == 2 * live.data.nbytes
 
     def test_shape_mismatch(self):
         from febench import ShapeMismatchError
@@ -297,12 +298,9 @@ class TestSingleStepDescent:
             list(head_weights.tensors.values())
 
         def current_loss():
-            with no_grad(), ComputationRecord() as rec:
-                from febench.training import forward_batch
-                logits = forward_batch(encoder, head, ids, valid)
-                loss = float(compute_loss(logits, target, "single_label").data)
-                rec.release()
-            return loss
+            from febench.training import forward_batch
+            logits = forward_batch(encoder, head, ids, valid)
+            return float(compute_loss(logits, target, "single_label").data)
 
         before = current_loss()
         train_step(encoder, head, params, AdamState(), ids, valid, target,
@@ -320,6 +318,42 @@ class TestEvaluate:
         preds = evaluate(encoder, head, ids, valid, "single_label")
         assert len(preds) == len(dataset.test)
         assert all(len(p) == 1 for p in preds)
+
+    @pytest.mark.parametrize("mode", ["FE", "FiT"])
+    def test_tapes_and_charges_nothing(self, monkeypatch, mode):
+        """Inside train(), evaluation opens no record: no tape entry is
+        appended and no ledger byte is charged or freed while it runs."""
+        import febench.training as training
+        seen, inside = [], [False]
+
+        def spy(name, method):
+            def wrapped(*args, **kwargs):
+                if inside[0]:
+                    seen.append(name)
+                return method(*args, **kwargs)
+            return wrapped
+
+        for owner, name in ((ComputationRecord, "append"),
+                            (ComputationRecord, "__enter__"),
+                            (MemoryLedger, "record_alloc"),
+                            (MemoryLedger, "record_free")):
+            monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+        real_evaluate = training.evaluate
+
+        def watched(*args, **kwargs):
+            inside[0] = True
+            try:
+                return real_evaluate(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(training, "evaluate", watched)
+        dataset = toy_dataset()
+        encoder, head, vocab = toy_model(3, dataset, classes=2)
+        result = train(toy_run_config(mode=mode, epochs=1), dataset, encoder,
+                       head, vocab)
+        assert seen == []
+        assert len(result.epoch_metrics) == 1
 
 
 class TestAggregation:
