@@ -3,7 +3,7 @@
 from .cnn import CnnHead, CnnHeadConfig
 from .encoders import Encoder, EncoderConfig, preset_config
 from .metrics import accuracy, label_density, mean_std, micro_prf
-from .profiling import MemoryLedger, TimingTrace, relative_times
+from .profiling import MemoryLedger, TimingTrace
 from .tensor import (ComputationRecord, KernelTooLongError, NestedRecordError,
                      NonScalarLossError, NoRecordError, ShapeMismatchError,
                      StaleRecordError, Tensor, backward, grad_check)
@@ -41,7 +41,6 @@ __all__ = [
     "mean_std",
     "micro_prf",
     "preset_config",
-    "relative_times",
     "run_experiment",
     "tokenize",
     "train",

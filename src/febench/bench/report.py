@@ -16,7 +16,6 @@ import math
 from pathlib import Path
 
 from febench.encoders import PRESETS, param_count, preset_config
-from febench.profiling import relative_times
 
 _METRIC_ORDER = ("accuracy", "precision", "recall", "f1")
 _NOMINAL_VOCAB = 30000
@@ -187,7 +186,9 @@ def _rows(records, baseline_cell):
                          if r["epoch_seconds"] else None) for r in records}
     timed = {r["cell"]: means[r["cell"]] for r in records
              if not r["failed"] and means[r["cell"]]}
-    relatives = relative_times(timed, baseline) if baseline in timed else {}
+    relatives = ({cell: mean / timed[baseline]
+                  for cell, mean in timed.items()}
+                 if baseline in timed else {})
     rows = []
     for r in records:
         mean, ratio = means[r["cell"]], relatives.get(r["cell"])

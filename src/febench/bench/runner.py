@@ -64,7 +64,7 @@ def _run_cell(cell, config, dataset, vocab, epochs):
     as failed, with its error."""
     run_cfg = RunConfig(mode=cell.mode, epochs=epochs,
                         batch_size=cell.batch_size,
-                        learning_rate=cell.learning_rate, seed=config.seed,
+                        learning_rate=cell.learning_rate,
                         threshold=cell.threshold, max_len=cell.max_len)
 
     def make_model(seed):
@@ -78,25 +78,17 @@ def _run_cell(cell, config, dataset, vocab, epochs):
         head = CnnHead.build(head_cfg, seed=[seed, 1])
         return encoder, head, vocab
 
+    seeds = [config.seed + i for i in range(config.repeats)]
     record = {"cell": cell.cell_id, "preset": cell.preset, "mode": cell.mode,
               "dataset": dataset.name, "task_kind": dataset.task_kind,
-              "metrics": {}, "peak_bytes": 0.0,
-              "seeds": [config.seed + i for i in range(config.repeats)],
+              "metrics": {}, "peak_bytes": 0.0, "seeds": seeds,
               "repeats": config.repeats, "config_hash": config_hash(config),
               "failed": False, "error": None,
               "epoch_seconds": [], "total_seconds": None}
     try:
-        agg = run_experiment(run_cfg, dataset, make_model,
-                             repeats=config.repeats)
+        record.update(run_experiment(run_cfg, dataset, make_model, seeds))
     except Exception as exc:
         record.update(failed=True, error=f"{type(exc).__name__}: {exc}")
-        return record
-    record.update(metrics={name: {"mean": agg.metrics_mean[name],
-                                  "std": agg.metrics_std[name]}
-                           for name in sorted(agg.metrics_mean)},
-                  peak_bytes=agg.peak_bytes, seeds=list(agg.seeds),
-                  epoch_seconds=list(agg.epoch_seconds),
-                  total_seconds=agg.total_seconds)
     return record
 
 

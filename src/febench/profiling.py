@@ -21,10 +21,6 @@ class LedgerError(RuntimeError):
     """Inconsistent ledger operation, e.g. freeing more than was allocated."""
 
 
-class MissingBaselineError(KeyError):
-    """Relative-time normalization asked for a method that was not measured."""
-
-
 class MemoryLedger:
     """High-water-mark accounting of tensor bytes by category.
 
@@ -115,13 +111,3 @@ class TimingTrace:
         # total includes setup/evaluation outside the epoch loops
         if self.total_seconds < sum(self.epoch_seconds):
             raise ValueError("total duration cannot undercut the epoch sum")
-
-
-def relative_times(epoch_times, baseline_method):
-    """Divide every method's seconds by the baseline method's seconds."""
-    if baseline_method not in epoch_times:
-        raise MissingBaselineError(baseline_method)
-    base = epoch_times[baseline_method]
-    if not base > 0:
-        raise ValueError(f"baseline {baseline_method!r} has non-positive time {base!r}")
-    return {method: seconds / base for method, seconds in epoch_times.items()}

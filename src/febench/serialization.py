@@ -22,6 +22,7 @@ from .tensor import ShapeMismatchError, Tensor
 MAGIC = b"FEB1"
 VERSION = 1
 _DTYPE_F32 = 0
+_MAX_NAME_BYTES = 0xFFFF  # the u16 name-length field
 
 
 class WeightFormatError(ValueError):
@@ -83,6 +84,10 @@ def save_tensor_map(arrays, path):
     blob += struct.pack("<I", len(entries))
     for name, arr in entries:
         encoded = name.encode("utf-8")
+        if len(encoded) > _MAX_NAME_BYTES:
+            raise WeightFormatError(
+                f"tensor name of {len(encoded)} UTF-8 bytes exceeds the "
+                f"format's {_MAX_NAME_BYTES}-byte limit: {name[:40]!r}...")
         blob += struct.pack("<H", len(encoded)) + encoded
         blob += struct.pack("<BB", _DTYPE_F32, arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)

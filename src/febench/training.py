@@ -79,6 +79,12 @@ class RunConfig:
             raise ValueError("epochs and batch_size must be at least 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not 0 < self.threshold < 1:
+            raise ValueError(f"threshold must lie in (0, 1), got "
+                             f"{self.threshold!r}")
+        if self.max_len < 3:
+            raise ValueError(f"max_len must be at least 3 (room for CLS, "
+                             f"SEP, content), got {self.max_len!r}")
 
 
 def compute_loss(logits, targets, task_kind):
@@ -269,53 +275,35 @@ def train(config, dataset, encoder, head, vocab):
                      peak_bytes=ledger.peak(), ledger=ledger)
 
 
-@dataclass
-class AggregateResult:
-    """Mean and population std of final metrics across repeated seeded runs."""
-
-    runs: list
-    seeds: list
-    metrics_mean: dict
-    metrics_std: dict
-    epoch_seconds: list
-    total_seconds: float
-    peak_bytes: float
-
-    @property
-    def repeats(self):
-        return len(self.runs)
-
-
-def aggregate_runs(runs, seeds):
-    """Collapse RunResults into mean/std metrics and averaged time/memory."""
-    names = sorted(runs[0].final_metrics)
-    metrics_mean, metrics_std = {}, {}
-    for name in names:
+def aggregate_runs(runs):
+    """A cell's measured record fields from its runs: mean and population std
+    per final metric, the runs' seeds, and the mean per-epoch, total and
+    peak-memory figures."""
+    metrics = {}
+    for name in sorted(runs[0].final_metrics):
         mean, std = mean_std([r.final_metrics[name] for r in runs])
-        metrics_mean[name] = mean
-        metrics_std[name] = std
+        metrics[name] = {"mean": mean, "std": std}
     per_epoch = np.array([r.timing.epoch_seconds for r in runs], dtype=np.float64)
-    return AggregateResult(
-        runs=list(runs), seeds=list(seeds),
-        metrics_mean=metrics_mean, metrics_std=metrics_std,
-        epoch_seconds=per_epoch.mean(axis=0).tolist(),
-        total_seconds=float(np.mean([r.timing.total_seconds for r in runs])),
-        peak_bytes=float(np.mean([r.peak_bytes for r in runs])))
+    return {
+        "metrics": metrics, "seeds": [r.seed for r in runs],
+        "epoch_seconds": per_epoch.mean(axis=0).tolist(),
+        "total_seconds": float(np.mean([r.timing.total_seconds for r in runs])),
+        "peak_bytes": float(np.mean([r.peak_bytes for r in runs]))}
 
 
-def run_experiment(config, dataset, make_model, repeats=3):
-    """Repeat train() with derived seeds (config.seed + run index) and aggregate.
+def run_experiment(config, dataset, make_model, seeds):
+    """Run train() once per seed, in order, and aggregate the runs.
 
     ``make_model(seed)`` must return a fresh (encoder, head, vocab) triple so
-    repeats never share mutable weights.
+    repeats never share mutable weights.  ``train`` is looked up on this
+    module at call time, so a wrapper set on ``febench.training.train`` (as
+    perfbench's CLI workload sets one) sees every run.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be at least 1")
-    runs, seeds = [], []
-    for index in range(repeats):
-        run_seed = config.seed + index
-        encoder, head, vocab = make_model(run_seed)
-        runs.append(train(replace(config, seed=run_seed), dataset, encoder,
-                          head, vocab))
-        seeds.append(run_seed)
-    return aggregate_runs(runs, seeds)
+    if not seeds:
+        raise ValueError("run_experiment needs at least one seed")
+    runs = []
+    for seed in seeds:
+        encoder, head, vocab = make_model(seed)
+        runs.append(train(replace(config, seed=seed), dataset, encoder, head,
+                          vocab))
+    return aggregate_runs(runs)

@@ -20,12 +20,13 @@ from helpers import PRIMITIVE_GRAD_CASES, e2e_frozen_encoder_case
 
 import febench
 from febench import grad_check
-from febench.bench.report import format_hours, format_mib, format_percent, format_ratio
+from febench.bench.report import (format_hours, format_mib, format_percent,
+                                  render_tsv)
 from febench.bench.synth import SynthSpec, make_synthetic
 from febench.cnn import CnnHead, CnnHeadConfig
 from febench.encoders import Encoder
 from febench.metrics import label_density, micro_prf
-from febench.profiling import TimingTrace, relative_times
+from febench.profiling import TimingTrace
 from febench.text import build_vocab, save_dataset
 from febench.training import RunConfig, RunResult, aggregate_runs, train
 
@@ -233,8 +234,14 @@ def test_criterion_5_metric_oracles():
 def test_criterion_6_report_arithmetic():
     cell = format_percent(0.9297, 0.0006)
     mib = format_mib(693 * 2**20)
-    ratio = format_ratio(relative_times({"FE": 10.0, "FiT": 26.2},
-                                        "FE")["FiT"])
+    records = [{"cell": mode, "preset": "static", "mode": mode,
+                "task_kind": "single_label", "failed": False, "error": None,
+                "metrics": {}, "peak_bytes": 0.0, "seeds": [0],
+                "epoch_seconds": [seconds], "total_seconds": None}
+               for mode, seconds in (("FE", 10.0), ("FiT", 26.2))]
+    header, _, fit_row = [line.split("\t") for line in
+                          render_tsv(records, "FE").splitlines()]
+    ratio = fit_row[header.index("relative_epoch_time")]
     hours = format_hours(5400.0)
     ok = (cell == "92.97 ± 0.06" and mib == "693" and ratio == "2.62"
           and hours == "1.50")
@@ -289,9 +296,9 @@ def test_criterion_8_aggregation():
                                          total_seconds=0.6),
                       peak_bytes=0, ledger=None)
             for i, v in enumerate((1.0, 2.0, 3.0))]
-    agg = aggregate_runs(runs, seeds=[0, 1, 2])
-    mean = agg.metrics_mean["metric"]
-    std = agg.metrics_std["metric"]
+    agg = aggregate_runs(runs)
+    mean = agg["metrics"]["metric"]["mean"]
+    std = agg["metrics"]["metric"]["std"]
     ok = mean == 2.0 and abs(std - 0.8165) <= STD_TOLERANCE
     _verdict(8, "aggregation", ok,
              f"forced {{1,2,3}}: mean {mean} == 2.0, population std "

@@ -115,3 +115,25 @@ def test_result_files_keep_the_keys_the_cli_workload_reads(tmp_path):
                    for line in (out_dir / name).read_text().splitlines()]
         assert [set(r) for r in records] == [keys, keys]
         assert [r["cell"] for r in records] == ["ok", "broken"]
+
+
+def test_run_benchmark_trains_through_the_module_attribute(tmp_path,
+                                                           monkeypatch):
+    """``CliWorkload`` observes runs by swapping ``febench.training.train``;
+    ``run_benchmark`` must reach the swapped function once per repeat."""
+    save_dataset(make_synthetic(SynthSpec(classes=2, train_docs=8,
+                                          test_docs=4, vocab=10, doc_len=8,
+                                          seed=1)), tmp_path / "data")
+    config = tmp_path / "bench.ini"
+    config.write_text(CONFIG.split("[cell:broken]")[0].format(
+        data=tmp_path / "data", out=tmp_path / "out"))
+    seen, real_train = [], training.train
+
+    def counted(run_config, *args):
+        seen.append(run_config.seed)
+        return real_train(run_config, *args)
+
+    monkeypatch.setattr(training, "train", counted)
+    outcome, _ = run_benchmark(config, repeats=2)
+    assert len(seen) == 2
+    assert seen == outcome.results[0]["seeds"]

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from febench import MemoryLedger, TimingTrace, relative_times
-from febench.profiling import LedgerError, MissingBaselineError
+from febench import MemoryLedger, TimingTrace
+from febench.profiling import LedgerError
 
 
 class TestMemoryLedger:
@@ -81,16 +81,3 @@ class TestTiming:
     def test_trace_check_rejects_short_total(self):
         with pytest.raises(ValueError):
             TimingTrace(epoch_seconds=[0.6, 0.6], total_seconds=1.0).check()
-
-    def test_relative_times(self):
-        ratios = relative_times({"fe": 2.0, "fit": 5.0}, baseline_method="fe")
-        assert ratios["fe"] == 1.0
-        np.testing.assert_allclose(ratios["fit"], 2.5)
-
-    def test_relative_times_missing_baseline(self):
-        with pytest.raises(MissingBaselineError):
-            relative_times({"fit": 5.0}, baseline_method="fe")
-
-    def test_relative_times_zero_baseline(self):
-        with pytest.raises(ValueError):
-            relative_times({"fe": 0.0}, baseline_method="fe")

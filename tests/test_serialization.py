@@ -45,6 +45,16 @@ class TestRoundTrip:
         save_tensor_map({}, path)
         assert load_tensor_map(path) == {}
 
+    def test_name_over_header_limit_is_refused_unwritten(self, tmp_path):
+        """The header stores a name's UTF-8 length in a u16; 32768 two-byte
+        characters are 65536 bytes, one more than it holds."""
+        path = tmp_path / "w.feb"
+        with pytest.raises(WeightFormatError, match="65536 UTF-8 bytes"):
+            save_tensor_map({"\u00e9" * 32768: np.ones(1, np.float32)}, path)
+        assert not path.exists()
+        save_tensor_map({"\u00e9" * 32767 + "a": np.ones(1, np.float32)}, path)
+        assert list(load_tensor_map(path)) == ["\u00e9" * 32767 + "a"]
+
 
 class TestCorruption:
     def test_bad_magic(self, tmp_path):

@@ -68,6 +68,13 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(mode="FE", epochs=1, learning_rate=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("threshold", 0.0), ("threshold", 1.0), ("threshold", 1.5),
+        ("max_len", 2)])
+    def test_invalid_threshold_or_max_len(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(mode="FE", epochs=1, **{field: value})
+
 
 class TestEpochDefaults:
     def test_known_corpus_pairs(self):
@@ -358,8 +365,8 @@ class TestEvaluate:
 
 class TestAggregation:
     @staticmethod
-    def _stub_run(value):
-        return RunResult(mode="FE", seed=0, train_losses=[1.0],
+    def _stub_run(value, seed=0):
+        return RunResult(mode="FE", seed=seed, train_losses=[1.0],
                          epoch_metrics=[{"accuracy": value}],
                          final_metrics={"accuracy": value},
                          timing=TimingTrace(epoch_seconds=[0.5],
@@ -367,35 +374,45 @@ class TestAggregation:
                          peak_bytes=1000, ledger=None)
 
     def test_forced_metrics_mean_and_population_std(self):
-        agg = aggregate_runs([self._stub_run(v) for v in (1.0, 2.0, 3.0)],
-                             seeds=[0, 1, 2])
-        assert agg.metrics_mean["accuracy"] == 2.0
-        assert agg.metrics_std["accuracy"] == pytest.approx(0.8165, abs=1e-4)
+        agg = aggregate_runs([self._stub_run(v, seed)
+                              for seed, v in enumerate((1.0, 2.0, 3.0))])
+        assert agg["metrics"]["accuracy"]["mean"] == 2.0
+        assert agg["metrics"]["accuracy"]["std"] == pytest.approx(0.8165,
+                                                                  abs=1e-4)
+        assert agg["seeds"] == [0, 1, 2]
 
     def test_identical_metrics_zero_std(self):
-        agg = aggregate_runs([self._stub_run(0.5)] * 3, seeds=[0, 1, 2])
-        assert agg.metrics_std["accuracy"] == 0.0
+        agg = aggregate_runs([self._stub_run(0.5)] * 3)
+        assert agg["metrics"]["accuracy"]["std"] == 0.0
 
     def test_single_run_zero_std(self):
-        agg = aggregate_runs([self._stub_run(0.9)], seeds=[4])
-        assert agg.metrics_std["accuracy"] == 0.0
-        assert agg.repeats == 1
+        agg = aggregate_runs([self._stub_run(0.9, seed=4)])
+        assert agg == {"metrics": {"accuracy": {"mean": 0.9, "std": 0.0}},
+                       "seeds": [4], "epoch_seconds": [0.5],
+                       "total_seconds": 0.6, "peak_bytes": 1000.0}
 
-    def test_run_experiment_derives_seeds(self):
+    def test_run_experiment_trains_once_per_seed_in_order(self, monkeypatch):
+        import febench.training as training
         dataset = toy_dataset()
-        seen = []
+        built, trained = [], []
+        real_train = training.train
 
         def make_model(seed):
-            seen.append(seed)
+            built.append(seed)
             return toy_model(seed, dataset, classes=2)
 
+        def counted(config, *args):
+            trained.append(config.seed)
+            return real_train(config, *args)
+
+        monkeypatch.setattr(training, "train", counted)
         agg = run_experiment(toy_run_config(seed=20, epochs=1), dataset,
-                             make_model, repeats=2)
-        assert seen == [20, 21]
-        assert agg.seeds == [20, 21]
-        assert len(agg.epoch_seconds) == 1
+                             make_model, seeds=[21, 20])
+        assert built == trained == [21, 20]
+        assert agg["seeds"] == [21, 20]
+        assert len(agg["epoch_seconds"]) == 1
 
     def test_run_experiment_rejects_zero_repeats(self):
         with pytest.raises(ValueError):
             run_experiment(toy_run_config(), toy_dataset(), lambda s: None,
-                           repeats=0)
+                           seeds=[])
