@@ -1,17 +1,15 @@
-"""The text side: tokens, vocabularies, dataset files, stored weights.
+"""The text side: tokens, vocabularies and dataset files.
 
-Walks a sentence through tokenize -> vocabulary -> padded id sequence,
-round-trips a dataset through its on-disk format, loads word vectors from
-the text embedding format, and saves/reloads encoder weights bit-exactly.
+Walks a sentence through tokenize -> vocabulary -> padded id sequence and
+back, and round-trips a dataset through its on-disk format.
 """
 
 import tempfile
 from pathlib import Path
 
-from febench import (Dataset, Encoder, LabeledExample, build_vocab, encode,
+from febench import (Dataset, LabeledExample, build_vocab, encode,
                      load_dataset, tokenize)
-from febench.encoders import load_weights, save_weights
-from febench.text import decode, load_embeddings, save_dataset
+from febench.text import decode, save_dataset
 
 
 def main():
@@ -39,24 +37,6 @@ def main():
         reloaded = load_dataset(root / "pets")
         print(f"dataset round-trip: {len(reloaded.train)} train docs, "
               f"labels {reloaded.label_space}, equal: {reloaded == dataset}")
-
-        vectors = root / "vectors.txt"
-        vectors.write_text("cat 0.1 0.2 0.3\ndog 0.4 0.5 0.6\n"
-                           "sat 0.0 -0.1 0.2\n")
-        table = load_embeddings(vectors, seed=1)
-        print(f"embeddings: {table.vocab.size} rows x {table.dimension} dims, "
-              f"cat -> {table.vector('cat').round(2).tolist()}")
-        print()
-
-        encoder = Encoder.from_preset("tiny", vocab_size=vocab.size,
-                                      seed=11)
-        path = root / "tiny.weights"
-        written = save_weights(encoder.weights, path)
-        restored = load_weights(path, config=encoder.config)
-        identical = restored.byte_image() == encoder.weights.byte_image()
-        print(f"weight file: {written} bytes for "
-              f"{encoder.param_count:,} parameters, "
-              f"reload bit-identical: {identical}")
 
 
 if __name__ == "__main__":

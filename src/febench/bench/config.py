@@ -22,6 +22,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -64,8 +65,9 @@ class CellSpec:
             raise ConfigError(f"cell {self.cell_id!r}: epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"cell {self.cell_id!r}: batch must be >= 1")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"cell {self.cell_id!r}: lr must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"cell {self.cell_id!r}: lr must be finite "
+                              f"and > 0")
         if not 0 < self.threshold < 1:
             raise ConfigError(f"cell {self.cell_id!r}: threshold must be in "
                               f"(0, 1)")
@@ -103,6 +105,8 @@ class BenchmarkConfig:
             raise ConfigError("duplicate cell ids")
         if self.repeats < 1:
             raise ConfigError("repeats must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.vocab_size < 5:
             raise ConfigError("vocab must be >= 5")
         if self.baseline is not None and self.baseline not in ids:

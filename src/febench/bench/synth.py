@@ -61,6 +61,8 @@ class SynthSpec:
             raise SynthesisError("filler vocabulary must be non-empty")
         if self.doc_len < 1:
             raise SynthesisError("doc_len must be >= 1")
+        if self.seed < 0:
+            raise SynthesisError(f"seed must be >= 0, got {self.seed}")
         if self.task_kind == "single_label":
             if self.density is not None:
                 raise SynthesisError("density only applies to multi_label")

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .serialization import WeightSet
-from .tensor import ShapeMismatchError, Tensor
+from .tensor import ShapeMismatchError, Tensor, WeightSet
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ops
-from .serialization import WeightSet, load_tensor_map, save_tensor_map
-from .tensor import ShapeMismatchError
+from .tensor import ShapeMismatchError, WeightSet
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,6 @@ def param_count(config):
     return sum(int(np.prod(s)) for s in expected_shapes(config).values())
 
 
-def _weight_set(config, arrays):
-    return WeightSet.from_arrays(expected_shapes(config), arrays,
-                                 trainable=not config.frozen, group="encoder")
-
-
 def init_weights(config, seed):
     """Seeded random weights: matrices normal(0, 0.02), norm scales 1, biases 0."""
     rng = np.random.default_rng(seed)
@@ -95,7 +89,8 @@ def init_weights(config, seed):
             arrays[name] = np.zeros(shape, dtype=np.float32)
         else:
             arrays[name] = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
-    return _weight_set(config, arrays)
+    return WeightSet.from_arrays(expected_shapes(config), arrays,
+                                 trainable=not config.frozen, group="encoder")
 
 
 def encoder_forward(config, weights, token_ids, valid_length):
@@ -149,9 +144,8 @@ def preset_config(name, vocab_size, frozen=False, max_positions=200):
     """Config for one of the named grid presets."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    base = dict(PRESETS[name])
+    base = PRESETS[name]
     if base["kind"] == "static":
-        base.pop("max_positions", None)
         return EncoderConfig(vocab_size=vocab_size, frozen=frozen, **base)
     return EncoderConfig(vocab_size=vocab_size, frozen=frozen,
                          max_positions=max_positions, **base)
@@ -172,14 +166,6 @@ class Encoder:
     def from_preset(cls, name, vocab_size, seed, frozen=False):
         return cls.build(preset_config(name, vocab_size, frozen=frozen), seed)
 
-    @classmethod
-    def from_embedding_table(cls, table, frozen=False):
-        """Wrap a loaded static embedding table as an encoder."""
-        config = EncoderConfig(kind="static", hidden=table.dimension,
-                               vocab_size=table.vocab.size, frozen=frozen)
-        return cls(config=config, weights=_weight_set(
-            config, {"token_embedding": table.matrix}))
-
     @property
     def frozen(self):
         return not next(iter(self.weights.tensors.values())).requires_grad
@@ -195,15 +181,3 @@ class Encoder:
     def param_count(self):
         return param_count(self.config)
 
-
-def save_weights(weights, path):
-    """Write encoder weights to a weight file."""
-    return save_tensor_map(weights.to_arrays(), path)
-
-
-def load_weights(path, config=None):
-    """Read a weight file; with a config, returns a validated WeightSet."""
-    arrays = load_tensor_map(path)
-    if config is None:
-        return arrays
-    return _weight_set(config, arrays)

@@ -1,13 +1,14 @@
 """Dense tensors on numpy storage with taped reverse-mode differentiation.
 
-A :class:`Tensor` wraps one contiguous float array.  Primitive applications
-(see :mod:`febench.ops`) append entries to the active
-:class:`ComputationRecord`, of which there is at most one; :func:`backward`
-replays that record once in reverse and returns a map from tensor id to
-gradient for every tensor that requires one.  Frozen tensors
-(``requires_grad=False``) never receive gradients, and subgraphs reachable
-only through frozen tensors are not taped for backward at all.  Outside a
-record nothing is taped or charged: that is how evaluation runs.
+A :class:`Tensor` wraps one contiguous float array, and a :class:`WeightSet`
+holds a model part's named parameter tensors, validated against the shapes
+its config requires.  Primitive applications (see :mod:`febench.ops`) append
+entries to the active :class:`ComputationRecord`, of which there is at most
+one; :func:`backward` replays that record once in reverse and returns a map
+from tensor id to gradient for every tensor that requires one.  Frozen
+tensors (``requires_grad=False``) never receive gradients, and subgraphs
+reachable only through frozen tensors are not taped for backward at all.
+Outside a record nothing is taped or charged: that is how evaluation runs.
 
 The record is also the one owner of activation and gradient bytes: given a
 :class:`~febench.profiling.MemoryLedger`, it charges every primitive output
@@ -21,6 +22,7 @@ code paths in float64 and compares against central finite differences.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +34,10 @@ class ShapeMismatchError(ValueError):
 
 class KernelTooLongError(ShapeMismatchError):
     """A convolution kernel is longer than the input sequence."""
+
+
+class WeightMismatchError(ShapeMismatchError):
+    """Weight names/shapes do not match what the config requires."""
 
 
 class NonScalarLossError(ValueError):
@@ -101,6 +107,42 @@ class Tensor:
             flags.append(self.group)
         tag = " ".join([""] + flags) if flags else ""
         return f"<Tensor #{self.tid} shape={tuple(self.shape)} {self.dtype}{tag}>"
+
+
+@dataclass
+class WeightSet:
+    """Named parameter tensors, validated against their required shapes."""
+
+    shapes: dict
+    tensors: dict
+
+    def __post_init__(self):
+        names, have = set(self.shapes), set(self.tensors)
+        if names != have:
+            missing, extras = sorted(names - have), sorted(have - names)
+            raise WeightMismatchError(
+                f"weight names mismatch: missing {missing}, unexpected {extras}")
+        for name, shape in self.shapes.items():
+            got = tuple(self.tensors[name].shape)
+            if got != shape:
+                raise WeightMismatchError(
+                    f"{name}: expected shape {shape}, got {got}")
+
+    @classmethod
+    def from_arrays(cls, shapes, arrays, trainable, group):
+        """Float32 parameter tensors attributed to ``group``."""
+        tensors = {name: Tensor(np.asarray(arr, dtype=np.float32),
+                                requires_grad=trainable, group=group)
+                   for name, arr in arrays.items()}
+        return cls(shapes=shapes, tensors=tensors)
+
+    def set_trainable(self, trainable):
+        for t in self.tensors.values():
+            t.requires_grad = bool(trainable)
+
+    def byte_image(self):
+        """Concatenated raw bytes of every tensor, for bit-identity checks."""
+        return b"".join(self.tensors[n].data.tobytes() for n in sorted(self.tensors))
 
 
 class Factors(NamedTuple):

@@ -1,4 +1,4 @@
-"""Tokenization, vocabulary, fixed-length encoding, datasets, embeddings.
+"""Tokenization, vocabulary, fixed-length encoding, datasets.
 
 Documents are lowercased and split into word and punctuation tokens, wrapped
 as ``CLS ... SEP``, truncated, and right-padded to a fixed length.  Datasets
@@ -56,9 +56,6 @@ class Vocabulary:
 
     def id_of(self, token):
         return self.token_to_id.get(token, UNK_ID)
-
-    def __contains__(self, token):
-        return token in self.token_to_id
 
     def tokens(self):
         """Tokens in id order."""
@@ -244,64 +241,3 @@ def save_dataset(dataset, path, fmt="jsonl"):
         written.append(file)
     return written
 
-
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Static word vectors aligned with a vocabulary; PAD row is all zeros."""
-
-    vocab: Vocabulary
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.matrix.shape[0] != self.vocab.size:
-            raise ValueError(
-                f"matrix has {self.matrix.shape[0]} rows for a "
-                f"{self.vocab.size}-token vocabulary")
-        if np.any(self.matrix[PAD_ID] != 0.0):
-            raise ValueError("PAD row must be zero")
-
-    @property
-    def dimension(self):
-        return self.matrix.shape[1]
-
-    def vector(self, token):
-        return self.matrix[self.vocab.id_of(token)]
-
-
-def load_embeddings(path, seed=0):
-    """Parse a text embedding file (``token v1 ... vd`` per line).
-
-    Reserved rows are synthesized: PAD all-zero, UNK/CLS/SEP drawn from a
-    seeded normal(0, 0.02) so loads are reproducible.
-    """
-    tokens, vectors, dim = [], [], None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                raise DatasetFormatError(f"{path}:{lineno}: no vector components")
-            if dim is None:
-                dim = len(parts) - 1
-            elif len(parts) - 1 != dim:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: expected {dim} components, "
-                    f"found {len(parts) - 1}")
-            tokens.append(parts[0])
-            try:
-                vectors.append([float(p) for p in parts[1:]])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}:{lineno}: non-numeric vector component")
-    if dim is None:
-        raise DatasetFormatError(f"{path}: empty embedding file")
-    mapping = {tok: i for i, tok in enumerate(RESERVED)}
-    for tok in tokens:
-        if tok in mapping:
-            raise DatasetFormatError(f"{path}: duplicate token {tok!r}")
-        mapping[tok] = len(mapping)
-    rng = np.random.default_rng(seed)
-    matrix = np.zeros((len(mapping), dim), dtype=np.float32)
-    matrix[UNK_ID:len(RESERVED)] = rng.normal(
-        0.0, 0.02, size=(len(RESERVED) - 1, dim)).astype(np.float32)
-    matrix[len(RESERVED):] = np.asarray(vectors, dtype=np.float32)
-    return EmbeddingTable(vocab=Vocabulary(mapping), matrix=matrix)

@@ -14,6 +14,7 @@ and batch order depend only on (seed, epoch).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -77,8 +78,9 @@ class RunConfig:
             object.__setattr__(self, "batch_size", DEFAULT_BATCH[self.mode])
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, "
+                             f"got {self.learning_rate!r}")
         if not 0 < self.threshold < 1:
             raise ValueError(f"threshold must lie in (0, 1), got "
                              f"{self.threshold!r}")

@@ -204,7 +204,7 @@ def e2e_frozen_encoder_case(rng):
     from febench.cnn import expected_shapes as head_shapes
     from febench.encoders import encoder_forward
     from febench.encoders import expected_shapes as encoder_shapes
-    from febench.serialization import WeightSet
+    from febench.tensor import WeightSet
     from febench.tensor import Tensor
 
     enc_cfg, head_cfg, enc_arrays, head_arrays, ids, valid, target = _e2e_setup(rng)
@@ -230,7 +230,7 @@ def e2e_transformer_case(rng):
     """
     from febench.encoders import encoder_forward
     from febench.encoders import expected_shapes as encoder_shapes
-    from febench.serialization import WeightSet
+    from febench.tensor import WeightSet
 
     enc_cfg, _, enc_arrays, _, ids, valid, _ = _e2e_setup(rng)
     enc_names = sorted(encoder_shapes(enc_cfg))

@@ -127,6 +127,10 @@ class TestConfig:
          "max_len = 4\n", "'a': max_len 4 is shorter than the largest kernel 6"),
         ("dataset = d\n[benchmark]\n\n[cell:a]\npreset = tiny\nmode = FE\n",
          "cannot parse"),
+        ("[benchmark]\ndataset = d\n\n[cell:a]\npreset = tiny\nmode = FE\n"
+         "lr = inf\n", "lr must be finite"),
+        ("[benchmark]\ndataset = d\nseed = -1\n\n[cell:a]\npreset = tiny\n"
+         "mode = FE\n", "seed must be >= 0"),
     ])
     def test_rejects(self, tmp_path, body, fragment):
         with pytest.raises(ConfigError, match=fragment):
@@ -827,6 +831,14 @@ class TestCli:
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        data = synth_to_disk(tmp_path)
+        config_path = write_config(tmp_path, RUN_CONFIG.format(
+            data=data, out=tmp_path / "out"))
+        assert main(["run", str(config_path), "--seed", "-1"]) == 2
+        assert "bench: error: seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "none.ini")]) == 2
         capsys.readouterr()
@@ -862,6 +874,18 @@ class TestCli:
                              "density = 5.0\n")
         assert main(["synth", str(spec_path), "-o", str(tmp_path / "x")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("spec_seed, flag", [("-3", []),
+                                                 ("0", ["--seed", "-3"])])
+    def test_synth_negative_seed_exits_two(self, tmp_path, capsys, spec_seed,
+                                           flag):
+        spec_path = tmp_path / "kw.ini"
+        spec_path.write_text(f"[synthetic]\nclasses = 2\ntrain = 10\n"
+                             f"test = 4\nseed = {spec_seed}\n")
+        out = tmp_path / "generated"
+        assert main(["synth", str(spec_path), "-o", str(out), *flag]) == 2
+        assert "bench: error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_report_on_missing_results_exits_two(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "void")]) == 2

@@ -6,7 +6,7 @@ import pytest
 from febench import ComputationRecord, ShapeMismatchError, Tensor
 from febench.cnn import (CnnHead, CnnHeadConfig, cnn_forward, expected_shapes,
                          feature_dim, init_weights, predict)
-from febench.serialization import WeightSet
+from febench.tensor import WeightSet
 
 
 def f64_weights(config, rng):

@@ -1,4 +1,4 @@
-"""Encoder configs, weight init, forward passes, freezing, persistence."""
+"""Encoder configs, weight init, forward passes, freezing."""
 
 import numpy as np
 import pytest
@@ -8,10 +8,9 @@ from febench import ops
 from febench.cnn import CnnHeadConfig
 from febench.cnn import expected_shapes as head_shapes
 from febench.encoders import (Encoder, EncoderConfig, encoder_forward,
-                              expected_shapes, init_weights, load_weights,
-                              param_count, preset_config, save_weights)
-from febench.serialization import WeightMismatchError, WeightSet
-from febench.text import EmbeddingTable, Vocabulary
+                              expected_shapes, init_weights, param_count,
+                              preset_config)
+from febench.tensor import WeightMismatchError, WeightSet
 
 
 def tiny_config(**overrides):
@@ -218,41 +217,3 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_config("huge", vocab_size=50)
-
-
-class TestPersistence:
-    def test_round_trip_bit_exact(self, tmp_path):
-        config = tiny_config(layers=2)
-        weights = init_weights(config, seed=11)
-        path = tmp_path / "enc.feb"
-        save_weights(weights, path)
-        loaded = load_weights(path, config)
-        assert loaded.byte_image() == weights.byte_image()
-
-    def test_load_raw_arrays(self, tmp_path):
-        weights = init_weights(tiny_config(), seed=11)
-        path = tmp_path / "enc.feb"
-        save_weights(weights, path)
-        arrays = load_weights(path)
-        assert set(arrays) == set(weights.tensors)
-
-    def test_load_against_wrong_config(self, tmp_path):
-        weights = init_weights(tiny_config(layers=1), seed=0)
-        path = tmp_path / "enc.feb"
-        save_weights(weights, path)
-        with pytest.raises(WeightMismatchError):
-            load_weights(path, tiny_config(layers=2))
-
-
-class TestEmbeddingTableEncoder:
-    def test_wraps_table_rows(self):
-        vocab = Vocabulary({"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3,
-                            "cat": 4})
-        matrix = np.zeros((5, 3), dtype=np.float32)
-        matrix[4] = [1.0, 2.0, 3.0]
-        encoder = Encoder.from_embedding_table(
-            EmbeddingTable(vocab=vocab, matrix=matrix), frozen=True)
-        with ComputationRecord():
-            out = encoder.forward(np.array([4, 0]), valid_length=2)
-        np.testing.assert_array_equal(out.data[0], [1.0, 2.0, 3.0])
-        assert encoder.frozen

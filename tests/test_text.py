@@ -1,4 +1,4 @@
-"""Tokenizer, vocabulary, encoding, dataset files, and embedding loader."""
+"""Tokenizer, vocabulary, encoding and dataset files."""
 
 import json
 
@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from febench.text import (CLS_ID, PAD_ID, SEP_ID, UNK_ID, Dataset,
-                          DatasetFormatError, EmbeddingTable, LabeledExample,
-                          Vocabulary, build_vocab, decode, encode,
-                          load_dataset, load_embeddings, save_dataset,
-                          tokenize)
+                          DatasetFormatError, LabeledExample, Vocabulary,
+                          build_vocab, decode, encode, load_dataset,
+                          save_dataset, tokenize)
 
 
 class TestTokenize:
@@ -43,14 +42,14 @@ class TestVocabulary:
 
     def test_min_freq_filters(self):
         v = build_vocab(["a b", "a c"], max_size=10, min_freq=2)
-        assert "a" in v
-        assert "b" not in v
+        assert "a" in v.token_to_id
+        assert "b" not in v.token_to_id
         assert v.size == 5
 
     def test_max_size_truncates_by_frequency(self):
         v = build_vocab(["a b", "a c"], max_size=5)
-        assert "a" in v
-        assert "b" not in v and "c" not in v
+        assert "a" in v.token_to_id
+        assert "b" not in v.token_to_id and "c" not in v.token_to_id
 
     def test_unknown_token_maps_to_unk(self):
         v = build_vocab(["a"], max_size=10)
@@ -188,38 +187,3 @@ class TestDatasetFiles:
         with pytest.raises(ValueError):
             Dataset(name="bad", task_kind="single_label", label_space=("a", "b"),
                     train=(LabeledExample("t", frozenset({"a", "b"})),), test=())
-
-
-class TestEmbeddings:
-    def test_row_count_includes_reserved(self, tmp_path):
-        path = tmp_path / "vectors.txt"
-        path.write_text("cat 1.0 2.0 3.0\ndog 4.0 5.0 6.0\n")
-        table = load_embeddings(path)
-        assert table.matrix.shape == (6, 3)
-        assert table.dimension == 3
-
-    def test_file_vectors_preserved(self, tmp_path):
-        path = tmp_path / "vectors.txt"
-        path.write_text("cat 1.0 2.0 3.0\ndog 4.0 5.0 6.0\n")
-        table = load_embeddings(path)
-        np.testing.assert_array_equal(table.vector("dog"), [4.0, 5.0, 6.0])
-
-    def test_pad_row_zero_and_reserved_seeded(self, tmp_path):
-        path = tmp_path / "vectors.txt"
-        path.write_text("cat 1.0 2.0 3.0\n")
-        a = load_embeddings(path, seed=9)
-        b = load_embeddings(path, seed=9)
-        np.testing.assert_array_equal(a.matrix[PAD_ID], 0.0)
-        np.testing.assert_array_equal(a.matrix, b.matrix)
-        assert np.any(a.matrix[UNK_ID] != 0.0)
-
-    def test_inconsistent_dimension_names_line(self, tmp_path):
-        path = tmp_path / "vectors.txt"
-        path.write_text("cat 1.0 2.0 3.0\ndog 4.0 5.0\n")
-        with pytest.raises(DatasetFormatError, match=":2"):
-            load_embeddings(path)
-
-    def test_pad_row_validated(self):
-        vocab = Vocabulary({"<pad>": 0, "<unk>": 1, "<cls>": 2, "<sep>": 3})
-        with pytest.raises(ValueError, match="PAD"):
-            EmbeddingTable(vocab=vocab, matrix=np.ones((4, 2), dtype=np.float32))

@@ -9,7 +9,7 @@ from febench.cnn import expected_shapes as head_shapes
 from febench.encoders import Encoder, EncoderConfig, init_weights
 from febench.encoders import expected_shapes as encoder_shapes
 from febench.profiling import TimingTrace
-from febench.serialization import WeightSet
+from febench.tensor import WeightSet
 from febench.text import Dataset, LabeledExample, build_vocab
 from febench.training import (AdamState, RunConfig, RunResult,
                               TrainingDivergedError, adam_step, aggregate_runs,
@@ -67,6 +67,8 @@ class TestRunConfig:
     def test_invalid_learning_rate(self):
         with pytest.raises(ValueError):
             RunConfig(mode="FE", epochs=1, learning_rate=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig(mode="FE", epochs=1, learning_rate=float("inf"))
 
     @pytest.mark.parametrize("field, value", [
         ("threshold", 0.0), ("threshold", 1.0), ("threshold", 1.5),
