@@ -1,8 +1,12 @@
 """Convolutional classification head over a hidden-state sequence.
 
-Parallel 1-d convolutions of several kernel sizes, ReLU, max-over-time
-pooling restricted to windows that lie fully inside the valid (non-PAD)
-prefix, concatenation, and an affine projection to class logits.
+Parallel 1-d convolutions of several kernel sizes, max-over-time pooling
+restricted to windows that lie fully inside the valid (non-PAD) prefix,
+ReLU, concatenation, and an affine projection to class logits.  Pooling
+comes before ReLU because ReLU is monotone, so ``relu(max(x)) ==
+max(relu(x))`` exactly, and the backward passes the same gradient to the
+same window (or an exact zero where a column's max is not positive); ReLU
+then acts on one [f] vector per kernel instead of the [n, f] window matrix.
 """
 
 from __future__ import annotations
@@ -82,8 +86,7 @@ def cnn_forward(config, weights, hidden, valid_length):
     for k in config.kernel_sizes:
         conv = ops.conv1d_valid(hidden, tensors[f"conv{k}.weight"],
                                 tensors[f"conv{k}.bias"])
-        active = ops.relu(conv)
-        pooled.append(ops.max_over_time(active, limit=valid_length - k + 1))
+        pooled.append(ops.relu(ops.max_over_time(conv, limit=valid_length - k + 1)))
     features = ops.concat(pooled)
     return ops.linear(features, tensors["projection.weight"],
                       tensors["projection.bias"])

@@ -13,7 +13,7 @@ that needs no gradient (PyTorch's ``needs_input_grad`` rule), which
 :func:`~febench.tensor.backward` skips; :func:`conv1d_valid` does so for a
 frozen input.  Likewise :func:`conv1d_valid`'s backward multiplies through
 only the live windows, whose row of the upstream gradient is not all zero;
-after ReLU and max-over-time pooling at most one window per filter is live.
+after max-over-time pooling and ReLU at most one window per filter is live.
 
 A closure may return a parameter's gradient in a form that
 :func:`~febench.tensor.backward` reduces once per step, not once per
@@ -215,11 +215,12 @@ def conv1d_valid(x, w, b):
         gb = g.sum(axis=0)
         if not need_dx:
             return None, gw, gb
-        dcols = np.zeros((n, k, h), dtype=g.dtype)
-        dcols[rows] = (g_live @ w2.T).reshape(rows.size, k, h)
+        dlive = (g_live @ w2.T).reshape(rows.size, k, h)
         dx = np.zeros((t_len, h), dtype=g.dtype)
+        # rows are unique, and each dx row takes its terms in ascending i
+        # as the all-window sum does, less the dead windows' exact zeros
         for i in range(k):
-            dx[i:i + n] += dcols[:, i, :]
+            dx[rows + i] += dlive[:, i, :]
         return dx, gw, gb
 
     return _emit("conv1d_valid", (x, w, b), out, bwd)

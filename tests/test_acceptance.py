@@ -15,7 +15,6 @@ import time
 import zlib
 
 import numpy as np
-import pytest
 from helpers import PRIMITIVE_GRAD_CASES, e2e_frozen_encoder_case
 
 import febench

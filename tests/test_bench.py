@@ -6,18 +6,16 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
 import pytest
 
 import febench
 from febench.bench.cli import main
-from febench.bench.config import (BenchmarkConfig, CellSpec, ConfigError,
-                                  apply_overrides, config_hash, load_config)
+from febench.bench.config import (ConfigError, apply_overrides, config_hash,
+                                  load_config)
 from febench.bench.report import (ReportError, default_baseline, emit_report,
                                   format_hours, format_mib, format_percent,
                                   format_ratio, load_results, render_tsv)
-from febench.bench.runner import (execute, resolve_out_dir, run_benchmark,
-                                  write_outputs)
+from febench.bench.runner import execute, resolve_out_dir, run_benchmark
 from febench.bench.synth import (SynthSpec, SynthesisError, load_synth_spec,
                                  make_synthetic)
 from febench.metrics import label_density

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from febench import ComputationRecord, ShapeMismatchError, Tensor
+from febench import (ComputationRecord, MemoryLedger, ShapeMismatchError, Tensor,
+                     backward, ops)
 from febench.cnn import (CnnHead, CnnHeadConfig, cnn_forward, expected_shapes,
                          feature_dim, init_weights, predict)
 from febench.tensor import WeightSet
@@ -127,6 +128,84 @@ class TestForward:
         with pytest.raises(ShapeMismatchError, match="kernel"):
             with ComputationRecord():
                 cnn_forward(config, weights, Tensor(np.zeros((8, 4))), valid_length=4)
+
+
+def _relu_then_pool(config, weights, hidden, valid_length):
+    """The head's former order: ReLU over every window, then pooling."""
+    tensors = weights.tensors
+    pooled = []
+    for k in config.kernel_sizes:
+        conv = ops.conv1d_valid(hidden, tensors[f"conv{k}.weight"],
+                                tensors[f"conv{k}.bias"])
+        pooled.append(ops.max_over_time(ops.relu(conv), limit=valid_length - k + 1))
+    return ops.linear(ops.concat(pooled), tensors["projection.weight"],
+                      tensors["projection.bias"])
+
+
+class TestPoolBeforeRelu:
+    """Pooling before ReLU gives the former order's exact values and gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trainable_hidden", [True, False])
+    def test_bit_identical_to_relu_then_pool(self, dtype, trainable_hidden):
+        rng = np.random.default_rng([17, trainable_hidden])
+        config = CnnHeadConfig(hidden=128, classes=4)
+        arrays = {name: rng.normal(0.0, 0.02, size=shape).astype(dtype)
+                  for name, shape in expected_shapes(config).items()}
+        # filter 0 of the width-3 kernel is never positive: its pooled max
+        # is negative, and both orders must pass it an exact zero
+        arrays["conv3.bias"][0] = -10.0
+        weights = WeightSet(expected_shapes(config), {
+            name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()})
+        params = list(weights.tensors.values())
+        coef = Tensor(rng.normal(size=config.classes).astype(dtype))
+        for valid in (6, 17, 32):
+            hidden = Tensor(rng.normal(size=(32, 128)).astype(dtype),
+                            requires_grad=trainable_hidden)
+            conv3 = ops.conv1d_valid(hidden, weights.tensors["conv3.weight"],
+                                     weights.tensors["conv3.bias"])
+            assert conv3.data[:valid - 2, 0].max() <= 0 < conv3.data[:valid - 2].max()
+            runs = []
+            for forward in (cnn_forward, _relu_then_pool):
+                with ComputationRecord():
+                    logits = forward(config, weights, hidden, valid)
+                    grads = backward(ops.sum_all(ops.mul(logits, coef)))
+                runs.append((logits.data, grads))
+            (new_logits, new_grads), (old_logits, old_grads) = runs
+            assert new_logits.dtype == dtype
+            np.testing.assert_array_equal(new_logits, old_logits)
+            assert (hidden.tid in new_grads) == trainable_hidden
+            for t in params + ([hidden] if trainable_hidden else []):
+                assert new_grads[t.tid].dtype == dtype
+                np.testing.assert_array_equal(new_grads[t.tid], old_grads[t.tid])
+
+    def test_hand_computed_ledger_for_one_document(self):
+        """Hidden 8, kernels (2, 3), 5 filters, 3 classes, T 10: every byte by hand."""
+        config = CnnHeadConfig(hidden=8, classes=3, kernel_sizes=(2, 3), filters=5)
+        weights = init_weights(config, seed=0)
+        hidden = Tensor(np.ones((10, 8), dtype=np.float32))  # a frozen encoder's output
+        ledger = MemoryLedger()
+        with ComputationRecord(ledger) as rec:
+            loss = ops.sum_all(cnn_forward(config, weights, hidden, valid_length=7))
+            # conv outputs [9, 5] and [8, 5]; per kernel a pooled and a relu
+            # [5]; the [10] concat, the [3] logits and the scalar loss
+            outputs = (9 + 8) * 5 * 4 + 2 * 2 * 5 * 4 + 10 * 4 + 3 * 4 + 4
+            assert ledger.current("activations") == outputs == 476
+            grads = backward(loss)
+            # the weights: conv [2, 8, 5] and [3, 8, 5] with [5] biases,
+            # projection [10, 3] and [3]
+            weight_grads = (80 + 5 + 120 + 5 + 30 + 3) * 4
+            assert ledger.group_current("gradients", "head") == weight_grads == 972
+            # every output also holds a gradient of its own shape
+            assert ledger.current("gradients") == outputs + weight_grads
+            assert ledger.peak() == 2 * outputs + weight_grads
+            rec.release()
+        assert hidden.tid not in grads
+        widths = sorted(g.shape for g in grads.values())
+        assert widths == sorted([(), (3,), (10,), (9, 5), (8, 5)] + [(5,)] * 4 + [
+            (2, 8, 5), (5,), (3, 8, 5), (5,), (10, 3), (3,)])
+        assert ledger.current("activations") == 0
+        assert ledger.current("gradients") == 0
 
 
 class TestPredict:

@@ -205,16 +205,14 @@ def _dense_conv(xd, wd, bd, g, need_dx):
 
 def _upstream(kind, out, rng):
     """Upstream gradient of the conv output: all rows live, the rows that
-    relu and max-over-time pooling (limit n - 2) keep, or none."""
+    max-over-time pooling (limit n - 2) and then relu keep, or none."""
     n, f = out.shape
     if kind == "dense":
         return rng.normal(size=(n, f)).astype(out.dtype)
     g = np.zeros_like(out)
     if kind == "pooled":
-        active = np.maximum(out, 0)
-        idx = active[:max(1, n - 2)].argmax(axis=0)
-        g[idx, np.arange(f)] = rng.normal(size=f)
-        g *= out > 0
+        idx, cols = out[:max(1, n - 2)].argmax(axis=0), np.arange(f)
+        g[idx, cols] = rng.normal(size=f) * (out[idx, cols] > 0)
     return g
 
 

@@ -1,7 +1,5 @@
 """Tokenizer, vocabulary, encoding and dataset files."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

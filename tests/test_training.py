@@ -6,7 +6,7 @@ import pytest
 from febench import ComputationRecord, MemoryLedger, Tensor
 from febench.cnn import CnnHead, CnnHeadConfig
 from febench.cnn import expected_shapes as head_shapes
-from febench.encoders import Encoder, EncoderConfig, init_weights
+from febench.encoders import Encoder, EncoderConfig
 from febench.encoders import expected_shapes as encoder_shapes
 from febench.profiling import TimingTrace
 from febench.tensor import WeightSet
