@@ -1,8 +1,8 @@
 """A tour of the tape-based tensor core.
 
 Every operation appends an entry to the active computation record; calling
-backward() walks the record in reverse and accumulates gradients for every
-tensor that asked for them. Frozen tensors simply never appear in the
+backward() consumes the record in reverse and returns gradients for every
+leaf tensor that asked for them. Frozen tensors simply never appear in the
 gradient map, which is the whole trick behind feature extraction. Outside a
 record nothing is taped, which is how evaluation runs.
 """

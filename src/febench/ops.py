@@ -218,9 +218,12 @@ def conv1d_valid(x, w, b):
         dlive = (g_live @ w2.T).reshape(rows.size, k, h)
         dx = np.zeros((t_len, h), dtype=g.dtype)
         # rows are unique, and each dx row takes its terms in ascending i
-        # as the all-window sum does, less the dead windows' exact zeros
+        # as the all-window sum does, less the dead windows' exact zeros;
+        # one run of live rows (every window, at short T) adds by slices
+        run = rows.size and rows[-1] - rows[0] + 1 == rows.size
         for i in range(k):
-            dx[rows + i] += dlive[:, i, :]
+            at = slice(rows[0] + i, rows[-1] + i + 1) if run else rows + i
+            dx[at] += dlive[:, i, :]
         return dx, gw, gb
 
     return _emit("conv1d_valid", (x, w, b), out, bwd)

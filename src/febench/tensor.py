@@ -4,16 +4,16 @@ A :class:`Tensor` wraps one contiguous float array, and a :class:`WeightSet`
 holds a model part's named parameter tensors, validated against the shapes
 its config requires.  Primitive applications (see :mod:`febench.ops`) append
 entries to the active :class:`ComputationRecord`, of which there is at most
-one; :func:`backward` replays that record once in reverse and returns a map
-from tensor id to gradient for every tensor that requires one.  Frozen
-tensors (``requires_grad=False``) never receive gradients, and subgraphs
-reachable only through frozen tensors are not taped for backward at all.
-Outside a record nothing is taped or charged: that is how evaluation runs.
+one; :func:`backward` pops that record's tape in reverse, once per release,
+and returns a map from tensor id to gradient for every leaf that requires
+one.  Frozen tensors (``requires_grad=False``) never receive gradients, and
+subgraphs reachable only through frozen tensors are not taped for backward
+at all.  Outside a record nothing is taped or charged, as in evaluation.
 
 The record is also the one owner of activation and gradient bytes: given a
 :class:`~febench.profiling.MemoryLedger`, it charges every primitive output
-and the gradients of its last traversal, and frees them on
-:meth:`ComputationRecord.release`.  It keeps alive only what backward reads.
+and every gradient of its walk until :meth:`ComputationRecord.release`, yet
+holds only what backward has still to read.
 
 Training arithmetic runs in float32.  :func:`grad_check` re-runs the same
 code paths in float64 and compares against central finite differences.
@@ -45,7 +45,7 @@ class NonScalarLossError(ValueError):
 
 
 class StaleRecordError(RuntimeError):
-    """A computation record was traversed twice without a new forward pass."""
+    """A computation record was traversed twice without a release."""
 
 
 class NoRecordError(RuntimeError):
@@ -175,12 +175,13 @@ class ComputationRecord:
     :class:`NestedRecordError` and leaves the active one as it was.  Every
     primitive applied inside the record goes through :meth:`append`, but
     the tape holds an entry, with its inputs and output, only for a
-    primitive whose backward closure is kept; backward walks those entries
-    once in reverse.  A closure-less primitive (no input needs a gradient)
-    leaves no reference behind, so its output dies with its last consumer.
-    With a ``ledger`` the record charges every output to ``activations``,
-    held or not, and every gradient of the last traversal to ``gradients``
-    (under the tensor's group); :meth:`release` frees both.
+    primitive whose backward closure is kept; backward pops those entries
+    in reverse, so a record is walked once per :meth:`release`.  A
+    closure-less primitive (no input needs a gradient) leaves no reference
+    behind, so its output dies with its last consumer.  With a ``ledger``
+    the record charges every output to ``activations``, held or not, and
+    every gradient of the walk to ``gradients`` (under the tensor's group);
+    :meth:`release` frees both.
     """
 
     def __init__(self, ledger=None):
@@ -206,33 +207,28 @@ class ComputationRecord:
         """Charge ``output`` and, if ``backward_fn`` is kept, tape the entry."""
         if backward_fn is not None:
             self.entries.append(_Entry(tuple(inputs), output, backward_fn))
-        self._fresh = True
         if self.ledger is not None:
             self.ledger.record_alloc("activations", output.data.nbytes)
             self._charged += output.data.nbytes
 
-    def _hold_grads(self, grads):
-        """Charge (tensor, array) gradients per group, freeing the last first."""
-        self._free_grads()
+    def _hold_grads(self, sizes):
+        """Charge the walk's (group, nbytes) gradient sizes, once per group."""
         held = self._grad_bytes
-        for t, g in grads:
-            held[t.group] = held.get(t.group, 0) + g.nbytes
+        for group, nbytes in sizes:
+            held[group] = held.get(group, 0) + nbytes
         if self.ledger is not None:
             for group, nbytes in held.items():
                 self.ledger.record_alloc("gradients", nbytes, group=group)
 
-    def _free_grads(self):
+    def release(self):
+        """Free the activations and gradients charged here; re-arm backward."""
+        if self._charged:
+            self.ledger.record_free("activations", self._charged)
+            self._charged = 0
         if self.ledger is not None:
             for group, nbytes in self._grad_bytes.items():
                 self.ledger.record_free("gradients", nbytes, group=group)
         self._grad_bytes = {}
-
-    def release(self):
-        """Free all activations charged here plus gradients of the last backward."""
-        if self._charged:
-            self.ledger.record_free("activations", self._charged)
-            self._charged = 0
-        self._free_grads()
         self.entries.clear()
         self._fresh = True
 
@@ -240,11 +236,14 @@ class ComputationRecord:
 def backward(loss):
     """Reverse-mode traversal from a scalar loss over the active record.
 
-    Returns ``{tensor id -> gradient array}`` covering every tensor with
-    ``requires_grad=True`` that the loss depends on; frozen tensors and
-    anything reachable only through them are absent.  The map is the only
-    view of the gradients; the record charges their bytes until it is
-    released or traversed again.
+    Returns ``{tensor id -> gradient array}`` for every leaf with
+    ``requires_grad=True`` that the loss depends on: a parameter, a
+    :func:`grad_check` point, or a loss with no entry.  Frozen tensors and
+    anything reachable only through them are absent.  The walk pops each
+    entry, and drops each intermediate gradient once its producer has read
+    it (a pending :class:`Factors` may still hold it), so both die as they
+    propagate; the record still charges every gradient until it is released,
+    and a second walk before that raises :class:`StaleRecordError`.
 
     A closure may return a gradient as :class:`Factors` or :class:`RowSparse`,
     so that each parameter's gradient is reduced once per step, not once per
@@ -260,17 +259,21 @@ def backward(loss):
     if record is None:
         raise NoRecordError("backward needs an active ComputationRecord")
     if not record._fresh:
-        raise StaleRecordError("record already traversed; run a new forward pass first")
+        raise StaleRecordError("record already traversed; release() it first")
     record._fresh = False
 
     # slot layout: [tensor, dense grad or None, owns_array, Factors list]
     pending = {loss.tid: [loss, np.ones((), dtype=loss.data.dtype), True, []]}
-    for entry in reversed(record.entries):
-        slot = pending.get(entry.output.tid)
+    sizes = []
+    while record.entries:
+        # the last entry, its closure and its output's slot die on rebinding
+        entry = record.entries.pop()
+        slot = pending.pop(entry.output.tid, None)
         if slot is None:
             continue
-        input_grads = entry.backward_fn(_reduce(slot))
-        for t, g in zip(entry.inputs, input_grads):
+        grad = _reduce(slot)
+        sizes.append((slot[0].group, np.asarray(grad).nbytes))
+        for t, g in zip(entry.inputs, entry.backward_fn(grad)):
             if g is None or not t.requires_grad:
                 continue
             got = pending.get(t.tid)
@@ -278,9 +281,10 @@ def backward(loss):
                 got = pending[t.tid] = [t, None, False, []]
             _accumulate(got, g)
 
-    grads = [(slot[0], np.asarray(_reduce(slot))) for slot in pending.values()]
-    record._hold_grads(grads)
-    return {t.tid: g for t, g in grads}
+    grads = {tid: np.asarray(_reduce(slot)) for tid, slot in pending.items()}
+    sizes += [(pending[tid][0].group, g.nbytes) for tid, g in grads.items()]
+    record._hold_grads(sizes)
+    return grads
 
 
 def _accumulate(slot, g):

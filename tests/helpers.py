@@ -1,15 +1,22 @@
-"""Shared builders for gradient-check sweeps.
+"""Shared builders for gradient-check sweeps, and a physical memory probe.
 
 Each case maps a primitive (possibly composed with a smooth wrapper so the
 output is scalar and the gradients input-dependent) to a point sampler.
 Samplers keep inputs away from kinks and ties so central differences are
 trustworthy: relu points stay off zero, max pooling points have per-column
 gaps far above the probe step.
+
+:func:`trace_steps` runs training steps under ``tracemalloc``, which sees
+every numpy allocation, so it measures the bytes the process really holds
+next to what the ledger charges.
 """
+
+import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 
-from febench import ops
+from febench import MemoryLedger, ops, tensor, training
 
 
 def _signed_away_from_zero(rng, size, low=0.2, high=1.5):
@@ -271,3 +278,48 @@ PRIMITIVE_GRAD_CASES = {
     "softmax_xent": _case_softmax_xent,
     "sigmoid_bce": _case_sigmoid_bce,
 }
+
+
+class TracedSteps(NamedTuple):
+    """What :func:`trace_steps` saw, in bytes, and the steps' ledger."""
+
+    peak: int       # traced high-water mark over every step
+    forward: int    # traced when the last step's loss exists
+    held: int       # traced once its backward returned, less the map's arrays
+    ledger: object  # parameters charged first, as ``training.train`` does
+
+
+def trace_steps(encoder, head, ids, valid, targets, steps=2):
+    """Run ``steps`` single-label ``training.train_step``s under ``tracemalloc``.
+
+    Tracing starts once the parameters exist, so their bytes never count:
+    the physical step peak is ``ledger.peak("parameters") + peak``.  The
+    optimizer state that the first step creates does count.  Each step's
+    ``backward`` is sampled by a wrapper set on ``febench.training``.
+    """
+    params = [*encoder.weights.tensors.values(), *head.weights.tensors.values()]
+    ledger = MemoryLedger()
+    for p in params:
+        ledger.record_alloc("parameters", p.data.nbytes, group=p.group)
+    state = training.AdamState(ledger=ledger)
+    trainable = [p for p in params if p.requires_grad]
+    samples = []
+
+    def sampled_backward(loss):
+        samples.append(tracemalloc.get_traced_memory()[0])
+        grads = tensor.backward(loss)
+        samples.append(tracemalloc.get_traced_memory()[0]
+                       - sum(g.nbytes for g in grads.values()))
+        return grads
+
+    training.backward = sampled_backward
+    tracemalloc.start()
+    try:
+        for _ in range(steps):
+            training.train_step(encoder, head, trainable, state, ids, valid,
+                                targets, "single_label", 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        training.backward = tensor.backward
+    return TracedSteps(peak, *samples[-2:], ledger)

@@ -204,12 +204,15 @@ def _dense_conv(xd, wd, bd, g, need_dx):
 
 
 def _upstream(kind, out, rng):
-    """Upstream gradient of the conv output: all rows live, the rows that
-    max-over-time pooling (limit n - 2) and then relu keep, or none."""
+    """Upstream gradient of the conv output: all rows live, one run of live
+    rows from row 2 to row n - 3, the rows that max-over-time pooling
+    (limit n - 2) and then relu keep, or none."""
     n, f = out.shape
     if kind == "dense":
         return rng.normal(size=(n, f)).astype(out.dtype)
     g = np.zeros_like(out)
+    if kind == "run":
+        g[2:n - 2] = rng.normal(size=(n - 4, f))
     if kind == "pooled":
         idx, cols = out[:max(1, n - 2)].argmax(axis=0), np.arange(f)
         g[idx, cols] = rng.normal(size=f) * (out[idx, cols] > 0)
@@ -239,7 +242,7 @@ class TestConvolutionDeadRows:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("need_dx", [True, False])
-    @pytest.mark.parametrize("kind", ["dense", "pooled", "zero"])
+    @pytest.mark.parametrize("kind", ["dense", "run", "pooled", "zero"])
     @pytest.mark.parametrize("t_len, k", [(16, 3), (16, 6), (128, 3), (128, 6)])
     def test_bit_identical_to_dense(self, dtype, need_dx, kind, t_len, k):
         rng = np.random.default_rng([t_len, k])

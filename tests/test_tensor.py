@@ -77,14 +77,15 @@ class TestBackward:
         assert live.tid in grads
         assert frozen.tid not in grads
 
-    def test_map_includes_loss_and_intermediates(self):
+    def test_map_holds_leaves_only(self):
+        """A taped entry's output (the loss, an intermediate) is not in the map."""
         x = Tensor(np.ones(2), requires_grad=True)
         with ComputationRecord():
             mid = ops.relu(x)
             loss = ops.sum_all(mid)
             grads = backward(loss)
-        assert float(grads[loss.tid]) == 1.0
-        np.testing.assert_array_equal(grads[mid.tid], [1.0, 1.0])
+        assert list(grads) == [x.tid]
+        np.testing.assert_array_equal(grads[x.tid], [1.0, 1.0])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones(2), requires_grad=True)
@@ -101,13 +102,31 @@ class TestBackward:
             with pytest.raises(StaleRecordError):
                 backward(loss)
 
-    def test_new_forward_refreshes_record(self):
+    def test_only_release_rearms_the_record(self):
+        """The walk consumes the tape, so a new forward alone cannot re-arm it."""
         x = Tensor(np.ones(2), requires_grad=True)
-        with ComputationRecord():
+        with ComputationRecord() as rec:
             backward(ops.sum_all(x))
-            loss2 = ops.sum_all(x)
-            grads = backward(loss2)
+            loss2 = ops.sum_all(ops.relu(x))
+            with pytest.raises(StaleRecordError):
+                backward(loss2)
+            rec.release()
+            grads = backward(ops.sum_all(ops.relu(x)))
         np.testing.assert_array_equal(grads[x.tid], [1.0, 1.0])
+
+    def test_walk_frees_closures_and_intermediate_gradients(self):
+        """Once backward returns, with the record still open, a kept closure
+        and the gradient an intermediate's closure received are gone."""
+        x = Tensor.param(np.linspace(-1.0, 1.0, 3, dtype=np.float32))
+        received = []
+        with ComputationRecord() as rec:
+            mid = ops.gelu(x)
+            loss = ops.sum_all(ops.tanh(mid))
+            closure = _spy_on(rec.entries[0], received)
+            backward(loss)
+            assert closure() is None
+            assert len(received) == 1 and received[0]() is None
+            rec.release()
 
     def test_branch_behind_frozen_tensor_gets_no_gradient(self):
         """requires_grad must not propagate through a frozen intermediate."""
@@ -128,6 +147,21 @@ class TestBackward:
             assert float(grads[loss.tid]) == 1.0
             with pytest.raises(StaleRecordError):
                 backward(loss)
+
+
+def _spy_on(entry, received):
+    """Wrap ``entry``'s closure to keep a weakref to the gradient it receives.
+
+    Returns a weakref to the wrapped closure; nothing but the entry holds it.
+    """
+    inner = entry.backward_fn
+
+    def spy(g):
+        received.append(weakref.ref(g))
+        return inner(g)
+
+    entry.backward_fn = spy
+    return weakref.ref(inner)
 
 
 def _probe_sum(out, probe):
@@ -263,18 +297,20 @@ class TestRecordLifecycle:
             loss = ops.sum_all(ops.relu(ops.matmul(x, w)))
             backward(loss)
             once = ledger.current("gradients")
-            ops.relu(x)  # a new entry makes the record traversable again
-            backward(loss)
+            ops.relu(x)  # a new forward does not re-arm a walked record
+            with pytest.raises(StaleRecordError):
+                backward(loss)
             assert ledger.current("gradients") == once
             assert ledger.group_current("gradients", "head") == 24
             rec.release()
         assert ledger.current("gradients") == 0
 
-    def test_second_backward_frees_the_first_loss_gradient(self):
+    def test_backward_after_release_charges_one_loss_gradient(self):
         ledger = MemoryLedger()
         x = Tensor.param(np.ones(4, dtype=np.float32))
         with ComputationRecord(ledger) as rec:
             backward(ops.sum_all(x))
+            rec.release()
             backward(ops.sum_all(x))
             # x's 16 bytes plus one scalar loss gradient, not two
             assert ledger.current("gradients") == 16 + 4
@@ -304,9 +340,10 @@ class TestRecordLifecycle:
             assert ledger.allocs == 3
             assert ledger.current("gradients") == 84 + 24 + 8
             assert ledger.peak() == 84 + 116
-            ops.relu(x)  # 48 more activation bytes; the record is fresh again
-            backward(loss)
-            assert ledger.allocs == 6
+            ops.relu(x)  # 48 more activation bytes; the record stays walked
+            with pytest.raises(StaleRecordError):
+                backward(loss)
+            assert ledger.allocs == 3
             rec.release()
         assert ledger.current() == 0
         assert ledger.peak("activations") == 84 + 48
@@ -368,7 +405,8 @@ class TestRecordLifecycle:
             grads = backward(loss)
             # two [2] relu outputs and the scalar loss, all in the outer record
             assert ledger.current("activations") == 8 + 8 + 4
-            assert len(outer.entries) == 3
+            # the walk consumed all three entries
+            assert outer.entries == []
             outer.release()
         np.testing.assert_array_equal(grads[x.tid], [1.0, 0.0])
         assert ledger.current() == 0
