@@ -1,10 +1,12 @@
 """A tour of the tape-based tensor core.
 
 Every operation appends an entry to the active computation record; calling
-backward() consumes the record in reverse and returns gradients for every
-leaf tensor that asked for them. Frozen tensors simply never appear in the
-gradient map, which is the whole trick behind feature extraction. Outside a
-record nothing is taped, which is how evaluation runs.
+backward() consumes the record in reverse, once, and returns gradients for
+every leaf tensor that asked for them. The record charges its outputs and
+gradients to its memory ledger until its ``with`` block exits. Frozen
+tensors simply never appear in the gradient map, which is the whole trick
+behind feature extraction. Outside a record nothing is taped, which is how
+evaluation runs.
 """
 
 import numpy as np
@@ -24,7 +26,8 @@ def main():
         print(f"loss = {float(loss.data):.6f}")
         print(f"dL/dw =\n{grads[w.tid]}")
         assert x.tid not in grads, "frozen input stays out of the map"
-        record.release()
+        print(f"bytes charged inside the block: {record.ledger.current()}")
+    print(f"bytes charged once it exits: {record.ledger.current()}")
 
     print()
     print("== the same gradient, checked against finite differences ==")
@@ -46,10 +49,9 @@ def main():
     print("== a frozen parameter never gets gradients or optimizer state ==")
     frozen = Tensor(np.ones((2, 2)), requires_grad=False)
     live = Tensor.param(np.ones((2, 2)))
-    with ComputationRecord() as record:
+    with ComputationRecord():
         out = ops.sum_all(ops.matmul(frozen, live))
         grads = backward(out)
-        record.release()
     print(f"gradient map covers live param: {live.tid in grads}, "
           f"frozen param: {frozen.tid in grads}")
 

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from febench.bench.config import INTEGER, NUMBER, TEXT, read_ini, read_section
+from febench.metrics import label_density
 from febench.text import Dataset, LabeledExample
 
 _SPEC_FIELDS = {
@@ -124,10 +125,6 @@ def _multi_label_split(rng, spec, count, labels, p):
     return examples
 
 
-def _realized_density(examples):
-    return sum(len(ex.labels) for ex in examples) / len(examples)
-
-
 def make_synthetic(spec):
     """Generate the dataset a spec describes; deterministic in the seed."""
     labels = tuple(f"c{i}" for i in range(spec.classes))
@@ -146,11 +143,11 @@ def make_synthetic(spec):
         rng = np.random.default_rng([spec.seed, 17, attempt])
         train = _multi_label_split(rng, spec, spec.train_docs, labels, p)
         test = _multi_label_split(rng, spec, spec.test_docs, labels, p)
-        realized = _realized_density(train + test)
-        if abs(realized - spec.density) <= 0.2:
-            return Dataset(name=spec.name, task_kind="multi_label",
-                           label_space=labels, train=tuple(train),
-                           test=tuple(test))
+        dataset = Dataset(name=spec.name, task_kind="multi_label",
+                          label_space=labels, train=tuple(train),
+                          test=tuple(test))
+        if abs(label_density(dataset) - spec.density) <= 0.2:
+            return dataset
     raise SynthesisError(f"could not realize density {spec.density} within "
                          f"0.2 on {spec.train_docs}+{spec.test_docs} "
                          f"documents; use more documents")

@@ -55,15 +55,7 @@ def expected_shapes(config):
 
 def init_weights(config, seed):
     """Seeded normal(0, 0.02) matrices, zero biases."""
-    rng = np.random.default_rng(seed)
-    arrays = {}
-    for name, shape in expected_shapes(config).items():
-        if name.endswith(".bias"):
-            arrays[name] = np.zeros(shape, dtype=np.float32)
-        else:
-            arrays[name] = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
-    return WeightSet.from_arrays(expected_shapes(config), arrays,
-                                 trainable=True, group="head")
+    return WeightSet.init(expected_shapes(config), seed, group="head")
 
 
 def cnn_forward(config, weights, hidden, valid_length):

@@ -10,7 +10,7 @@ of the gradient map and therefore out of gradient/optimizer memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class EncoderConfig:
     heads: int = 1
     ff_size: int = None
     max_positions: int = 200
-    frozen: bool = False
 
     def __post_init__(self):
         if self.kind not in ("static", "transformer"):
@@ -80,17 +79,7 @@ def param_count(config):
 
 def init_weights(config, seed):
     """Seeded random weights: matrices normal(0, 0.02), norm scales 1, biases 0."""
-    rng = np.random.default_rng(seed)
-    arrays = {}
-    for name, shape in expected_shapes(config).items():
-        if name.endswith("norm.scale"):
-            arrays[name] = np.ones(shape, dtype=np.float32)
-        elif name.endswith((".bias", "norm.offset")):
-            arrays[name] = np.zeros(shape, dtype=np.float32)
-        else:
-            arrays[name] = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
-    return WeightSet.from_arrays(expected_shapes(config), arrays,
-                                 trainable=not config.frozen, group="encoder")
+    return WeightSet.init(expected_shapes(config), seed, group="encoder")
 
 
 def encoder_forward(config, weights, token_ids, valid_length):
@@ -140,15 +129,15 @@ PRESETS = {
 }
 
 
-def preset_config(name, vocab_size, frozen=False, max_positions=200):
+def preset_config(name, vocab_size, max_positions=200):
     """Config for one of the named grid presets."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
     base = PRESETS[name]
     if base["kind"] == "static":
-        return EncoderConfig(vocab_size=vocab_size, frozen=frozen, **base)
-    return EncoderConfig(vocab_size=vocab_size, frozen=frozen,
-                         max_positions=max_positions, **base)
+        return EncoderConfig(vocab_size=vocab_size, **base)
+    return EncoderConfig(vocab_size=vocab_size, max_positions=max_positions,
+                         **base)
 
 
 @dataclass
@@ -164,7 +153,9 @@ class Encoder:
 
     @classmethod
     def from_preset(cls, name, vocab_size, seed, frozen=False):
-        return cls.build(preset_config(name, vocab_size, frozen=frozen), seed)
+        encoder = cls.build(preset_config(name, vocab_size), seed)
+        encoder.set_trainable(not frozen)
+        return encoder
 
     @property
     def frozen(self):
@@ -172,12 +163,7 @@ class Encoder:
 
     def set_trainable(self, trainable):
         self.weights.set_trainable(trainable)
-        self.config = replace(self.config, frozen=not trainable)
 
     def forward(self, token_ids, valid_length):
         return encoder_forward(self.config, self.weights, token_ids, valid_length)
-
-    @property
-    def param_count(self):
-        return param_count(self.config)
 

@@ -5,8 +5,8 @@ with a :class:`MemoryLedger` contributes to one of four categories
 (parameters, gradients, optimizer_state, activations).  The ledger only
 counts; its owners decide when bytes live and die:
 :class:`~febench.tensor.ComputationRecord` charges activations and
-gradients, and :mod:`febench.training` charges parameters and optimizer
-state.  This is a machine-independent proxy for device memory; it
+gradients and frees them when its ``with`` block exits, and
+:mod:`febench.training` charges parameters and optimizer state.  This is a machine-independent proxy for device memory; it
 deliberately excludes interpreter and allocator overhead.
 """
 

@@ -1,19 +1,19 @@
 """Dense tensors on numpy storage with taped reverse-mode differentiation.
 
 A :class:`Tensor` wraps one contiguous float array, and a :class:`WeightSet`
-holds a model part's named parameter tensors, validated against the shapes
-its config requires.  Primitive applications (see :mod:`febench.ops`) append
-entries to the active :class:`ComputationRecord`, of which there is at most
-one; :func:`backward` pops that record's tape in reverse, once per release,
-and returns a map from tensor id to gradient for every leaf that requires
-one.  Frozen tensors (``requires_grad=False``) never receive gradients, and
-subgraphs reachable only through frozen tensors are not taped for backward
-at all.  Outside a record nothing is taped or charged, as in evaluation.
+holds a model part's named parameter tensors.  Primitive applications (see
+:mod:`febench.ops`) append entries to the active :class:`ComputationRecord`,
+of which there is at most one; :func:`backward` pops that record's tape in
+reverse, once per record, and returns a map from tensor id to gradient for
+every leaf that requires one.  Frozen tensors (``requires_grad=False``)
+never receive gradients, and subgraphs reachable only through frozen tensors
+are not taped for backward at all.  Outside a record nothing is taped or
+charged, as in evaluation.
 
-The record is also the one owner of activation and gradient bytes: given a
-:class:`~febench.profiling.MemoryLedger`, it charges every primitive output
-and every gradient of its walk until :meth:`ComputationRecord.release`, yet
-holds only what backward has still to read.
+The record is also the one owner of activation and gradient bytes: it
+charges every primitive output and every gradient of its walk to its
+:class:`~febench.profiling.MemoryLedger` until its ``with`` block exits,
+yet holds only what backward has still to read.
 
 Training arithmetic runs in float32.  :func:`grad_check` re-runs the same
 code paths in float64 and compares against central finite differences.
@@ -22,10 +22,13 @@ code paths in float64 and compares against central finite differences.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .profiling import MemoryLedger
 
 
 class ShapeMismatchError(ValueError):
@@ -36,16 +39,12 @@ class KernelTooLongError(ShapeMismatchError):
     """A convolution kernel is longer than the input sequence."""
 
 
-class WeightMismatchError(ShapeMismatchError):
-    """Weight names/shapes do not match what the config requires."""
-
-
 class NonScalarLossError(ValueError):
     """backward/grad_check was handed a non-scalar output."""
 
 
 class StaleRecordError(RuntimeError):
-    """A computation record was traversed twice without a release."""
+    """backward was called a second time within one computation record."""
 
 
 class NoRecordError(RuntimeError):
@@ -111,30 +110,26 @@ class Tensor:
 
 @dataclass
 class WeightSet:
-    """Named parameter tensors, validated against their required shapes."""
+    """A model part's named parameter tensors."""
 
-    shapes: dict
     tensors: dict
 
-    def __post_init__(self):
-        names, have = set(self.shapes), set(self.tensors)
-        if names != have:
-            missing, extras = sorted(names - have), sorted(have - names)
-            raise WeightMismatchError(
-                f"weight names mismatch: missing {missing}, unexpected {extras}")
-        for name, shape in self.shapes.items():
-            got = tuple(self.tensors[name].shape)
-            if got != shape:
-                raise WeightMismatchError(
-                    f"{name}: expected shape {shape}, got {got}")
-
     @classmethod
-    def from_arrays(cls, shapes, arrays, trainable, group):
-        """Float32 parameter tensors attributed to ``group``."""
-        tensors = {name: Tensor(np.asarray(arr, dtype=np.float32),
-                                requires_grad=trainable, group=group)
-                   for name, arr in arrays.items()}
-        return cls(shapes=shapes, tensors=tensors)
+    def init(cls, shapes, seed, group):
+        """Seeded trainable float32 tensors for ``shapes``, drawn in table
+        order: norm scales 1, biases and norm offsets 0, all else
+        normal(0, 0.02)."""
+        rng = np.random.default_rng(seed)
+        tensors = {}
+        for name, shape in shapes.items():
+            if name.endswith("norm.scale"):
+                data = np.ones(shape, dtype=np.float32)
+            elif name.endswith((".bias", "norm.offset")):
+                data = np.zeros(shape, dtype=np.float32)
+            else:
+                data = rng.normal(0.0, 0.02, size=shape).astype(np.float32)
+            tensors[name] = Tensor.param(data, group=group)
+        return cls(tensors)
 
     def set_trainable(self, trainable):
         for t in self.tensors.values():
@@ -176,20 +171,20 @@ class ComputationRecord:
     primitive applied inside the record goes through :meth:`append`, but
     the tape holds an entry, with its inputs and output, only for a
     primitive whose backward closure is kept; backward pops those entries
-    in reverse, so a record is walked once per :meth:`release`.  A
-    closure-less primitive (no input needs a gradient) leaves no reference
-    behind, so its output dies with its last consumer.  With a ``ledger``
-    the record charges every output to ``activations``, held or not, and
-    every gradient of the walk to ``gradients`` (under the tensor's group);
-    :meth:`release` frees both.
+    in reverse, so a record is walked once.  A closure-less primitive (no
+    input needs a gradient) leaves no reference behind, so its output dies
+    with its last consumer.  The record charges every output to
+    ``activations`` in its ``ledger`` (a new one if none is given), held or
+    not, and every gradient of the walk to ``gradients`` (under the
+    tensor's group); leaving the ``with`` block, by any exit, frees both.
     """
 
     def __init__(self, ledger=None):
         self.entries = []
-        self.ledger = ledger
-        self._fresh = True
-        self._grad_bytes = {}
-        self._charged = 0
+        self.ledger = MemoryLedger() if ledger is None else ledger
+        self.walked = False
+        self._activation_bytes = 0
+        self._grad_bytes = Counter()
 
     def __enter__(self):
         global _active
@@ -201,36 +196,19 @@ class ComputationRecord:
     def __exit__(self, exc_type, exc, tb):
         global _active
         _active = None
+        self.ledger.record_free("activations", self._activation_bytes)
+        for group, nbytes in self._grad_bytes.items():
+            self.ledger.record_free("gradients", nbytes, group=group)
+        self._activation_bytes, self._grad_bytes = 0, Counter()
+        self.entries.clear()
         return False
 
     def append(self, kind, inputs, output, backward_fn):
         """Charge ``output`` and, if ``backward_fn`` is kept, tape the entry."""
         if backward_fn is not None:
             self.entries.append(_Entry(tuple(inputs), output, backward_fn))
-        if self.ledger is not None:
-            self.ledger.record_alloc("activations", output.data.nbytes)
-            self._charged += output.data.nbytes
-
-    def _hold_grads(self, sizes):
-        """Charge the walk's (group, nbytes) gradient sizes, once per group."""
-        held = self._grad_bytes
-        for group, nbytes in sizes:
-            held[group] = held.get(group, 0) + nbytes
-        if self.ledger is not None:
-            for group, nbytes in held.items():
-                self.ledger.record_alloc("gradients", nbytes, group=group)
-
-    def release(self):
-        """Free the activations and gradients charged here; re-arm backward."""
-        if self._charged:
-            self.ledger.record_free("activations", self._charged)
-            self._charged = 0
-        if self.ledger is not None:
-            for group, nbytes in self._grad_bytes.items():
-                self.ledger.record_free("gradients", nbytes, group=group)
-        self._grad_bytes = {}
-        self.entries.clear()
-        self._fresh = True
+        self.ledger.record_alloc("activations", output.data.nbytes)
+        self._activation_bytes += output.data.nbytes
 
 
 def backward(loss):
@@ -242,8 +220,9 @@ def backward(loss):
     anything reachable only through them are absent.  The walk pops each
     entry, and drops each intermediate gradient once its producer has read
     it (a pending :class:`Factors` may still hold it), so both die as they
-    propagate; the record still charges every gradient until it is released,
-    and a second walk before that raises :class:`StaleRecordError`.
+    propagate; the record still charges every gradient, once per group,
+    until its block exits.  A second walk in the same record raises
+    :class:`StaleRecordError`.
 
     A closure may return a gradient as :class:`Factors` or :class:`RowSparse`,
     so that each parameter's gradient is reduced once per step, not once per
@@ -258,13 +237,13 @@ def backward(loss):
     record = _active
     if record is None:
         raise NoRecordError("backward needs an active ComputationRecord")
-    if not record._fresh:
-        raise StaleRecordError("record already traversed; release() it first")
-    record._fresh = False
+    if record.walked:
+        raise StaleRecordError("record already walked; open a new one")
+    record.walked = True
 
     # slot layout: [tensor, dense grad or None, owns_array, Factors list]
     pending = {loss.tid: [loss, np.ones((), dtype=loss.data.dtype), True, []]}
-    sizes = []
+    held = record._grad_bytes
     while record.entries:
         # the last entry, its closure and its output's slot die on rebinding
         entry = record.entries.pop()
@@ -272,7 +251,7 @@ def backward(loss):
         if slot is None:
             continue
         grad = _reduce(slot)
-        sizes.append((slot[0].group, np.asarray(grad).nbytes))
+        held[slot[0].group] += np.asarray(grad).nbytes
         for t, g in zip(entry.inputs, entry.backward_fn(grad)):
             if g is None or not t.requires_grad:
                 continue
@@ -282,8 +261,10 @@ def backward(loss):
             _accumulate(got, g)
 
     grads = {tid: np.asarray(_reduce(slot)) for tid, slot in pending.items()}
-    sizes += [(pending[tid][0].group, g.nbytes) for tid, g in grads.items()]
-    record._hold_grads(sizes)
+    for tid, g in grads.items():
+        held[pending[tid][0].group] += g.nbytes
+    for group, nbytes in held.items():
+        record.ledger.record_alloc("gradients", nbytes, group=group)
     return grads
 
 
@@ -338,14 +319,13 @@ def grad_check(function, point, eps=1e-5):
         raise ValueError("eps must be positive")
     points = [Tensor(np.array(p.data if isinstance(p, Tensor) else p, dtype=np.float64),
                      requires_grad=True) for p in point]
-    with ComputationRecord() as record:
+    with ComputationRecord():
         out = function(*points)
         if out.data.ndim != 0:
             raise NonScalarLossError(
                 f"grad_check needs a scalar-valued program, got shape {tuple(out.shape)}")
         grad_map = backward(out)
         analytic = [np.array(grad_map.get(p.tid, np.zeros_like(p.data))) for p in points]
-        record.release()
 
     def evaluate():
         # outside every record: nothing is taped

@@ -3,11 +3,12 @@
 A run owns one memory ledger and one timing trace.  Parameters are
 registered up front and optimizer moments when first created; each training
 step's record charges its activations and gradients to the same ledger and
-releases them when done, so the ledger peak is the training-step high-water
-mark.  Evaluation runs outside every record, so it is neither taped nor
-charged: a test document's outputs have the shapes of one training
-document's, set by ``max_len`` alone, and a step always charges at least one
-document plus its gradients, so evaluation could never set the peak.
+frees them when its block exits, so the ledger peak is the training-step
+high-water mark.  Evaluation runs outside every record, so it is neither
+taped nor charged: a test document's outputs have the shapes of one
+training document's, set by ``max_len`` alone, and a step always charges at
+least one document plus its gradients, so evaluation could never set the
+peak.
 Everything downstream of the seed is deterministic: weight init, shuffles,
 and batch order depend only on (seed, epoch).
 """
@@ -176,14 +177,13 @@ def forward_batch(encoder, head, ids_batch, valid_batch):
 def train_step(encoder, head, params, state, ids_batch, valid_batch, targets,
                task_kind, lr):
     """One forward/backward/update cycle; returns the batch loss as a float."""
-    with ComputationRecord(state.ledger) as record:
+    with ComputationRecord(state.ledger):
         logits = forward_batch(encoder, head, ids_batch, valid_batch)
         loss = compute_loss(logits, targets, task_kind)
         value = float(loss.data)
         if np.isfinite(value):
             grads = backward(loss)
             adam_step(params, grads, state, lr)
-        record.release()
     return value
 
 

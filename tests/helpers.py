@@ -210,7 +210,6 @@ def e2e_frozen_encoder_case(rng):
     from febench.cnn import cnn_forward
     from febench.cnn import expected_shapes as head_shapes
     from febench.encoders import encoder_forward
-    from febench.encoders import expected_shapes as encoder_shapes
     from febench.tensor import WeightSet
     from febench.tensor import Tensor
 
@@ -218,11 +217,9 @@ def e2e_frozen_encoder_case(rng):
     head_names = sorted(head_shapes(head_cfg))
 
     def fn(*head_tensors):
-        frozen = WeightSet(encoder_shapes(enc_cfg), {
-            name: Tensor(arr) for name, arr in enc_arrays.items()})
+        frozen = WeightSet({name: Tensor(arr) for name, arr in enc_arrays.items()})
         hidden = encoder_forward(enc_cfg, frozen, ids, valid)
-        head = WeightSet(head_shapes(head_cfg),
-                         dict(zip(head_names, head_tensors)))
+        head = WeightSet(dict(zip(head_names, head_tensors)))
         logits = cnn_forward(head_cfg, head, hidden, valid)
         return ops.softmax_xent(ops.stack([logits]), targets=target)
 
@@ -244,7 +241,7 @@ def e2e_transformer_case(rng):
     probe = rng.normal(size=(8, enc_cfg.hidden))
 
     def fn(*tensors):
-        enc = WeightSet(encoder_shapes(enc_cfg), dict(zip(enc_names, tensors)))
+        enc = WeightSet(dict(zip(enc_names, tensors)))
         hidden = encoder_forward(enc_cfg, enc, ids, valid)
         from febench.tensor import Tensor
         return ops.sum_all(ops.tanh(ops.mul(hidden, Tensor(probe))))

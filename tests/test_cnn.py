@@ -14,7 +14,7 @@ def f64_weights(config, rng):
     arrays = {name: rng.normal(size=shape)
               for name, shape in expected_shapes(config).items()}
     tensors = {name: Tensor(arr) for name, arr in arrays.items()}
-    return WeightSet(expected_shapes(config), tensors)
+    return WeightSet(tensors)
 
 
 class TestFeatureDim:
@@ -60,8 +60,7 @@ class TestForward:
             "projection.weight": np.array([[1.0]]),
             "projection.bias": np.array([0.0]),
         }
-        weights = WeightSet(expected_shapes(config),
-                            {n: Tensor(a) for n, a in arrays.items()})
+        weights = WeightSet({n: Tensor(a) for n, a in arrays.items()})
         hidden = np.zeros((6, 3))
         hidden[:, 0] = [0.1, 0.9, -2.0, 0.4, 5.0, 5.0]
         with ComputationRecord():
@@ -112,7 +111,7 @@ class TestForward:
         weights = f64_weights(forward_cfg, rng)
         proj = weights.tensors["projection.weight"].data
         swapped_proj = np.vstack([proj[3:], proj[:3]])
-        swapped = WeightSet(expected_shapes(swapped_cfg), {
+        swapped = WeightSet({
             **{n: Tensor(t.data) for n, t in weights.tensors.items()
                if n != "projection.weight"},
             "projection.weight": Tensor(swapped_proj)})
@@ -155,7 +154,7 @@ class TestPoolBeforeRelu:
         # filter 0 of the width-3 kernel is never positive: its pooled max
         # is negative, and both orders must pass it an exact zero
         arrays["conv3.bias"][0] = -10.0
-        weights = WeightSet(expected_shapes(config), {
+        weights = WeightSet({
             name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()})
         params = list(weights.tensors.values())
         coef = Tensor(rng.normal(size=config.classes).astype(dtype))
@@ -185,7 +184,7 @@ class TestPoolBeforeRelu:
         weights = init_weights(config, seed=0)
         hidden = Tensor(np.ones((10, 8), dtype=np.float32))  # a frozen encoder's output
         ledger = MemoryLedger()
-        with ComputationRecord(ledger) as rec:
+        with ComputationRecord(ledger):
             loss = ops.sum_all(cnn_forward(config, weights, hidden, valid_length=7))
             # conv outputs [9, 5] and [8, 5]; per kernel a pooled and a relu
             # [5]; the [10] concat, the [3] logits and the scalar loss
@@ -199,7 +198,6 @@ class TestPoolBeforeRelu:
             # every output also holds a gradient of its own shape
             assert ledger.current("gradients") == outputs + weight_grads
             assert ledger.peak() == 2 * outputs + weight_grads
-            rec.release()
         assert hidden.tid not in grads
         # the map holds the weights' gradients only; the outputs' died in the walk
         widths = sorted(g.shape for g in grads.values())

@@ -5,12 +5,9 @@ import pytest
 
 from febench import ComputationRecord, Tensor, backward
 from febench import ops
-from febench.cnn import CnnHeadConfig
-from febench.cnn import expected_shapes as head_shapes
 from febench.encoders import (Encoder, EncoderConfig, encoder_forward,
-                              expected_shapes, init_weights, param_count,
-                              preset_config)
-from febench.tensor import WeightMismatchError, WeightSet
+                              init_weights, param_count, preset_config)
+from febench.tensor import WeightSet
 
 
 def tiny_config(**overrides):
@@ -80,40 +77,20 @@ class TestInitWeights:
         weights = init_weights(tiny_config(), seed=0)
         assert all(t.dtype == np.float32 for t in weights.tensors.values())
 
-
-# per model part: required shapes, a name to drop, a name to misshape
-WEIGHT_PARTS = {
-    "encoder": (expected_shapes(tiny_config()), "embedding_norm.scale",
-                "token_embedding"),
-    "head": (head_shapes(CnnHeadConfig(hidden=8, classes=3,
-                                       kernel_sizes=(2, 3), filters=4)),
-             "conv2.bias", "projection.weight"),
-}
-
-
-@pytest.mark.parametrize("part", sorted(WEIGHT_PARTS))
-class TestWeightValidation:
-    def test_missing_tensor(self, part):
-        shapes, dropped, _ = WEIGHT_PARTS[part]
-        arrays = {n: np.zeros(s, dtype=np.float32) for n, s in shapes.items()}
-        arrays.pop(dropped)
-        with pytest.raises(WeightMismatchError, match="missing"):
-            WeightSet.from_arrays(shapes, arrays, trainable=True, group=part)
-
-    def test_extra_tensor(self, part):
-        shapes, _, _ = WEIGHT_PARTS[part]
-        arrays = {n: np.zeros(s, dtype=np.float32) for n, s in shapes.items()}
-        arrays["stray"] = np.zeros(3, dtype=np.float32)
-        with pytest.raises(WeightMismatchError, match="unexpected"):
-            WeightSet.from_arrays(shapes, arrays, trainable=True, group=part)
-
-    def test_wrong_shape(self, part):
-        shapes, _, misshaped = WEIGHT_PARTS[part]
-        arrays = {n: np.zeros(s, dtype=np.float32) for n, s in shapes.items()}
-        wrong = shapes[misshaped][:-1] + (shapes[misshaped][-1] + 1,)
-        arrays[misshaped] = np.zeros(wrong, dtype=np.float32)
-        with pytest.raises(WeightMismatchError, match=misshaped):
-            WeightSet.from_arrays(shapes, arrays, trainable=True, group=part)
+    def test_weight_set_init_draws_in_table_order(self):
+        """Only the normal(0, 0.02) tensors draw, one after another."""
+        shapes = {"a.weight": (2, 3), "a.bias": (3,), "norm.scale": (3,),
+                  "norm.offset": (3,), "b": (4,)}
+        weights = WeightSet.init(shapes, seed=5, group="g")
+        rng = np.random.default_rng(5)
+        want = {"a.weight": rng.normal(0.0, 0.02, size=(2, 3)),
+                "a.bias": np.zeros(3), "norm.scale": np.ones(3),
+                "norm.offset": np.zeros(3),
+                "b": rng.normal(0.0, 0.02, size=(4,))}
+        assert list(weights.tensors) == list(shapes)
+        for name, t in weights.tensors.items():
+            assert t.dtype == np.float32 and t.group == "g" and t.requires_grad
+            np.testing.assert_array_equal(t.data, want[name].astype(np.float32))
 
 
 class TestForward:
@@ -192,12 +169,21 @@ class TestFreezing:
         for name, t in encoder.weights.tensors.items():
             assert t.tid in grads, name
 
-    def test_freeze_toggle_updates_config(self):
+    def test_freeze_toggle_sets_every_tensor(self):
         encoder = Encoder.build(tiny_config(), seed=0)
+        tensors = encoder.weights.tensors.values()
         encoder.set_trainable(False)
-        assert encoder.frozen and encoder.config.frozen
+        assert encoder.frozen and not any(t.requires_grad for t in tensors)
         encoder.set_trainable(True)
-        assert not encoder.frozen and not encoder.config.frozen
+        assert not encoder.frozen and all(t.requires_grad for t in tensors)
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_from_preset_sets_trainability_on_the_tensors(self, frozen):
+        encoder = Encoder.from_preset("tiny", vocab_size=20, seed=0,
+                                      frozen=frozen)
+        assert encoder.frozen == frozen
+        assert all(t.requires_grad != frozen
+                   for t in encoder.weights.tensors.values())
 
 
 class TestPresets:

@@ -1,11 +1,12 @@
-"""The names the benchmark tracer patches, and the result-file keys its CLI
-workload reads, must exist in febench.
+"""The names the benchmark tracer patches, and the names and result-file
+keys its workloads read, must exist in febench.
 
 ``perfbench/tracer.py`` wraps febench functions by module and attribute name,
 patches ``ComputationRecord.append`` and ``MemoryLedger.record_alloc`` /
 ``record_free`` on their classes, and reports primitives by kind, and
-``perfbench/workloads.py`` reads the records ``bench run`` writes; a rename
-in the package would otherwise only surface when the benchmark runs.
+``perfbench/workloads.py`` builds models and reads run results and the
+records ``bench run`` writes; a rename in the package would otherwise only
+surface when the benchmark runs.
 """
 
 import importlib
@@ -24,18 +25,19 @@ from febench.profiling import MemoryLedger
 from febench.tensor import ComputationRecord
 from febench.text import build_vocab, save_dataset
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  TRACER_PATH)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = load_tracer()
+TRACER = load_perfbench("tracer")
+WORKLOADS = load_perfbench("workloads")
 
 
 @pytest.mark.parametrize("span", sorted(TRACER.SPANNED))
@@ -69,6 +71,25 @@ def test_class_patches_see_a_run_and_are_restored():
     assert trace.ledger_calls["frees"] > 0
     assert ComputationRecord.append is append
     assert MemoryLedger.record_alloc is alloc
+
+
+@pytest.mark.parametrize("mode", ["FE", "FiT"])
+def test_train_workload_runs_without_problems(mode, tmp_path):
+    """A shrunken ``TrainWorkload`` through ``setup``, ``run`` and ``finish``
+    reads ``Encoder.from_preset(frozen=)``, ``WeightSet.byte_image()``,
+    ``ledger.breakdown()["peak"]`` and ``RunResult.peak_bytes``."""
+    workload = WORKLOADS.TrainWorkload(name="static", preset="static",
+                                       mode=mode, batch=4, epochs=1,
+                                       train_docs=8, test_docs=4)
+    state = workload.setup(1, tmp_path)
+    encoder = state.args[2]
+    assert encoder.frozen == (mode == "FE")
+    workload.run(state)
+    outcome = workload.finish(state)
+    assert outcome.problems == []
+    assert len(outcome.losses) == 1 and len(outcome.epoch_seconds) == 1
+    assert outcome.peak_bytes >= max(outcome.category_peaks.values()) > 0
+    assert outcome.category_peaks["gradients"] > 0
 
 
 CONFIG = """\

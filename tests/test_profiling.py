@@ -67,7 +67,8 @@ class TestMemoryLedger:
         x = Tensor(np.zeros((10, 3), dtype=np.float32))
         with ComputationRecord(ledger):
             ops.relu(x)
-        assert ledger.current("activations") == 120
+            assert ledger.current("activations") == 120
+        assert ledger.peak("activations") == 120
 
 
 class TestTiming:

@@ -103,14 +103,15 @@ class TestBackward:
                 backward(loss)
 
     def test_only_release_rearms_the_record(self):
-        """The walk consumes the tape, so a new forward alone cannot re-arm it."""
+        """The walk consumes the tape, so a new forward alone cannot re-arm
+        it; only the release at the block's end does, for a new record."""
         x = Tensor(np.ones(2), requires_grad=True)
-        with ComputationRecord() as rec:
+        with ComputationRecord():
             backward(ops.sum_all(x))
             loss2 = ops.sum_all(ops.relu(x))
             with pytest.raises(StaleRecordError):
                 backward(loss2)
-            rec.release()
+        with ComputationRecord():
             grads = backward(ops.sum_all(ops.relu(x)))
         np.testing.assert_array_equal(grads[x.tid], [1.0, 1.0])
 
@@ -126,7 +127,6 @@ class TestBackward:
             backward(loss)
             assert closure() is None
             assert len(received) == 1 and received[0]() is None
-            rec.release()
 
     def test_branch_behind_frozen_tensor_gets_no_gradient(self):
         """requires_grad must not propagate through a frozen intermediate."""
@@ -242,14 +242,14 @@ class TestDeferredGradients:
 
 class TestRecordLifecycle:
     def test_release_frees_activation_bytes(self):
+        """Leaving the block releases what the record charged."""
         ledger = MemoryLedger()
         x = Tensor.param(np.ones(8, dtype=np.float32))
-        with ComputationRecord(ledger) as rec:
+        with ComputationRecord(ledger):
             loss = ops.sum_all(ops.relu(x))
             backward(loss)
             assert ledger.current("activations") > 0
             assert ledger.current("gradients") > 0
-            rec.release()
         assert ledger.current("activations") == 0
         assert ledger.current("gradients") == 0
         assert ledger.current() == 0
@@ -259,7 +259,7 @@ class TestRecordLifecycle:
         ledger = MemoryLedger()
         w = Tensor.param(np.full((3, 2), 0.5, dtype=np.float32), group="head")
         x = Tensor(np.ones((4, 3), dtype=np.float32))
-        with ComputationRecord(ledger) as rec:
+        with ComputationRecord(ledger):
             loss = ops.sum_all(ops.relu(ops.matmul(x, w)))
             # matmul and relu outputs are [4, 2] float32, the loss a scalar
             assert ledger.current("activations") == 32 + 32 + 4
@@ -269,7 +269,6 @@ class TestRecordLifecycle:
             assert ledger.current("gradients") == 4 + 32 + 32 + 24
             assert ledger.group_current("gradients", "head") == 24
             assert ledger.peak() == 68 + 92
-            rec.release()
         assert ledger.current("activations") == 0
         assert ledger.current("gradients") == 0
         assert ledger.group_current("gradients", "head") == 0
@@ -279,13 +278,12 @@ class TestRecordLifecycle:
         """Two documents through one head weight charge one weight's bytes."""
         ledger = MemoryLedger()
         w = Tensor.param(np.full((3, 2), 0.5, dtype=np.float32), group="head")
-        with ComputationRecord(ledger) as rec:
+        with ComputationRecord(ledger):
             docs = [ops.matmul(Tensor(np.ones((n, 3), dtype=np.float32)), w)
                     for n in (4, 5)]
             grads = backward(ops.sum_all(ops.relu(ops.concat(docs))))
             assert ledger.group_current("gradients", "head") == w.data.nbytes
             assert grads[w.tid].shape == w.shape
-            rec.release()
         assert ledger.group_current("gradients", "head") == 0
         assert ledger.group_peak("gradients", "head") == w.data.nbytes
 
@@ -293,7 +291,7 @@ class TestRecordLifecycle:
         ledger = MemoryLedger()
         w = Tensor.param(np.ones((3, 2), dtype=np.float32), group="head")
         x = Tensor(np.ones((4, 3), dtype=np.float32))
-        with ComputationRecord(ledger) as rec:
+        with ComputationRecord(ledger):
             loss = ops.sum_all(ops.relu(ops.matmul(x, w)))
             backward(loss)
             once = ledger.current("gradients")
@@ -302,19 +300,18 @@ class TestRecordLifecycle:
                 backward(loss)
             assert ledger.current("gradients") == once
             assert ledger.group_current("gradients", "head") == 24
-            rec.release()
         assert ledger.current("gradients") == 0
 
     def test_backward_after_release_charges_one_loss_gradient(self):
+        """A record opened after another's release charges only its own walk."""
         ledger = MemoryLedger()
         x = Tensor.param(np.ones(4, dtype=np.float32))
-        with ComputationRecord(ledger) as rec:
+        with ComputationRecord(ledger):
             backward(ops.sum_all(x))
-            rec.release()
+        with ComputationRecord(ledger):
             backward(ops.sum_all(x))
             # x's 16 bytes plus one scalar loss gradient, not two
             assert ledger.current("gradients") == 16 + 4
-            rec.release()
         assert ledger.current("gradients") == 0
 
     def test_gradients_charged_once_per_group(self):
@@ -332,7 +329,7 @@ class TestRecordLifecycle:
         enc = Tensor.param(np.ones((3, 2), dtype=np.float32), group="encoder")
         head = Tensor.param(np.ones((2, 1), dtype=np.float32), group="head")
         x = Tensor(np.ones((4, 3), dtype=np.float32))
-        with ComputationRecord(ledger) as rec:
+        with ComputationRecord(ledger):
             loss = ops.sum_all(ops.matmul(ops.relu(ops.matmul(x, enc)), head))
             # [4, 2] matmul, [4, 2] relu, [4, 1] matmul, scalar loss
             assert ledger.current("activations") == 32 + 32 + 16 + 4
@@ -344,7 +341,6 @@ class TestRecordLifecycle:
             with pytest.raises(StaleRecordError):
                 backward(loss)
             assert ledger.allocs == 3
-            rec.release()
         assert ledger.current() == 0
         assert ledger.peak("activations") == 84 + 48
         assert ledger.peak("gradients") == 116
@@ -353,7 +349,7 @@ class TestRecordLifecycle:
         assert ledger.peak() == 132 + 116
 
     def test_frozen_outputs_die_with_their_consumer(self):
-        """A frozen chain is charged until release but held by nothing."""
+        """A frozen chain is charged until the block exits but held by nothing."""
         ledger = MemoryLedger()
         table = Tensor(np.ones((5, 4), dtype=np.float32))
         pos = Tensor(np.ones((3, 4), dtype=np.float32))
@@ -369,19 +365,54 @@ class TestRecordLifecycle:
             # three [3, 4] float32 outputs, out the only one still alive
             assert ledger.current("activations") == 3 * 48
             assert out.shape == (3, 4) and rec.entries == []
-            rec.release()
-            assert ledger.current("activations") == 0
+        assert ledger.current("activations") == 0
         assert ledger.current() == 0
 
-    def test_release_twice_frees_once(self):
+    def test_block_that_raises_frees_its_bytes(self):
         ledger = MemoryLedger()
         x = Tensor.param(np.ones(4, dtype=np.float32))
-        with ComputationRecord(ledger) as rec:
-            backward(ops.sum_all(ops.relu(x)))
-            rec.release()
-            # a second free of the same bytes would be an over-free error
-            rec.release()
+        with pytest.raises(ZeroDivisionError):
+            with ComputationRecord(ledger):
+                backward(ops.sum_all(ops.relu(x)))
+                # [4] relu output and scalar loss; x, relu and loss gradients
+                assert ledger.current() == 20 + 36
+                1 / 0
         assert ledger.current() == 0
+        assert ledger.peak() == 20 + 36
+
+    def test_record_without_a_ledger_charges_its_own(self):
+        x = Tensor.param(np.ones(4, dtype=np.float32))
+        with ComputationRecord() as rec:
+            backward(ops.sum_all(x))
+            assert rec.ledger.current("activations") == 4
+            assert rec.ledger.current("gradients") == 16 + 4
+        assert rec.ledger.current() == 0
+        assert rec.ledger.peak() == 4 + 20
+
+    def test_second_backward_raises_and_a_new_record_walks(self):
+        x = Tensor.param(np.ones(2, dtype=np.float32))
+        with ComputationRecord() as rec:
+            backward(ops.sum_all(x))
+            assert rec.walked
+            with pytest.raises(StaleRecordError,
+                               match="record already walked; open a new one"):
+                backward(ops.sum_all(x))
+        with ComputationRecord() as fresh:
+            assert not fresh.walked
+            grads = backward(ops.sum_all(x))
+        np.testing.assert_array_equal(grads[x.tid], [1.0, 1.0])
+
+    def test_reentered_record_frees_only_its_new_block(self):
+        ledger = MemoryLedger()
+        x = Tensor.param(np.ones(4, dtype=np.float32))
+        rec = ComputationRecord(ledger)
+        with rec:
+            backward(ops.sum_all(x))
+        with rec:
+            ops.relu(x)
+            assert ledger.current() == 16
+        assert ledger.current() == 0
+        assert ledger.peak() == 4 + 20
 
     def test_ops_outside_a_record_hold_nothing(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -407,7 +438,6 @@ class TestRecordLifecycle:
             assert ledger.current("activations") == 8 + 8 + 4
             # the walk consumed all three entries
             assert outer.entries == []
-            outer.release()
         np.testing.assert_array_equal(grads[x.tid], [1.0, 0.0])
         assert ledger.current() == 0
         # once the outer record is closed a new one may open

@@ -292,11 +292,11 @@ class TestSingleStepDescent:
                                 layers=1, heads=2, max_positions=12)
         head_cfg = CnnHeadConfig(hidden=8, classes=2, kernel_sizes=(2, 3),
                                  filters=3)
-        enc_weights = WeightSet(encoder_shapes(enc_cfg), {
+        enc_weights = WeightSet({
             name: Tensor(np.ones(shape) if name.endswith("norm.scale")
                          else 0.2 * rng.normal(size=shape), requires_grad=True)
             for name, shape in encoder_shapes(enc_cfg).items()})
-        head_weights = WeightSet(head_shapes(head_cfg), {
+        head_weights = WeightSet({
             name: Tensor(0.2 * rng.normal(size=shape), requires_grad=True)
             for name, shape in head_shapes(head_cfg).items()})
         encoder = Encoder(enc_cfg, enc_weights)
