@@ -6,8 +6,10 @@ the output's bytes.  Outside a record (evaluation, for one) a primitive only
 computes: its output needs no gradient, nothing is charged and nothing keeps
 it alive.  Inside a record the backward closure is only kept when some input
 requires a gradient, so a forward-only subgraph (a frozen encoder) retains
-no backward state and no outputs: the record charges such an output but
-keeps no reference to it, so it dies with its last consumer.
+no backward state.  The record charges every output but keeps no reference
+to it, so an output dies with its last consumer unless a kept closure saves
+its array: ``add`` and ``max_over_time`` save none of their inputs, and
+``gelu`` saves only its local derivative.
 A backward closure returns one gradient per input, or ``None`` for an input
 that needs no gradient (PyTorch's ``needs_input_grad`` rule), which
 :func:`~febench.tensor.backward` skips; :func:`conv1d_valid` does so for a
@@ -129,15 +131,24 @@ def tanh(x):
 
 
 def gelu(x):
-    """Gaussian error linear unit, tanh approximation."""
+    """Gaussian error linear unit, tanh approximation.
+
+    When ``x`` needs a gradient, the forward computes the local derivative
+    ``d`` and the closure saves only it, not ``x`` and ``tanh(u)``; its
+    ``g * d`` rounds exactly as multiplying by the derivative's expression
+    at backward time would.  Otherwise ``d`` is never computed.
+    """
     xd = x.data
     u = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
     t = np.tanh(u)
     out = 0.5 * xd * (1.0 + t)
-
-    def bwd(g):
+    bwd = None
+    if x.requires_grad:
         du = _GELU_C * (1.0 + 3 * 0.044715 * xd * xd)
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du),)
+        d = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
+
+        def bwd(g):
+            return (g * d,)
 
     return _emit("gelu", (x,), out, bwd)
 

@@ -13,7 +13,9 @@ charged, as in evaluation.
 The record is also the one owner of activation and gradient bytes: it
 charges every primitive output and every gradient of its walk to its
 :class:`~febench.profiling.MemoryLedger` until its ``with`` block exits,
-yet holds only what backward has still to read.
+yet holds only what backward has still to read.  Its tape keeps ids and
+metadata, never a tensor, so an output lives only while a backward closure
+saves it or a later consumer holds it (PyTorch's eager rule).
 
 Training arithmetic runs in float32.  :func:`grad_check` re-runs the same
 code paths in float64 and compares against central finite differences.
@@ -155,11 +157,15 @@ class RowSparse(NamedTuple):
 
 
 class _Entry:
-    __slots__ = ("inputs", "output", "backward_fn")
+    """A taped primitive, holding no tensor: its output's id, its closure,
+    and per input ``None`` if it needs no gradient, else the
+    ``(tid, group, shape, dtype)`` that backward reads of it."""
 
-    def __init__(self, inputs, output, backward_fn):
+    __slots__ = ("inputs", "out_tid", "backward_fn")
+
+    def __init__(self, inputs, out_tid, backward_fn):
         self.inputs = inputs
-        self.output = output
+        self.out_tid = out_tid
         self.backward_fn = backward_fn
 
 
@@ -169,11 +175,12 @@ class ComputationRecord:
     At most one record is active at a time; entering a second one raises
     :class:`NestedRecordError` and leaves the active one as it was.  Every
     primitive applied inside the record goes through :meth:`append`, but
-    the tape holds an entry, with its inputs and output, only for a
-    primitive whose backward closure is kept; backward pops those entries
-    in reverse, so a record is walked once.  A closure-less primitive (no
-    input needs a gradient) leaves no reference behind, so its output dies
-    with its last consumer.  The record charges every output to
+    the tape holds an entry only for a primitive whose backward closure is
+    kept; backward pops those entries in reverse, so a record is walked
+    once.  An entry keeps its output's id and, per input that needs a
+    gradient, the id, group, shape and dtype that backward reads, but no
+    tensor: every output, taped or not, dies with its last consumer unless
+    a closure saves its array.  The record charges every output to
     ``activations`` in its ``ledger`` (a new one if none is given), held or
     not, and every gradient of the walk to ``gradients`` (under the
     tensor's group); leaving the ``with`` block, by any exit, frees both.
@@ -206,7 +213,9 @@ class ComputationRecord:
     def append(self, kind, inputs, output, backward_fn):
         """Charge ``output`` and, if ``backward_fn`` is kept, tape the entry."""
         if backward_fn is not None:
-            self.entries.append(_Entry(tuple(inputs), output, backward_fn))
+            refs = tuple([(t.tid, t.group, t.data.shape, t.data.dtype)
+                          if t.requires_grad else None for t in inputs])
+            self.entries.append(_Entry(refs, output.tid, backward_fn))
         self.ledger.record_alloc("activations", output.data.nbytes)
         self._activation_bytes += output.data.nbytes
 
@@ -241,28 +250,30 @@ def backward(loss):
         raise StaleRecordError("record already walked; open a new one")
     record.walked = True
 
-    # slot layout: [tensor, dense grad or None, owns_array, Factors list]
-    pending = {loss.tid: [loss, np.ones((), dtype=loss.data.dtype), True, []]}
+    # slot layout: [(tid, group, shape, dtype), dense grad or None,
+    # owns_array, Factors list]
+    loss_ref = (loss.tid, loss.group, loss.shape, loss.dtype)
+    pending = {loss.tid: [loss_ref, np.ones((), dtype=loss.dtype), True, []]}
     held = record._grad_bytes
     while record.entries:
         # the last entry, its closure and its output's slot die on rebinding
         entry = record.entries.pop()
-        slot = pending.pop(entry.output.tid, None)
+        slot = pending.pop(entry.out_tid, None)
         if slot is None:
             continue
         grad = _reduce(slot)
-        held[slot[0].group] += np.asarray(grad).nbytes
-        for t, g in zip(entry.inputs, entry.backward_fn(grad)):
-            if g is None or not t.requires_grad:
+        held[slot[0][1]] += np.asarray(grad).nbytes
+        for ref, g in zip(entry.inputs, entry.backward_fn(grad)):
+            if g is None or ref is None:
                 continue
-            got = pending.get(t.tid)
+            got = pending.get(ref[0])
             if got is None:
-                got = pending[t.tid] = [t, None, False, []]
+                got = pending[ref[0]] = [ref, None, False, []]
             _accumulate(got, g)
 
     grads = {tid: np.asarray(_reduce(slot)) for tid, slot in pending.items()}
     for tid, g in grads.items():
-        held[pending[tid][0].group] += g.nbytes
+        held[pending[tid][0][1]] += g.nbytes
     for group, nbytes in held.items():
         record.ledger.record_alloc("gradients", nbytes, group=group)
     return grads
@@ -280,7 +291,8 @@ def _accumulate(slot, g):
     if isinstance(g, RowSparse):
         # absent rows would only add exact zeros, as a dense table's do
         if slot[1] is None:
-            slot[1] = np.zeros(slot[0].shape, dtype=slot[0].dtype)
+            _, _, shape, dtype = slot[0]
+            slot[1] = np.zeros(shape, dtype=dtype)
         elif not slot[2]:
             slot[1] = slot[1].copy()
         slot[2] = True

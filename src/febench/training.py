@@ -105,6 +105,7 @@ class AdamState:
 
     Parameters that never appear in a gradient map (frozen ones) never get
     moment arrays, so they contribute nothing to optimizer-state memory.
+    Each moment pair is charged to ``ledger``, a new one if none is given.
     """
 
     beta1: float = 0.9
@@ -113,7 +114,7 @@ class AdamState:
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-    ledger: MemoryLedger = None
+    ledger: MemoryLedger = field(default_factory=MemoryLedger)
 
     def moments_for(self, param):
         slot = self.m.get(param.tid)
@@ -121,9 +122,8 @@ class AdamState:
             slot = np.zeros_like(param.data)
             self.m[param.tid] = slot
             self.v[param.tid] = np.zeros_like(param.data)
-            if self.ledger is not None:
-                self.ledger.record_alloc("optimizer_state", 2 * slot.nbytes,
-                                         group=param.group)
+            self.ledger.record_alloc("optimizer_state", 2 * slot.nbytes,
+                                     group=param.group)
         return slot, self.v[param.tid]
 
 

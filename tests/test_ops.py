@@ -1,6 +1,7 @@
 """Forward values, shape validation, and masking behavior of the primitives."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,50 @@ class TestElementwise:
                                         * (xd + 0.044715 * xd ** 3)))
         tol = 4 * np.finfo(np.float32).eps * np.maximum(1.0, np.abs(ref))
         assert np.all(np.abs(out - ref) <= tol)
+
+
+def _gelu_grad_at_backward(xd, g):
+    """The gelu closure before it saved its derivative: ``x`` and ``tanh(u)``
+    kept, the derivative's expression evaluated when the gradient arrives."""
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (xd + 0.044715 * (xd * xd * xd)))
+    du = c * (1.0 + 3 * 0.044715 * xd * xd)
+    return g * (0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du)
+
+
+class TestGeluSavedDerivative:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_closure_bit_identical_to_the_derivative_at_backward(self, dtype):
+        rng = np.random.default_rng(20)
+        xd = np.concatenate([rng.normal(scale=3.0, size=(40, 16)),
+                             np.linspace(-12.0, 12.0, 16)[None, :],
+                             np.logspace(0, 3, 16)[None, :]]).astype(dtype)
+        g = rng.normal(size=xd.shape).astype(dtype)
+        with ComputationRecord() as record:
+            ops.gelu(Tensor(xd, requires_grad=True))
+            (dx,) = record.entries[-1].backward_fn(g)
+        expected = _gelu_grad_at_backward(xd, g)
+        assert dx.dtype == expected.dtype == dtype
+        assert dx.tobytes() == expected.tobytes()
+
+    def test_frozen_input_computes_no_derivative(self):
+        """A frozen input keeps no closure, and its forward never holds the
+        derivative's arrays: its traced peak is at least one input-sized
+        array below a trainable input's, whose closure keeps ``d``."""
+        xd = np.linspace(-4.0, 4.0, 1 << 16)
+        peaks, entries = {}, {}
+        for trainable in (False, True):
+            with ComputationRecord() as record:
+                x = Tensor(xd, requires_grad=trainable)
+                tracemalloc.start()
+                try:
+                    ops.gelu(x)
+                    peaks[trainable] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                entries[trainable] = len(record.entries)
+        assert entries == {False: 0, True: 1}
+        assert peaks[False] + xd.nbytes <= peaks[True]
 
 
 class TestLinearAlgebra:

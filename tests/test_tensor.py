@@ -444,3 +444,81 @@ class TestRecordLifecycle:
         with ComputationRecord():
             grads = backward(ops.sum_all(x))
         np.testing.assert_array_equal(grads[x.tid], [1.0, 1.0])
+
+
+class TestTapeLiveness:
+    """Inside an open record, a taped output lives only while a closure or a
+    consumer holds it: the tape keeps ids and metadata, not tensors."""
+
+    @staticmethod
+    def _spy_outputs(monkeypatch, name, seen, on_input=False):
+        """Wrap ``ops.<name>`` to keep a weakref to each output's (or first
+        input's) array."""
+        primitive = getattr(ops, name)
+
+        def spy(*args, **kwargs):
+            out = primitive(*args, **kwargs)
+            seen.append(weakref.ref((args[0] if on_input else out).data))
+            return out
+
+        monkeypatch.setattr(ops, name, spy)
+
+    def test_pooled_conv_outputs_die_with_the_head_forward(self, monkeypatch):
+        """Each [n, f] conv output is gone once the head's forward returns:
+        ``max_over_time`` saves only its argmax."""
+        from febench.cnn import CnnHead, CnnHeadConfig
+        seen = []
+        self._spy_outputs(monkeypatch, "conv1d_valid", seen)
+        head = CnnHead.build(CnnHeadConfig(hidden=8, classes=3, kernel_sizes=(2, 3),
+                                           filters=4), seed=0)
+        hidden = Tensor(np.random.default_rng(0).normal(size=(6, 8)).astype(np.float32))
+        with ComputationRecord() as rec:
+            logits = head.forward(hidden, 5)
+            assert len(seen) == 2 and len(rec.entries) == 8
+            assert all(ref() is None for ref in seen)
+            grads = backward(ops.sum_all(logits))
+        assert all(p.tid in grads for p in head.weights.tensors.values())
+
+    def test_linear_output_feeding_gelu_dies(self, monkeypatch):
+        """In a trainable encoder the feed-forward ``grow`` output is gone
+        once the forward returns: ``gelu`` saves only its local derivative."""
+        from febench.encoders import Encoder, EncoderConfig
+        seen = []
+        self._spy_outputs(monkeypatch, "gelu", seen, on_input=True)
+        encoder = Encoder.build(EncoderConfig(kind="transformer", hidden=8,
+                                              vocab_size=12, layers=2, heads=2,
+                                              max_positions=10), seed=0)
+        with ComputationRecord():
+            hidden = encoder.forward(np.arange(6), 6)
+            assert len(seen) == 2
+            assert all(ref() is None for ref in seen)
+            grads = backward(ops.sum_all(hidden))
+        assert all(p.tid in grads for p in encoder.weights.tensors.values())
+
+    def test_saved_operand_lives_until_its_entry_pops(self):
+        """``matmul``'s closure saves its left operand, which lives until
+        backward pops the entry; its output, of which ``add`` saves nothing,
+        is gone once ``add`` returns."""
+        x = Tensor.param(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3))
+        w = Tensor.param(np.ones((3, 4), dtype=np.float32))
+        bias = Tensor.param(np.zeros(4, dtype=np.float32))
+        alive_when_run = []
+        with ComputationRecord() as rec:
+            left = ops.relu(x)
+            product = ops.matmul(left, w)
+            out = ops.add(product, bias)
+            saved, dead = weakref.ref(left.data), weakref.ref(product.data)
+            del left, product
+            assert saved() is not None and dead() is None
+
+            def spy(g, inner=rec.entries[1].backward_fn):
+                alive_when_run.append(saved() is not None)
+                return inner(g)
+
+            # only the entry may hold the spy, and with it the closure
+            rec.entries[1].backward_fn = spy
+            del spy
+            grads = backward(ops.sum_all(out))
+            assert alive_when_run == [True] and saved() is None
+        np.testing.assert_array_equal(
+            grads[w.tid], np.maximum(x.data, 0).T @ np.ones((2, 4), np.float32))
