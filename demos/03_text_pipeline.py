@@ -33,7 +33,7 @@ def main():
             train=(LabeledExample("the cat sat", frozenset({"cat"})),
                    LabeledExample("the dog sat", frozenset({"dog"}))),
             test=(LabeledExample("a cat napped", frozenset({"cat"})),))
-        save_dataset(dataset, root / "pets", fmt="jsonl")
+        save_dataset(dataset, root / "pets")
         reloaded = load_dataset(root / "pets")
         print(f"dataset round-trip: {len(reloaded.train)} train docs, "
               f"labels {reloaded.label_space}, equal: {reloaded == dataset}")

@@ -49,7 +49,7 @@ def _cmd_synth(args):
     spec = load_synth_spec(args.spec, seed=args.seed)
     dataset = make_synthetic(spec)
     out_dir = resolve_out_dir(args.out if args.out is not None else spec.name)
-    written = save_dataset(dataset, out_dir, fmt=args.format)
+    written = save_dataset(dataset, out_dir)
     total = len(dataset.train) + len(dataset.test)
     print(f"wrote {total} documents ({len(dataset.train)} train / "
           f"{len(dataset.test)} test, {dataset.task_kind}, "
@@ -84,8 +84,6 @@ def build_parser():
     synth.add_argument("-o", "--out", help="output directory (default: the "
                                            "spec's name)")
     synth.add_argument("--seed", type=int, help="override the spec seed")
-    synth.add_argument("--format", choices=("jsonl", "csv"),
-                       default="jsonl", help="dataset file format")
     synth.set_defaults(func=_cmd_synth)
 
     report = sub.add_parser("report", help="render tables from results")

@@ -90,7 +90,6 @@ class CellSpec:
 class BenchmarkConfig:
     dataset_path: str
     cells: Tuple[CellSpec, ...]
-    dataset_format: Optional[str] = None
     repeats: int = 3
     seed: int = 0
     out_dir: str = "bench-out"
@@ -165,7 +164,6 @@ def read_section(section, fields, error, required=()):
 
 _BENCH_FIELDS = {
     "dataset": ("dataset_path", TEXT),
-    "format": ("dataset_format", TEXT),
     "repeats": ("repeats", INTEGER),
     "seed": ("seed", INTEGER),
     "out": ("out_dir", TEXT),
@@ -227,7 +225,8 @@ def config_hash(config):
     """
     payload = {
         "dataset": config.dataset_path,
-        "format": config.dataset_format,
+        # constant, so results written while a format key existed keep theirs
+        "format": None,
         "repeats": config.repeats,
         "seed": config.seed,
         "vocab": config.vocab_size,

@@ -68,9 +68,7 @@ def _run_cell(cell, config, dataset, vocab, epochs):
                         threshold=cell.threshold, max_len=cell.max_len)
 
     def make_model(seed):
-        encoder = Encoder.from_preset(cell.preset, vocab.size,
-                                      seed=[seed, 0],
-                                      frozen=(cell.mode == "FE"))
+        encoder = Encoder.from_preset(cell.preset, vocab.size, seed=[seed, 0])
         head_cfg = CnnHeadConfig(hidden=encoder.config.hidden,
                                  classes=len(dataset.label_space),
                                  kernel_sizes=cell.kernel_sizes,
@@ -96,8 +94,7 @@ def execute(config):
     """Run every cell; cells fail independently and siblings continue."""
     _preflight(config)
     try:
-        dataset = load_dataset(config.dataset_path,
-                               fmt=config.dataset_format)
+        dataset = load_dataset(config.dataset_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load dataset "
                           f"{config.dataset_path!r}: {exc}") from None

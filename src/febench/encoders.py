@@ -129,15 +129,11 @@ PRESETS = {
 }
 
 
-def preset_config(name, vocab_size, max_positions=200):
+def preset_config(name, vocab_size):
     """Config for one of the named grid presets."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
-    base = PRESETS[name]
-    if base["kind"] == "static":
-        return EncoderConfig(vocab_size=vocab_size, **base)
-    return EncoderConfig(vocab_size=vocab_size, max_positions=max_positions,
-                         **base)
+    return EncoderConfig(vocab_size=vocab_size, **PRESETS[name])
 
 
 @dataclass

@@ -254,7 +254,7 @@ def backward(loss):
     # owns_array, Factors list]
     loss_ref = (loss.tid, loss.group, loss.shape, loss.dtype)
     pending = {loss.tid: [loss_ref, np.ones((), dtype=loss.dtype), True, []]}
-    held = record._grad_bytes
+    held = Counter()
     while record.entries:
         # the last entry, its closure and its output's slot die on rebinding
         entry = record.entries.pop()
@@ -276,6 +276,9 @@ def backward(loss):
         held[pending[tid][0][1]] += g.nbytes
     for group, nbytes in held.items():
         record.ledger.record_alloc("gradients", nbytes, group=group)
+    # only charged bytes go to the record: a closure that raises mid-walk
+    # leaves __exit__ nothing to free
+    record._grad_bytes = held
     return grads
 
 

@@ -2,14 +2,12 @@
 
 Documents are lowercased and split into word and punctuation tokens, wrapped
 as ``CLS ... SEP``, truncated, and right-padded to a fixed length.  Datasets
-live on disk as a directory holding ``train`` and ``test`` files in either
-JSONL (one ``{"text": ..., "labels": [...]}`` object per line) or CSV
-(columns ``text,labels`` with ``|``-separated labels).
+live on disk as a directory holding ``train.jsonl`` and ``test.jsonl``, one
+``{"text": ..., "labels": [...]}`` object per line.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from collections import Counter
@@ -41,14 +39,6 @@ class Vocabulary:
     """Dense token -> id map with the four reserved ids first."""
 
     token_to_id: dict
-
-    def __post_init__(self):
-        for i, tok in enumerate(RESERVED):
-            if self.token_to_id.get(tok) != i:
-                raise ValueError(f"reserved token {tok!r} must have id {i}")
-        ids = sorted(self.token_to_id.values())
-        if ids != list(range(len(ids))):
-            raise ValueError("vocabulary ids must be dense in [0, size)")
 
     @property
     def size(self):
@@ -153,21 +143,6 @@ def _parse_jsonl(path):
     return examples
 
 
-def _parse_csv(path):
-    examples = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                {"text", "labels"} - set(reader.fieldnames):
-            raise DatasetFormatError(f"{path}:1: header must name text,labels columns")
-        for record in reader:
-            lineno = reader.line_num
-            labels = [p for p in (record["labels"] or "").split("|") if p]
-            examples.append(_record_to_example(
-                {"text": record["text"], "labels": labels}, path, lineno))
-    return examples
-
-
 def _record_to_example(record, path, lineno):
     text = record.get("text")
     labels = record.get("labels")
@@ -179,65 +154,38 @@ def _record_to_example(record, path, lineno):
     return LabeledExample(text=text, labels=frozenset(str(l) for l in labels))
 
 
-_PARSERS = {"jsonl": _parse_jsonl, "csv": _parse_csv}
+def load_dataset(path):
+    """Read ``train.jsonl`` and ``test.jsonl`` under a dataset directory.
 
-
-def _split_path(root, split, fmt):
-    return Path(root) / f"{split}.{fmt}"
-
-
-def load_dataset(path, fmt=None, name=None, task_kind=None):
-    """Read ``train.<fmt>`` and ``test.<fmt>`` under a dataset directory.
-
-    The label space is the sorted union of observed labels.  task_kind is
-    inferred (multi_label iff any example carries more than one label) unless
-    passed explicitly.
+    The dataset is named after the directory.  The label space is the sorted
+    union of observed labels, and task_kind is multi_label iff any example
+    carries more than one label.
     """
     root = Path(path)
-    if fmt is None:
-        for candidate in _PARSERS:
-            if _split_path(root, "train", candidate).exists():
-                fmt = candidate
-                break
-        else:
-            raise FileNotFoundError(f"no train.jsonl or train.csv under {root}")
-    if fmt not in _PARSERS:
-        raise ValueError(f"unknown dataset format {fmt!r}")
     splits = {}
     for split in ("train", "test"):
-        file = _split_path(root, split, fmt)
+        file = root / f"{split}.jsonl"
         if not file.exists():
             raise FileNotFoundError(f"missing dataset file {file}")
-        splits[split] = _PARSERS[fmt](file)
+        splits[split] = _parse_jsonl(file)
     labels = sorted({l for exs in splits.values() for ex in exs for l in ex.labels})
-    if task_kind is None:
-        multi = any(len(ex.labels) > 1 for exs in splits.values() for ex in exs)
-        task_kind = "multi_label" if multi else "single_label"
-    return Dataset(name=name or root.name, task_kind=task_kind,
+    multi = any(len(ex.labels) > 1 for exs in splits.values() for ex in exs)
+    return Dataset(name=root.name,
+                   task_kind="multi_label" if multi else "single_label",
                    label_space=tuple(labels),
                    train=tuple(splits["train"]), test=tuple(splits["test"]))
 
 
-def save_dataset(dataset, path, fmt="jsonl"):
-    """Write ``train.<fmt>`` and ``test.<fmt>`` under ``path``; returns the paths."""
-    if fmt not in _PARSERS:
-        raise ValueError(f"unknown dataset format {fmt!r}")
+def save_dataset(dataset, path):
+    """Write ``train.jsonl`` and ``test.jsonl`` under ``path``; returns the paths."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     written = []
     for split, examples in (("train", dataset.train), ("test", dataset.test)):
-        file = _split_path(root, split, fmt)
-        if fmt == "jsonl":
-            with open(file, "w", encoding="utf-8") as fh:
-                for ex in examples:
-                    fh.write(json.dumps({"text": ex.text,
-                                         "labels": sorted(ex.labels)}) + "\n")
-        else:
-            with open(file, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["text", "labels"])
-                for ex in examples:
-                    writer.writerow([ex.text, "|".join(sorted(ex.labels))])
+        file = root / f"{split}.jsonl"
+        with open(file, "w", encoding="utf-8") as fh:
+            for ex in examples:
+                fh.write(json.dumps({"text": ex.text,
+                                     "labels": sorted(ex.labels)}) + "\n")
         written.append(file)
     return written
-

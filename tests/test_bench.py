@@ -2,22 +2,25 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 import febench
 from febench.bench.cli import main
-from febench.bench.config import (ConfigError, apply_overrides, config_hash,
-                                  load_config)
+from febench.bench.config import (_BENCH_FIELDS, _CELL_FIELDS, ConfigError,
+                                  apply_overrides, config_hash, load_config,
+                                  read_ini)
 from febench.bench.report import (ReportError, default_baseline, emit_report,
                                   format_hours, format_mib, format_percent,
                                   format_ratio, load_results, render_tsv)
 from febench.bench.runner import execute, resolve_out_dir, run_benchmark
-from febench.bench.synth import (SynthSpec, SynthesisError, load_synth_spec,
-                                 make_synthetic)
+from febench.bench.synth import (_SPEC_FIELDS, SynthSpec, SynthesisError,
+                                 load_synth_spec, make_synthetic)
 from febench.metrics import label_density
 from febench.text import load_dataset, save_dataset
 
@@ -31,7 +34,6 @@ def write_config(tmp_path, body, name="bench.ini"):
 FULL_CONFIG = """\
     [benchmark]
     dataset = data/kw
-    format = jsonl
     repeats = 2
     seed = 11
     out = runs/kw
@@ -104,6 +106,8 @@ class TestConfig:
          "mode = FE\n", "unknown keys"),
         ("[benchmark]\ndataset = d\nparallel = 2\n\n[cell:a]\npreset = tiny\n"
          "mode = FE\n", "unknown keys"),
+        ("[benchmark]\ndataset = d\nformat = jsonl\n\n[cell:a]\n"
+         "preset = tiny\nmode = FE\n", "unknown keys: format"),
         ("[benchmark]\ndataset = d\nrepeats = much\n\n[cell:a]\n"
          "preset = tiny\nmode = FE\n", "not an integer"),
         ("[benchmark]\ndataset = d\n\n[cell:a]\npreset = huge\nmode = FE\n",
@@ -154,11 +158,12 @@ class TestConfig:
 
     def test_hash_ignores_out_dir_and_parallel(self, tmp_path):
         """The digest is the one FULL_CONFIG had while the removed
-        ``parallel`` key existed, with ``parallel = 1`` or ``2`` alike, so
-        result files written before its removal keep a matching hash."""
+        ``parallel`` and ``format`` keys existed, with ``parallel = 1`` or
+        ``2`` alike and ``format`` unset, so result files written before
+        their removal keep a matching hash."""
         config = load_config(write_config(tmp_path, FULL_CONFIG))
         assert config_hash(config) == (
-            "b778cf87902afaf9bdbba74c7babadec12deba7bf0f5dd85581bf7570b59d9cc")
+            "76b2b2a4284f5e771696645b78f3636f64cac08267aca5c7c39930cc6d888686")
         assert config_hash(config) == config_hash(
             apply_overrides(config, out="other"))
         assert config_hash(config) != config_hash(
@@ -304,6 +309,30 @@ class TestSynthFiles:
             path.write_text(body)
         with pytest.raises(SynthesisError, match=fragment):
             load_synth_spec(path)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadmeExamples:
+    def test_ini_blocks_load_and_name_every_key(self, tmp_path):
+        """README's example config and spec parse as written, and between
+        them document every key the two readers accept."""
+        blocks = re.findall(r"```ini\n(.*?)```", README.read_text(), re.S)
+        named = {"benchmark": set(), "cell": set(), "synthetic": set()}
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"block{i}.ini"
+            path.write_text(block)
+            parser = read_ini(path, ValueError, "README block")
+            if "synthetic" in parser:
+                load_synth_spec(path)
+            else:
+                load_config(path)
+            for section in parser.sections():
+                named[section.split(":")[0]].update(parser[section])
+        assert named == {"benchmark": set(_BENCH_FIELDS),
+                         "cell": set(_CELL_FIELDS),
+                         "synthetic": set(_SPEC_FIELDS)}
 
 
 def forced_record(cell, preset, mode, *, accuracy=(0.9297, 0.0006),
@@ -846,6 +875,12 @@ class TestCli:
             main(["run", str(tmp_path / "bench.ini"), "--parallel", "2"])
         assert exited.value.code == 2
         assert "--parallel" in capsys.readouterr().err
+
+    def test_synth_format_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["synth", str(tmp_path / "kw.ini"), "--format", "csv"])
+        assert exited.value.code == 2
+        assert "--format" in capsys.readouterr().err
 
     def test_cli_overrides_take_effect(self, tmp_path):
         data = synth_to_disk(tmp_path)

@@ -5,8 +5,9 @@ import pytest
 
 from febench import ComputationRecord, Tensor, backward
 from febench import ops
-from febench.encoders import (Encoder, EncoderConfig, encoder_forward,
-                              init_weights, param_count, preset_config)
+from febench.encoders import (PRESETS, Encoder, EncoderConfig,
+                              encoder_forward, init_weights, param_count,
+                              preset_config)
 from febench.tensor import WeightSet
 
 
@@ -195,6 +196,11 @@ class TestPresets:
         assert (config.hidden, config.layers, config.heads) == (hidden, layers, heads)
         assert config.ff_size == 4 * hidden
         assert config.max_positions == 200
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_takes_200_positions(self, name):
+        assert preset_config(name, vocab_size=50) == EncoderConfig(
+            vocab_size=50, max_positions=200, **PRESETS[name])
 
     def test_static_preset(self):
         config = preset_config("static", vocab_size=50)

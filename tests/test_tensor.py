@@ -102,9 +102,9 @@ class TestBackward:
             with pytest.raises(StaleRecordError):
                 backward(loss)
 
-    def test_only_release_rearms_the_record(self):
+    def test_only_leaving_the_block_rearms_the_record(self):
         """The walk consumes the tape, so a new forward alone cannot re-arm
-        it; only the release at the block's end does, for a new record."""
+        it; only leaving the block does, for a new record."""
         x = Tensor(np.ones(2), requires_grad=True)
         with ComputationRecord():
             backward(ops.sum_all(x))
@@ -241,8 +241,8 @@ class TestDeferredGradients:
 
 
 class TestRecordLifecycle:
-    def test_release_frees_activation_bytes(self):
-        """Leaving the block releases what the record charged."""
+    def test_leaving_the_block_frees_activation_bytes(self):
+        """Leaving the block frees what the record charged."""
         ledger = MemoryLedger()
         x = Tensor.param(np.ones(8, dtype=np.float32))
         with ComputationRecord(ledger):
@@ -252,6 +252,22 @@ class TestRecordLifecycle:
             assert ledger.current("gradients") > 0
         assert ledger.current("activations") == 0
         assert ledger.current("gradients") == 0
+        assert ledger.current() == 0
+
+    def test_closure_raising_mid_walk_keeps_its_error(self):
+        """A closure that raises mid-walk surfaces its own exception, and
+        leaving the block frees exactly what the record charged."""
+        ledger = MemoryLedger()
+        x = Tensor.param(np.ones(4, dtype=np.float32))
+
+        def broken(g):
+            raise NameError("broken closure")
+
+        with pytest.raises(NameError, match="broken closure"):
+            with ComputationRecord(ledger) as rec:
+                loss = ops.sum_all(ops.tanh(ops.relu(x)))
+                rec.entries[1].backward_fn = broken
+                backward(loss)
         assert ledger.current() == 0
 
     def test_hand_computed_program(self):
@@ -302,8 +318,9 @@ class TestRecordLifecycle:
             assert ledger.group_current("gradients", "head") == 24
         assert ledger.current("gradients") == 0
 
-    def test_backward_after_release_charges_one_loss_gradient(self):
-        """A record opened after another's release charges only its own walk."""
+    def test_backward_after_leaving_the_block_charges_one_loss_gradient(self):
+        """A record opened after leaving another's block charges only its own
+        walk."""
         ledger = MemoryLedger()
         x = Tensor.param(np.ones(4, dtype=np.float32))
         with ComputationRecord(ledger):
