@@ -9,6 +9,9 @@ taped nor charged: a test document's outputs have the shapes of one
 training document's, set by ``max_len`` alone, and a step always charges at
 least one document plus its gradients, so evaluation could never set the
 peak.
+Adam updates parameters and moments in place, chunk by chunk through two
+scratch buffers of at most ``ADAM_CHUNK`` elements, which the ledger does
+not charge.
 Everything downstream of the seed is deterministic: weight init, shuffles,
 and batch order depend only on (seed, epoch).
 """
@@ -42,6 +45,10 @@ EPOCH_DEFAULTS = {
 }
 
 DEFAULT_BATCH = {"FE": 50, "FiT": 40}
+
+# Elements per chunk of the in-place Adam update: its two float32 scratch
+# buffers take 512 KiB together, small next to any parameter worth chunking.
+ADAM_CHUNK = 65_536
 
 
 class TrainingDivergedError(RuntimeError):
@@ -128,10 +135,18 @@ class AdamState:
 
 
 def adam_step(params, grad_map, state, lr):
-    """Bias-corrected Adam update for every parameter present in the map."""
-    state.t += 1
-    correct1 = 1.0 - state.beta1 ** state.t
-    correct2 = 1.0 - state.beta2 ** state.t
+    """Bias-corrected Adam update, in place, for every parameter in the map.
+
+    Every gradient's shape is checked before anything changes.  Each
+    parameter and its moments are then updated chunk by chunk over their
+    flat storage, through two scratch buffers per dtype reused for every
+    chunk, so the update holds no parameter-sized temporary.  Per element it
+    runs the float operations of ``m += (1 - b1) * (g - m)``,
+    ``v += (1 - b2) * (g * g - v)`` and
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` in that order, with the
+    same bits.
+    """
+    updates = []
     for param in params:
         grad = grad_map.get(param.tid)
         if grad is None:
@@ -139,12 +154,49 @@ def adam_step(params, grad_map, state, lr):
         if grad.shape != param.data.shape:
             raise ShapeMismatchError(
                 f"gradient shape {grad.shape} vs parameter {param.data.shape}")
+        if not param.data.flags.c_contiguous:
+            raise ValueError(f"parameter #{param.tid} is not C-contiguous, "
+                             f"so a flat view of it would be a copy")
+        updates.append((param, grad))
+    state.t += 1
+    decay1 = 1.0 - state.beta1
+    decay2 = 1.0 - state.beta2
+    correct1 = 1.0 - state.beta1 ** state.t
+    correct2 = 1.0 - state.beta2 ** state.t
+    length = min(ADAM_CHUNK, max((param.data.size for param, _ in updates),
+                                 default=0))
+    scratch = {}
+
+    def buffers(dtype):
+        if dtype not in scratch:
+            scratch[dtype] = (np.empty(length, dtype), np.empty(length, dtype))
+        return scratch[dtype]
+
+    for param, grad in updates:
         m, v = state.moments_for(param)
-        m += (1.0 - state.beta1) * (grad - m)
-        v += (1.0 - state.beta2) * (grad * grad - v)
-        m_hat = m / correct1
-        v_hat = v / correct2
-        param.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p, g, m, v = (x.reshape(-1) for x in (param.data, grad, m, v))
+        # moment terms are computed in the dtype of g - m, the step in m's
+        moment_scratch = buffers(np.result_type(g.dtype, m.dtype))[0]
+        step_scratch, denom_scratch = buffers(m.dtype)
+        for lo in range(0, p.size, ADAM_CHUNK):
+            pc, gc, mc, vc = (x[lo:lo + ADAM_CHUNK] for x in (p, g, m, v))
+            n = pc.size
+            w = moment_scratch[:n]
+            np.subtract(gc, mc, out=w)
+            w *= decay1
+            mc += w
+            np.multiply(gc, gc, out=w)
+            w -= vc
+            w *= decay2
+            vc += w
+            step, denom = step_scratch[:n], denom_scratch[:n]
+            np.divide(mc, correct1, out=step)
+            step *= lr
+            np.divide(vc, correct2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += state.eps
+            step /= denom
+            pc -= step
 
 
 def encode_examples(examples, vocab, max_len, label_space, task_kind):
