@@ -20,8 +20,7 @@ def main():
     w = Tensor.param(np.array([[0.5, -0.2], [0.1, 0.3]]))
     x = Tensor(np.array([[1.0, 2.0]]), requires_grad=False)
     with ComputationRecord() as record:
-        hidden = ops.tanh(ops.matmul(x, w))
-        loss = ops.sum_all(ops.mul(hidden, hidden))
+        loss = ops.sum_all(ops.gelu(ops.matmul(x, w)))
         grads = backward(loss)
         print(f"loss = {float(loss.data):.6f}")
         print(f"dL/dw =\n{grads[w.tid]}")
@@ -33,8 +32,8 @@ def main():
     print("== the same gradient, checked against finite differences ==")
 
     def objective(weights):
-        hidden = ops.tanh(ops.matmul(Tensor(np.array([[1.0, 2.0]])), weights))
-        return ops.sum_all(ops.mul(hidden, hidden))
+        hidden = ops.matmul(Tensor(np.array([[1.0, 2.0]])), weights)
+        return ops.sum_all(ops.gelu(hidden))
 
     error = grad_check(objective, [w], eps=1e-5)
     print(f"max relative error vs central differences: {error:.2e}")

@@ -69,37 +69,15 @@ def matmul(a, b):
 
 
 def add(a, b):
-    """Elementwise sum; 1-d ``b`` broadcasts over leading axes as a bias."""
-    if a.shape == b.shape:
-        def bwd(g):
-            return g, g
-    elif b.data.ndim == 1 and a.data.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        lead = tuple(range(a.data.ndim - 1))
-
-        def bwd(g):
-            return g, g.sum(axis=lead)
-    else:
+    """Elementwise sum of same-shape tensors."""
+    if a.shape != b.shape:
         raise ShapeMismatchError(
-            f"add shapes incompatible: {tuple(a.shape)} vs {tuple(b.shape)}")
+            f"add shapes differ: {tuple(a.shape)} vs {tuple(b.shape)}")
+
+    def bwd(g):
+        return g, g
+
     return _emit("add", (a, b), a.data + b.data, bwd)
-
-
-def mul(a, b):
-    """Elementwise product of same-shape tensors; either side may be scalar."""
-    ad, bd = a.data, b.data
-    if a.shape == b.shape:
-        def bwd(g):
-            return g * bd, g * ad
-    elif ad.ndim == 0:
-        def bwd(g):
-            return (g * bd).sum(), g * ad
-    elif bd.ndim == 0:
-        def bwd(g):
-            return g * bd, (g * ad).sum()
-    else:
-        raise ShapeMismatchError(
-            f"mul shapes incompatible: {tuple(a.shape)} vs {tuple(b.shape)}")
-    return _emit("mul", (a, b), ad * bd, bwd)
 
 
 def sum_all(x):
@@ -119,15 +97,6 @@ def relu(x):
         return (g * (xd > 0),)
 
     return _emit("relu", (x,), np.maximum(xd, 0), bwd)
-
-
-def tanh(x):
-    t = np.tanh(x.data)
-
-    def bwd(g):
-        return (g * (1.0 - t * t),)
-
-    return _emit("tanh", (x,), t, bwd)
 
 
 def gelu(x):
@@ -240,12 +209,12 @@ def conv1d_valid(x, w, b):
     return _emit("conv1d_valid", (x, w, b), out, bwd)
 
 
-def max_over_time(x, limit=None):
-    """Columnwise max over the first ``limit`` rows of [T, F] (all rows if None)."""
+def max_over_time(x, limit):
+    """Columnwise max over the first ``limit`` rows of [T, F]."""
     if x.data.ndim != 2:
         raise ShapeMismatchError(f"max_over_time needs [T, F], got {tuple(x.shape)}")
     t_len, f = x.shape
-    limit = t_len if limit is None else int(limit)
+    limit = int(limit)
     if not 1 <= limit <= t_len:
         raise ShapeMismatchError(
             f"max_over_time limit {limit} outside 1..{t_len}")
@@ -285,7 +254,7 @@ def embedding_lookup(table, ids):
     return _emit("embedding_lookup", (table,), table.data[ids], bwd)
 
 
-def scaled_dot_attention(q, k, v, num_heads, valid_length=None):
+def scaled_dot_attention(q, k, v, num_heads, valid_length):
     """Multi-head scaled dot-product self-attention over one sequence.
 
     ``q``, ``k``, ``v`` are [T, H] with H divisible by ``num_heads``.  Keys
@@ -299,7 +268,8 @@ def scaled_dot_attention(q, k, v, num_heads, valid_length=None):
     if num_heads < 1 or h % num_heads != 0:
         raise ShapeMismatchError(
             f"width {h} not divisible into {num_heads} heads")
-    if valid_length is not None and not 1 <= int(valid_length) <= t_len:
+    valid_length = int(valid_length)
+    if not 1 <= valid_length <= t_len:
         raise ShapeMismatchError(
             f"valid_length {valid_length} outside 1..{t_len}")
     d = h // num_heads
@@ -310,8 +280,8 @@ def scaled_dot_attention(q, k, v, num_heads, valid_length=None):
 
     qh, kh, vh = split(q), split(k), split(v)
     scores = qh @ kh.transpose(0, 2, 1) * inv_scale
-    if valid_length is not None and valid_length < t_len:
-        scores[:, :, int(valid_length):] = -1e30
+    if valid_length < t_len:
+        scores[:, :, valid_length:] = -1e30
     scores -= scores.max(axis=-1, keepdims=True)
     wts = np.exp(scores)
     wts /= wts.sum(axis=-1, keepdims=True)
@@ -441,10 +411,8 @@ def sigmoid_bce(logits, targets):
 PRIMITIVES = {
     "matmul": matmul,
     "add": add,
-    "mul": mul,
     "sum": sum_all,
     "relu": relu,
-    "tanh": tanh,
     "gelu": gelu,
     "layer_norm": layer_norm,
     "conv1d_valid": conv1d_valid,

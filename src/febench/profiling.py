@@ -60,16 +60,16 @@ class MemoryLedger:
                 f"over-free: releasing {nbytes} bytes from {category!r} "
                 f"which holds only {self._current[category]}"
             )
+        key = (category, group)
+        held = self._group_current.get(key, 0)
+        if group is not None and nbytes > held:
+            raise LedgerError(
+                f"over-free: releasing {nbytes} bytes from {category!r}/{group!r} "
+                f"which holds only {held}"
+            )
         self._current[category] -= nbytes
         self.current_total -= nbytes
         if group is not None:
-            key = (category, group)
-            held = self._group_current.get(key, 0)
-            if nbytes > held:
-                raise LedgerError(
-                    f"over-free: releasing {nbytes} bytes from {category!r}/{group!r} "
-                    f"which holds only {held}"
-                )
             self._group_current[key] = held - nbytes
 
     def current(self, category=None):

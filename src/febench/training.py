@@ -220,7 +220,10 @@ def encode_examples(examples, vocab, max_len, label_space, task_kind):
 
 
 def forward_batch(encoder, head, ids_batch, valid_batch):
-    """Logit matrix [B, C] by running each document through encoder + head."""
+    """Logit matrix [B, C] by running each document through encoder + head.
+
+    Training steps and evaluation both build their logits here.
+    """
     rows = [head.forward(encoder.forward(ids, int(valid)), int(valid))
             for ids, valid in zip(ids_batch, valid_batch)]
     return ops.stack(rows)
@@ -244,9 +247,8 @@ def evaluate(encoder, head, ids, valid, task_kind, threshold=0.5):
 
     ``train`` calls it outside every record, so it tapes and charges nothing.
     """
-    return [predict(head.forward(encoder.forward(doc_ids, int(n)), int(n)),
-                    task_kind, threshold)
-            for doc_ids, n in zip(ids, valid)]
+    logits = forward_batch(encoder, head, ids, valid)
+    return [predict(row, task_kind, threshold) for row in logits.data]
 
 
 def _gold_sets(targets, task_kind):

@@ -35,18 +35,8 @@ def _case_matmul(rng):
 
 
 def _case_add(rng):
-    return (lambda a, b: ops.sum_all(ops.tanh(ops.add(a, b))),
+    return (lambda a, b: ops.sum_all(ops.gelu(ops.add(a, b))),
             [rng.normal(size=(3, 4)), rng.normal(size=(3, 4))])
-
-
-def _case_add_bias(rng):
-    return (lambda x, b: ops.sum_all(ops.tanh(ops.add(x, b))),
-            [rng.normal(size=(3, 4)), rng.normal(size=4)])
-
-
-def _case_mul(rng):
-    return (lambda a, b: ops.sum_all(ops.mul(a, b)),
-            [rng.normal(size=(3, 3)), rng.normal(size=(3, 3))])
 
 
 def _case_sum(rng):
@@ -58,21 +48,17 @@ def _case_relu(rng):
             [_signed_away_from_zero(rng, (4, 4))])
 
 
-def _case_tanh(rng):
-    return lambda x: ops.sum_all(ops.tanh(x)), [rng.normal(size=(3, 4))]
-
-
 def _case_gelu(rng):
     return lambda x: ops.sum_all(ops.gelu(x)), [rng.normal(size=(3, 4))]
 
 
 def _case_layer_norm(rng):
-    return (lambda x, s, o: ops.sum_all(ops.tanh(ops.layer_norm(x, s, o))),
+    return (lambda x, s, o: ops.sum_all(ops.gelu(ops.layer_norm(x, s, o))),
             [rng.normal(size=(4, 6)), rng.normal(size=6), rng.normal(size=6)])
 
 
 def _case_conv1d_valid(rng):
-    return (lambda x, w, b: ops.sum_all(ops.tanh(ops.conv1d_valid(x, w, b))),
+    return (lambda x, w, b: ops.sum_all(ops.gelu(ops.conv1d_valid(x, w, b))),
             [rng.normal(size=(7, 4)), rng.normal(size=(3, 4, 5)),
              rng.normal(size=5)])
 
@@ -80,7 +66,7 @@ def _case_conv1d_valid(rng):
 def _case_conv1d_valid_frozen_input(rng):
     from febench.tensor import Tensor
     x = Tensor(rng.normal(size=(7, 4)))
-    return (lambda w, b: ops.sum_all(ops.tanh(ops.conv1d_valid(x, w, b))),
+    return (lambda w, b: ops.sum_all(ops.gelu(ops.conv1d_valid(x, w, b))),
             [rng.normal(size=(3, 4, 5)), rng.normal(size=5)])
 
 
@@ -89,7 +75,7 @@ def _case_conv1d_valid_pooled(rng):
     backward sees dead rows (past the limit, and never a column's max)."""
     def fn(x, w, b):
         pooled = ops.max_over_time(ops.conv1d_valid(x, w, b), limit=4)
-        return ops.sum_all(ops.mul(pooled, pooled))
+        return ops.sum_all(ops.gelu(pooled))
     return fn, [rng.normal(size=(9, 4)), rng.normal(size=(3, 4, 2)),
                 rng.normal(size=2)]
 
@@ -97,13 +83,13 @@ def _case_conv1d_valid_pooled(rng):
 def _case_max_over_time(rng):
     def fn(x):
         pooled = ops.max_over_time(x, limit=4)
-        return ops.sum_all(ops.mul(pooled, pooled))
+        return ops.sum_all(ops.gelu(pooled))
     return fn, [_gapped_columns(rng, 6, 3)]
 
 
 def _case_embedding_lookup(rng):
     ids = np.array([0, 2, 2, 4, 1])
-    return (lambda t: ops.sum_all(ops.tanh(ops.embedding_lookup(t, ids=ids))),
+    return (lambda t: ops.sum_all(ops.gelu(ops.embedding_lookup(t, ids=ids))),
             [rng.normal(size=(5, 4))])
 
 
@@ -115,7 +101,7 @@ def _case_embedding_two_lookups(rng):
     def fn(t):
         rows = ops.concat([ops.embedding_lookup(t, ids=first),
                            ops.embedding_lookup(t, ids=second)])
-        return ops.sum_all(ops.tanh(rows))
+        return ops.sum_all(ops.gelu(rows))
     return fn, [rng.normal(size=(6, 3))]
 
 
@@ -125,18 +111,18 @@ def _case_shared_weight(rng):
     def fn(x1, x2, w, b):
         parts = [ops.matmul(x1, w), ops.matmul(x2, w),
                  ops.linear(x1, w, b), ops.linear(x2, w, b)]
-        return ops.sum_all(ops.tanh(ops.concat(parts)))
+        return ops.sum_all(ops.gelu(ops.concat(parts)))
     return fn, [rng.normal(size=(3, 4)), rng.normal(size=(2, 4)),
                 rng.normal(size=(4, 2)), rng.normal(size=2)]
 
 
 def _case_factors_into_non_leaf(rng):
-    """Two matmuls by one tanh(w): their factors reach a non-leaf and must be
-    multiplied out before tanh's closure runs."""
+    """Two matmuls by one gelu(w): their factors reach a non-leaf and must be
+    multiplied out before gelu's closure runs."""
     def fn(x1, x2, w):
-        tw = ops.tanh(w)
+        tw = ops.gelu(w)
         both = ops.concat([ops.matmul(x1, tw), ops.matmul(x2, tw)])
-        return ops.sum_all(ops.mul(both, both))
+        return ops.sum_all(ops.gelu(both))
     return fn, [rng.normal(size=(3, 4)), rng.normal(size=(2, 4)),
                 rng.normal(size=(4, 2))]
 
@@ -144,29 +130,28 @@ def _case_factors_into_non_leaf(rng):
 def _case_scaled_dot_attention(rng):
     def fn(q, k, v):
         out = ops.scaled_dot_attention(q, k, v, num_heads=2, valid_length=4)
-        return ops.sum_all(ops.mul(out, out))
+        return ops.sum_all(ops.gelu(out))
     return fn, [rng.normal(size=(5, 6)) for _ in range(3)]
 
 
 def _case_concat(rng):
-    return (lambda a, b: ops.sum_all(ops.tanh(ops.concat([a, b]))),
+    return (lambda a, b: ops.sum_all(ops.gelu(ops.concat([a, b]))),
             [rng.normal(size=(2, 3)), rng.normal(size=(4, 3))])
 
 
 def _case_stack(rng):
     def fn(a, b, c):
-        s = ops.stack([a, b, c])
-        return ops.sum_all(ops.mul(s, s))
+        return ops.sum_all(ops.gelu(ops.stack([a, b, c])))
     return fn, [rng.normal(size=(2, 2)) for _ in range(3)]
 
 
 def _case_linear(rng):
-    return (lambda x, w, b: ops.sum_all(ops.tanh(ops.linear(x, w, b))),
+    return (lambda x, w, b: ops.sum_all(ops.gelu(ops.linear(x, w, b))),
             [rng.normal(size=(3, 4)), rng.normal(size=(4, 2)), rng.normal(size=2)])
 
 
 def _case_linear_vec(rng):
-    return (lambda x, w, b: ops.sum_all(ops.tanh(ops.linear(x, w, b))),
+    return (lambda x, w, b: ops.sum_all(ops.gelu(ops.linear(x, w, b))),
             [rng.normal(size=4), rng.normal(size=(4, 2)), rng.normal(size=2)])
 
 
@@ -229,8 +214,9 @@ def e2e_frozen_encoder_case(rng):
 def e2e_transformer_case(rng):
     """Smooth scalar of the hidden sequence, differentiated in every encoder weight.
 
-    The probe stays smooth (tanh, no pooling/relu) so each coordinate carries
-    a gradient well above the finite-difference noise floor.
+    The probe stays smooth (a [H, 8] matmul, then gelu; no pooling/relu) so
+    each coordinate carries a gradient well above the finite-difference
+    noise floor.
     """
     from febench.encoders import encoder_forward
     from febench.encoders import expected_shapes as encoder_shapes
@@ -238,13 +224,13 @@ def e2e_transformer_case(rng):
 
     enc_cfg, _, enc_arrays, _, ids, valid, _ = _e2e_setup(rng)
     enc_names = sorted(encoder_shapes(enc_cfg))
-    probe = rng.normal(size=(8, enc_cfg.hidden))
+    probe = rng.normal(size=(enc_cfg.hidden, 8))
 
     def fn(*tensors):
         enc = WeightSet(dict(zip(enc_names, tensors)))
         hidden = encoder_forward(enc_cfg, enc, ids, valid)
         from febench.tensor import Tensor
-        return ops.sum_all(ops.tanh(ops.mul(hidden, Tensor(probe))))
+        return ops.sum_all(ops.gelu(ops.matmul(hidden, Tensor(probe))))
 
     return fn, [enc_arrays[n] for n in enc_names]
 
@@ -252,11 +238,8 @@ def e2e_transformer_case(rng):
 PRIMITIVE_GRAD_CASES = {
     "matmul": _case_matmul,
     "add": _case_add,
-    "add_bias": _case_add_bias,
-    "mul": _case_mul,
     "sum": _case_sum,
     "relu": _case_relu,
-    "tanh": _case_tanh,
     "gelu": _case_gelu,
     "layer_norm": _case_layer_norm,
     "conv1d_valid": _case_conv1d_valid,
@@ -275,6 +258,17 @@ PRIMITIVE_GRAD_CASES = {
     "softmax_xent": _case_softmax_xent,
     "sigmoid_bce": _case_sigmoid_bce,
 }
+
+
+def probe_sum(out, probe):
+    """``sum(out * probe)`` as one taped entry: a scalar loss whose backward
+    hands ``out`` exactly ``probe`` (``ops`` has no elementwise product)."""
+    loss = tensor.Tensor((out.data * probe).sum(),
+                         requires_grad=out.requires_grad)
+    tensor.current_record().append(
+        "probe_sum", (out,), loss,
+        (lambda g: (g * probe,)) if out.requires_grad else None)
+    return loss
 
 
 class TracedSteps(NamedTuple):

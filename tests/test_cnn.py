@@ -8,6 +8,7 @@ from febench import (ComputationRecord, MemoryLedger, ShapeMismatchError, Tensor
 from febench.cnn import (CnnHead, CnnHeadConfig, cnn_forward, expected_shapes,
                          feature_dim, init_weights, predict)
 from febench.tensor import WeightSet
+from helpers import probe_sum
 
 
 def f64_weights(config, rng):
@@ -157,7 +158,7 @@ class TestPoolBeforeRelu:
         weights = WeightSet({
             name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()})
         params = list(weights.tensors.values())
-        coef = Tensor(rng.normal(size=config.classes).astype(dtype))
+        coef = rng.normal(size=config.classes).astype(dtype)
         for valid in (6, 17, 32):
             hidden = Tensor(rng.normal(size=(32, 128)).astype(dtype),
                             requires_grad=trainable_hidden)
@@ -168,7 +169,7 @@ class TestPoolBeforeRelu:
             for forward in (cnn_forward, _relu_then_pool):
                 with ComputationRecord():
                     logits = forward(config, weights, hidden, valid)
-                    grads = backward(ops.sum_all(ops.mul(logits, coef)))
+                    grads = backward(probe_sum(logits, coef))
                 runs.append((logits.data, grads))
             (new_logits, new_grads), (old_logits, old_grads) = runs
             assert new_logits.dtype == dtype

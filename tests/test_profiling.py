@@ -46,8 +46,14 @@ class TestMemoryLedger:
         ledger = MemoryLedger()
         ledger.record_alloc("gradients", 8, group="head")
         ledger.record_alloc("gradients", 8, group="encoder")
+        before = ledger.breakdown()
         with pytest.raises(LedgerError):
             ledger.record_free("gradients", 16, group="head")
+        # the refused free changed nothing
+        assert ledger.breakdown() == before
+        assert ledger.current() == 16
+        assert ledger.group_current("gradients", "head") == 8
+        assert ledger.group_current("gradients", "encoder") == 8
 
     def test_unknown_category(self):
         with pytest.raises(LedgerError):

@@ -9,6 +9,7 @@ from febench import (ComputationRecord, MemoryLedger, NestedRecordError,
                      NoRecordError, NonScalarLossError, StaleRecordError,
                      Tensor, backward)
 from febench import ops
+from helpers import probe_sum
 
 
 class TestTensor:
@@ -41,12 +42,12 @@ class TestBackward:
         assert float(loss.data) == 2.0
 
     def test_product_rule(self):
-        a = Tensor(np.array(3.0), requires_grad=True)
-        b = Tensor(np.array(4.0), requires_grad=True)
+        a = Tensor(np.array([[3.0]]), requires_grad=True)
+        b = Tensor(np.array([[4.0]]), requires_grad=True)
         with ComputationRecord():
-            grads = backward(ops.mul(a, b))
-        assert float(grads[a.tid]) == 4.0
-        assert float(grads[b.tid]) == 3.0
+            grads = backward(ops.sum_all(ops.matmul(a, b)))
+        np.testing.assert_array_equal(grads[a.tid], [[4.0]])
+        np.testing.assert_array_equal(grads[b.tid], [[3.0]])
 
     def test_reused_input_accumulates(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -122,7 +123,7 @@ class TestBackward:
         received = []
         with ComputationRecord() as rec:
             mid = ops.gelu(x)
-            loss = ops.sum_all(ops.tanh(mid))
+            loss = ops.sum_all(ops.gelu(mid))
             closure = _spy_on(rec.entries[0], received)
             backward(loss)
             assert closure() is None
@@ -164,11 +165,6 @@ def _spy_on(entry, received):
     return weakref.ref(inner)
 
 
-def _probe_sum(out, probe):
-    """sum(out * probe): its backward hands ``out`` exactly ``probe``."""
-    return ops.sum_all(ops.mul(out, Tensor(probe)))
-
-
 class TestDeferredGradients:
     """Factors and row-sparse updates reduce to the per-document formulas."""
 
@@ -180,7 +176,7 @@ class TestDeferredGradients:
                 np.array([0, 0, 7, 25, 3, 39])]
         probes = [rng.normal(size=(ids.size, 16)).astype(dtype) for ids in docs]
         with ComputationRecord():
-            losses = [_probe_sum(ops.embedding_lookup(table, ids=ids), probe)
+            losses = [probe_sum(ops.embedding_lookup(table, ids=ids), probe)
                       for ids, probe in zip(docs, probes)]
             loss = ops.add(ops.add(losses[0], losses[1]), losses[2])
             got = backward(loss)[table.tid]
@@ -209,7 +205,7 @@ class TestDeferredGradients:
                 out = ops.matmul(Tensor(ad), w)
             else:
                 out = ops.linear(Tensor(ad), w, b)
-            grads = backward(_probe_sum(out, g))
+            grads = backward(probe_sum(out, g))
         np.testing.assert_array_equal(grads[w.tid], ad.T @ g)
 
     def test_row_sparse_update_does_not_corrupt_a_shared_gradient(self):
@@ -234,7 +230,7 @@ class TestDeferredGradients:
             for ids in (np.array([0, 2, 2]), np.array([4, 0])):
                 x = ops.embedding_lookup(table, ids=ids)
                 docs.append(ops.linear(ops.matmul(x, w), w, b))
-            grads = backward(ops.sum_all(ops.tanh(ops.concat(docs))))
+            grads = backward(ops.sum_all(ops.gelu(ops.concat(docs))))
         assert {table.tid, w.tid, b.tid} <= set(grads)
         for g in grads.values():
             assert type(g) is np.ndarray
@@ -265,7 +261,7 @@ class TestRecordLifecycle:
 
         with pytest.raises(NameError, match="broken closure"):
             with ComputationRecord(ledger) as rec:
-                loss = ops.sum_all(ops.tanh(ops.relu(x)))
+                loss = ops.sum_all(ops.gelu(ops.relu(x)))
                 rec.entries[1].backward_fn = broken
                 backward(loss)
         assert ledger.current() == 0
@@ -518,7 +514,7 @@ class TestTapeLiveness:
         is gone once ``add`` returns."""
         x = Tensor.param(np.linspace(-1.0, 1.0, 6, dtype=np.float32).reshape(2, 3))
         w = Tensor.param(np.ones((3, 4), dtype=np.float32))
-        bias = Tensor.param(np.zeros(4, dtype=np.float32))
+        bias = Tensor.param(np.zeros((2, 4), dtype=np.float32))
         alive_when_run = []
         with ComputationRecord() as rec:
             left = ops.relu(x)

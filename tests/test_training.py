@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from febench import ComputationRecord, MemoryLedger, Tensor, tensor, training
-from febench.cnn import CnnHead, CnnHeadConfig
+from febench.cnn import CnnHead, CnnHeadConfig, predict
 from febench.cnn import expected_shapes as head_shapes
 from febench.encoders import Encoder, EncoderConfig
 from febench.encoders import expected_shapes as encoder_shapes
@@ -459,6 +459,23 @@ class TestEvaluate:
         preds = evaluate(encoder, head, ids, valid, "single_label")
         assert len(preds) == len(dataset.test)
         assert all(len(p) == 1 for p in preds)
+
+    @pytest.mark.parametrize("mode", ["FE", "FiT"])
+    @pytest.mark.parametrize("task_kind", ["single_label", "multi_label"])
+    def test_matches_one_document_at_a_time(self, task_kind, mode):
+        """The label sets equal predicting from each document's own encoder
+        and head pass, as evaluation did before it shared ``forward_batch``."""
+        dataset = toy_dataset(task_kind)
+        encoder, head, vocab = toy_model(6, dataset,
+                                         classes=len(dataset.label_space))
+        encoder.set_trainable(mode == "FiT")
+        ids, valid, _ = encode_examples(dataset.test, vocab, 12,
+                                        dataset.label_space, task_kind)
+        want = [predict(head.forward(encoder.forward(doc, int(n)), int(n)),
+                        task_kind, 0.5)
+                for doc, n in zip(ids, valid)]
+        assert len({frozenset(p) for p in want}) > 1
+        assert evaluate(encoder, head, ids, valid, task_kind, 0.5) == want
 
     @pytest.mark.parametrize("mode", ["FE", "FiT"])
     def test_tapes_and_charges_nothing(self, monkeypatch, mode):
