@@ -49,7 +49,6 @@ class TestMemoryLedger:
         before = ledger.breakdown()
         with pytest.raises(LedgerError):
             ledger.record_free("gradients", 16, group="head")
-        # the refused free changed nothing
         assert ledger.breakdown() == before
         assert ledger.current() == 16
         assert ledger.group_current("gradients", "head") == 8

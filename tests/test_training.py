@@ -463,8 +463,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("mode", ["FE", "FiT"])
     @pytest.mark.parametrize("task_kind", ["single_label", "multi_label"])
     def test_matches_one_document_at_a_time(self, task_kind, mode):
-        """The label sets equal predicting from each document's own encoder
-        and head pass, as evaluation did before it shared ``forward_batch``."""
+        """The label sets equal those predicted from each document's own
+        encoder and head pass, the per-document reference."""
         dataset = toy_dataset(task_kind)
         encoder, head, vocab = toy_model(6, dataset,
                                          classes=len(dataset.label_space))
