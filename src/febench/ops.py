@@ -13,17 +13,19 @@ its array: ``add`` and ``max_over_time`` save none of their inputs, and
 A backward closure returns one gradient per input, or ``None`` for an input
 that needs no gradient (PyTorch's ``needs_input_grad`` rule), which
 :func:`~febench.tensor.backward` skips; :func:`conv1d_valid` does so for a
-frozen input.  Likewise :func:`conv1d_valid`'s backward multiplies through
-only the live windows, whose row of the upstream gradient is not all zero;
-after max-over-time pooling and ReLU at most one window per filter is live.
+frozen input.
 
-A closure may return a parameter's gradient in a form that
-:func:`~febench.tensor.backward` reduces once per step, not once per
-document, into a dense map value: :func:`matmul` and 2-d :func:`linear`
+A closure may return a gradient in a form other than a dense array (see
+:func:`~febench.tensor.backward`).  :func:`matmul` and 2-d :func:`linear`
 return their weight gradient as stacked factors ``(a, g)``, meaning
-``a.T @ g``, and :func:`embedding_lookup` a row-sparse update.  The conv
-weight gradient and the 1-d ``linear``'s outer product stay dense per
-document; deferred conv factors would keep each document's windows alive.
+``a.T @ g``, and :func:`embedding_lookup` a row-sparse update, which the
+walk reduces once per step, not once per document.  :func:`max_over_time`
+returns its input's gradient as the pooled winners, one row and value per
+column, and the walk hands them on as they are to :func:`conv1d_valid`,
+which gathers each filter's weight gradient from its one winning window
+instead of multiplying out a product.  The conv weight gradient and the
+1-d ``linear``'s outer product stay dense per document; deferred conv
+factors would keep each document's windows alive.
 
 All primitives accept and return :class:`~febench.tensor.Tensor`; integer
 side inputs (token ids, class targets) are plain numpy arrays passed as
@@ -36,8 +38,8 @@ import math
 
 import numpy as np
 
-from .tensor import (Factors, KernelTooLongError, RowSparse, ShapeMismatchError,
-                     Tensor, current_record)
+from .tensor import (Factors, KernelTooLongError, Pooled, RowSparse,
+                     ShapeMismatchError, Tensor, current_record)
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 
@@ -155,9 +157,15 @@ def conv1d_valid(x, w, b):
     ``x`` is [T, H], ``w`` is [k, H, f], ``b`` is [f]; output is
     [T - k + 1, f].  A kernel longer than the sequence is an error.  When
     ``x`` needs no gradient (a frozen encoder's output), the backward closure
-    returns ``None`` for it and skips computing it.  The backward also skips
-    every dead window, whose row of the upstream gradient is all zero (as
-    pooling leaves most rows): such a row adds only exact zeros, so the
+    returns ``None`` for it and skips computing it.
+
+    The backward takes the upstream gradient dense or as
+    :class:`~febench.tensor.Pooled` winners, as :func:`max_over_time`
+    passes it.  From winners, filter j's weight gradient is its winning
+    window times its value and its bias gradient the value, each bit for bit
+    what the dense form gives; the input gradient goes the dense way.  That
+    way multiplies through only the live windows, whose row of the upstream
+    gradient is not all zero: a dead row adds only exact zeros, so the
     gradients equal the all-window formula's, up to the rounding of the BLAS
     kernel chosen for the smaller product.
     """
@@ -181,20 +189,35 @@ def conv1d_valid(x, w, b):
     # row t of this read-only view is the flattened window x[t:t+k]; row
     # n - 1 ends at element (n - 1 + k)·H = T·H, so the view covers exactly
     # x's T·H elements.  Its contiguous copy feeds one matmul and dies here,
-    # bwd gathers live rows
+    # bwd gathers the rows it reads
     windows = np.ndarray((n, k * h), xd.dtype, buffer=xd, strides=xd.strides)
     windows.flags.writeable = False
     w2 = w.data.reshape(k * h, f)
-    out = windows.copy() @ w2 + b.data
+    out = windows.copy() @ w2
+    out += b.data
     need_dx = x.requires_grad
 
     def bwd(g):
-        rows = np.flatnonzero(g.any(axis=1))
-        g_live = g[rows]
-        gw = (windows[rows].T @ g_live).reshape(k, h, f)
-        gb = g.sum(axis=0)
-        if not need_dx:
-            return None, gw, gb
+        if isinstance(g, Pooled):
+            # filter j's one live window is rows[j]: the product's column
+            # sum would add only exact zeros to its term, so a gather gives
+            # it, and + 0.0 gives a zero term the sign such a sum gives it
+            gw = windows.T[:, g.rows]
+            gw *= g.values
+            gw += 0.0
+            gw, gb = gw.reshape(k, h, f), g.values + 0.0
+            if not need_dx:
+                return None, gw, gb
+            g = g.dense(n)
+            rows = np.flatnonzero(g.any(axis=1))
+            g_live = g[rows]
+        else:
+            rows = np.flatnonzero(g.any(axis=1))
+            g_live = g[rows]
+            gw = (windows[rows].T @ g_live).reshape(k, h, f)
+            gb = g.sum(axis=0)
+            if not need_dx:
+                return None, gw, gb
         dlive = (g_live @ w2.T).reshape(rows.size, k, h)
         dx = np.zeros((t_len, h), dtype=g.dtype)
         # rows are unique, and each dx row takes its terms in ascending i
@@ -210,7 +233,11 @@ def conv1d_valid(x, w, b):
 
 
 def max_over_time(x, limit):
-    """Columnwise max over the first ``limit`` rows of [T, F]."""
+    """Columnwise max over the first ``limit`` rows of [T, F].
+
+    The backward saves only the argmax and returns the input's gradient as
+    :class:`~febench.tensor.Pooled` winners, without a dense [T, F] array.
+    """
     if x.data.ndim != 2:
         raise ShapeMismatchError(f"max_over_time needs [T, F], got {tuple(x.shape)}")
     t_len, f = x.shape
@@ -220,13 +247,10 @@ def max_over_time(x, limit):
             f"max_over_time limit {limit} outside 1..{t_len}")
     sub = x.data[:limit]
     idx = sub.argmax(axis=0)
-    cols = np.arange(f)
-    out = sub[idx, cols]
+    out = sub[idx, np.arange(f)]
 
     def bwd(g):
-        dx = np.zeros((t_len, f), dtype=g.dtype)
-        dx[idx, cols] = g
-        return (dx,)
+        return (Pooled(idx, g),)
 
     return _emit("max_over_time", (x,), out, bwd)
 
@@ -245,10 +269,20 @@ def embedding_lookup(table, ids):
     shape, dtype = table.shape, table.data.dtype
 
     def bwd(g):
-        # per-row sums in id order, as np.add.at into a zero table sums them
-        rows, where = np.unique(ids, return_inverse=True)
+        # each row sums its occurrences in id order, as np.add.at into a
+        # zero table does: a stable sort groups them, rows go by falling
+        # occurrence count, and pass r adds every row's r-th occurrence
+        flat = ids.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        rows, starts, counts = np.unique(flat[order], return_index=True,
+                                         return_counts=True)
+        by_count = np.argsort(-counts, kind="stable")
+        rows, starts, counts = rows[by_count], starts[by_count], counts[by_count]
+        g_flat = g.reshape(flat.size, shape[1])
         sums = np.zeros((rows.size, shape[1]), dtype=dtype)
-        np.add.at(sums, where.reshape(ids.shape), g)
+        for r in range(counts[0] if counts.size else 0):
+            m = np.count_nonzero(counts > r)
+            sums[:m] += g_flat[order[starts[:m] + r]]
         return (RowSparse(rows, sums),)
 
     return _emit("embedding_lookup", (table,), table.data[ids], bwd)

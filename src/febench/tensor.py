@@ -24,6 +24,7 @@ code paths in float64 and compares against central finite differences.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -156,17 +157,37 @@ class RowSparse(NamedTuple):
     values: np.ndarray
 
 
+class Pooled(NamedTuple):
+    """A [T, F] gradient that is ``values[j]`` at ``(rows[j], j)`` and zero
+    elsewhere: what max-over-time pooling passes back."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    def dense(self, length):
+        """The gradient as a [length, F] array."""
+        out = np.zeros((length, self.values.size), dtype=self.values.dtype)
+        out[self.rows, np.arange(self.values.size)] = self.values
+        return out
+
+
+# producer kinds whose closure reads a lone Pooled gradient of its output
+POOLED_CONSUMERS = frozenset({"conv1d_valid"})
+
+
 class _Entry:
     """A taped primitive, holding no tensor: its output's id, its closure,
-    and per input ``None`` if it needs no gradient, else the
-    ``(tid, group, shape, dtype)`` that backward reads of it."""
+    whether that closure takes a :class:`Pooled` gradient, and per input
+    ``None`` if it needs no gradient, else the ``(tid, group, shape,
+    dtype)`` that backward reads of it."""
 
-    __slots__ = ("inputs", "out_tid", "backward_fn")
+    __slots__ = ("inputs", "out_tid", "backward_fn", "takes_pooled")
 
-    def __init__(self, inputs, out_tid, backward_fn):
+    def __init__(self, inputs, out_tid, backward_fn, takes_pooled):
         self.inputs = inputs
         self.out_tid = out_tid
         self.backward_fn = backward_fn
+        self.takes_pooled = takes_pooled
 
 
 class ComputationRecord:
@@ -215,7 +236,8 @@ class ComputationRecord:
         if backward_fn is not None:
             refs = tuple([(t.tid, t.group, t.data.shape, t.data.dtype)
                           if t.requires_grad else None for t in inputs])
-            self.entries.append(_Entry(refs, output.tid, backward_fn))
+            self.entries.append(_Entry(refs, output.tid, backward_fn,
+                                       kind in POOLED_CONSUMERS))
         self.ledger.record_alloc("activations", output.data.nbytes)
         self._activation_bytes += output.data.nbytes
 
@@ -233,13 +255,18 @@ def backward(loss):
     until its block exits.  A second walk in the same record raises
     :class:`StaleRecordError`.
 
-    A closure may return a gradient as :class:`Factors` or :class:`RowSparse`,
-    so that each parameter's gradient is reduced once per step, not once per
-    document.  The walk stacks a tensor's factors and multiplies them out
-    once, ``concatenate(a).T @ concatenate(g)``, when the tensor's producer
-    needs its gradient or, for a parameter, at the end; it adds row-sparse
-    updates in place into the tensor's one dense gradient.  Every value in
-    the returned map is a dense array.
+    A closure may return a gradient in one of three forms besides a dense
+    array.  :class:`Factors` and :class:`RowSparse` let each parameter's
+    gradient be reduced once per step, not once per document: the walk
+    stacks a tensor's factors and multiplies them out once,
+    ``concatenate(a).T @ concatenate(g)``, when the tensor's producer needs
+    its gradient or, for a parameter, at the end; it adds row-sparse updates
+    in place into the tensor's one dense gradient.  :class:`Pooled` holds
+    one value per column; the walk hands it as it is to a producer in
+    :data:`POOLED_CONSUMERS` when it is the tensor's only gradient, and
+    densifies it when a second gradient arrives, for any other producer and
+    for a leaf.  The record charges a pooled gradient as the dense array it
+    stands for.  Every value in the returned map is a dense array.
     """
     if loss.data.ndim != 0:
         raise NonScalarLossError(f"loss must be scalar, got shape {tuple(loss.shape)}")
@@ -250,8 +277,8 @@ def backward(loss):
         raise StaleRecordError("record already walked; open a new one")
     record.walked = True
 
-    # slot layout: [(tid, group, shape, dtype), dense grad or None,
-    # owns_array, Factors list]
+    # slot layout: [(tid, group, shape, dtype), dense grad, a lone Pooled
+    # or None, owns_array, Factors list]
     loss_ref = (loss.tid, loss.group, loss.shape, loss.dtype)
     pending = {loss.tid: [loss_ref, np.ones((), dtype=loss.dtype), True, []]}
     held = Counter()
@@ -261,8 +288,10 @@ def backward(loss):
         slot = pending.pop(entry.out_tid, None)
         if slot is None:
             continue
-        grad = _reduce(slot)
-        held[slot[0][1]] += np.asarray(grad).nbytes
+        grad = _reduce(slot, entry.takes_pooled)
+        _, group, shape, _ = slot[0]
+        held[group] += (math.prod(shape) * grad.values.itemsize
+                        if isinstance(grad, Pooled) else np.asarray(grad).nbytes)
         for ref, g in zip(entry.inputs, entry.backward_fn(grad)):
             if g is None or ref is None:
                 continue
@@ -291,6 +320,9 @@ def _accumulate(slot, g):
     if isinstance(g, Factors):
         slot[3].append(g)
         return
+    _densify(slot)
+    if isinstance(g, Pooled) and slot[1] is not None:
+        g = g.dense(slot[0][2][0])
     if isinstance(g, RowSparse):
         # absent rows would only add exact zeros, as a dense table's do
         if slot[1] is None:
@@ -308,8 +340,9 @@ def _accumulate(slot, g):
         slot[1], slot[2] = slot[1] + g, True
 
 
-def _reduce(slot):
-    """The slot's dense gradient, once its stacked factors are multiplied out."""
+def _reduce(slot, keep_pooled=False):
+    """The slot's gradient, once its stacked factors are multiplied out:
+    dense, or a lone :class:`Pooled` if ``keep_pooled``."""
     factors = slot[3]
     if factors:
         slot[3] = []
@@ -319,7 +352,15 @@ def _reduce(slot):
             a = np.concatenate([f.a for f in factors])
             g = np.concatenate([f.g for f in factors])
         _accumulate(slot, a.T @ g)
+    if not keep_pooled:
+        _densify(slot)
     return slot[1]
+
+
+def _densify(slot):
+    """Replace a :class:`Pooled` gradient in ``slot`` by its own dense array."""
+    if isinstance(slot[1], Pooled):
+        slot[1], slot[2] = slot[1].dense(slot[0][2][0]), True
 
 
 def grad_check(function, point, eps=1e-5):

@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from febench import (ComputationRecord, KernelTooLongError, ShapeMismatchError,
                      Tensor, backward)
 from febench import ops
+from febench.tensor import Pooled
 from helpers import probe_sum
 
 
@@ -314,6 +315,40 @@ class TestConvolutionDeadRows:
                                        atol=tol * max(1.0, np.abs(b).max()))
 
 
+class TestConvolutionPooled:
+    """A :class:`Pooled` upstream gradient, as max-over-time pooling passes
+    it, gives the bytes that its dense array gives."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("need_dx", [True, False])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("t_len", ["k", 16, 128])
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_bit_identical_to_dense(self, dtype, need_dx, zero, t_len, k):
+        t_len = k if t_len == "k" else t_len
+        rng = np.random.default_rng([k, t_len, need_dx])
+        xd = rng.normal(size=(t_len, 128)).astype(dtype)
+        wd = rng.normal(0.0, 0.02, size=(k, 128, 100)).astype(dtype)
+        bd = rng.normal(0.0, 0.02, size=100).astype(dtype)
+        n = t_len - k + 1
+        out = _conv(xd, wd, bd)
+        for limit in sorted({1, (n + 1) // 2, n - 1 or 1, n}):
+            rows = out[:limit].argmax(axis=0)
+            # a third of the columns pass an upstream zero, as a column
+            # whose max is not positive gets from relu's backward
+            values = rng.normal(size=100).astype(dtype)
+            values[::3] = zero
+            for upstream in (values, np.full(100, zero, dtype=dtype)):
+                pooled = Pooled(rows, upstream)
+                got = _conv(xd, wd, bd, pooled, need_dx)
+                want = _conv(xd, wd, bd, pooled.dense(n), need_dx)
+                assert (got[1] is None) == (not need_dx)
+                for name, a, b in zip(("out", "dx", "gw", "gb"), got, want):
+                    if b is not None:
+                        assert a.dtype == b.dtype and a.shape == b.shape, name
+                        assert a.tobytes() == b.tobytes(), (name, limit)
+
+
 class TestMaxOverTime:
     def test_columnwise_max(self):
         x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0], [4.0, 4.0]]))
@@ -351,6 +386,30 @@ class TestEmbeddingLookup:
             grads = backward(ops.sum_all(out))
         np.testing.assert_array_equal(
             grads[table.tid], [[0, 0], [2, 2], [1, 1], [0, 0]])
+
+    @pytest.mark.parametrize("ids", [
+        np.array([5, 0, 0, 3, 0, 5, 0, 0, 0, 1] + [0] * 20),
+        np.array([[2, 2, 0, 0, 0], [7, 2, 0, 0, 0], [0, 0, 0, 0, 2]]),
+        np.array([], dtype=np.int64)], ids=["pad-runs", "2-d", "empty"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_bit_identical_to_add_at(self, ids, dtype):
+        """Each row sums its occurrences in id order, as ``np.add.at`` into
+        a zero table does, with the walk's ``table[rows] += values``."""
+        rng = np.random.default_rng([ids.size, ids.ndim])
+        table = Tensor.param(rng.normal(size=(8, 16)).astype(dtype))
+        g = rng.normal(size=ids.shape + (16,)).astype(dtype)
+        if ids.size:
+            g.reshape(-1, 16)[-1] = -0.0
+        with ComputationRecord() as record:
+            ops.embedding_lookup(table, ids=ids)
+            (update,) = record.entries[-1].backward_fn(g)
+        assert np.unique(update.rows).size == update.rows.size
+        got = np.zeros(table.shape, dtype=dtype)
+        got[update.rows] += update.values
+        want = np.zeros(table.shape, dtype=dtype)
+        np.add.at(want, ids, g)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
     def test_out_of_range_id(self):
         table = Tensor(np.zeros((4, 2)))

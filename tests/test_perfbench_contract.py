@@ -1,5 +1,6 @@
 """The names the benchmark tracer patches, and the names and result-file
-keys its workloads read, must exist in febench.
+keys its workloads read, must exist in febench, and a training step must
+keep the tape structure that the benchmark pins.
 
 ``perfbench/tracer.py`` wraps febench functions by module and attribute name,
 patches ``ComputationRecord.append`` and ``MemoryLedger.record_alloc`` /
@@ -9,11 +10,13 @@ records ``bench run`` writes; a rename in the package would otherwise only
 surface when the benchmark runs.
 """
 
+import configparser
 import importlib
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from febench import ops, training
@@ -38,6 +41,24 @@ def load_perfbench(name):
 
 TRACER = load_perfbench("tracer")
 WORKLOADS = load_perfbench("workloads")
+
+
+def _train_step_shapes():
+    """(workload, preset, mode, batch, max_len) of every kind of training
+    step that a benchmark workload takes."""
+    shapes = []
+    for name, workload in sorted(WORKLOADS.WORKLOADS.items()):
+        if isinstance(workload, WORKLOADS.TrainWorkload):
+            cells = [(workload.preset, workload.mode)]
+        else:
+            bench = configparser.ConfigParser(interpolation=None)
+            bench.read_string(WORKLOADS.BENCH_INI)
+            cells = [(bench[section]["preset"], bench[section]["mode"])
+                     for section in bench.sections()
+                     if section.startswith("cell:")]
+        shapes += [(name, preset, mode, workload.batch, workload.max_len)
+                   for preset, mode in cells]
+    return shapes
 
 
 @pytest.mark.parametrize("span", sorted(TRACER.SPANNED))
@@ -158,3 +179,28 @@ def test_run_benchmark_trains_through_the_module_attribute(tmp_path,
     outcome, _ = run_benchmark(config, repeats=2)
     assert len(seen) == 2
     assert seen == outcome.results[0]["seeds"]
+
+
+@pytest.mark.parametrize("workload, preset, mode, batch, max_len",
+                         _train_step_shapes())
+def test_train_step_makes_the_pinned_tape_entries(workload, preset, mode,
+                                                  batch, max_len):
+    """One traced ``train_step`` at a workload's shape appends as many
+    entries as ``perfbench/expected.json`` pins per step, so a change to the
+    tape's structure fails here and not only in the traced benchmark."""
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    want = expected["counts"][workload]["tensor.tape_entries_per_step"]["value"]
+    rng = np.random.default_rng(0)
+    encoder = Encoder.from_preset(preset, 50, seed=[0, 0], frozen=mode == "FE")
+    head = CnnHead.build(CnnHeadConfig(hidden=encoder.config.hidden,
+                                       classes=2), seed=[0, 1])
+    params = [p for p in (*encoder.weights.tensors.values(),
+                          *head.weights.tensors.values()) if p.requires_grad]
+    state = training.AdamState(ledger=MemoryLedger())
+    ids = rng.integers(1, 50, size=(batch, max_len))
+    valid = rng.integers(max_len // 2, max_len + 1, size=batch)
+    targets = rng.integers(0, 2, size=batch)
+    with TRACER.Tracer() as trace:
+        training.train_step(encoder, head, params, state, ids, valid, targets,
+                            "single_label", 1e-3)
+    assert trace.tape_entries == want

@@ -9,6 +9,7 @@ from febench import (ComputationRecord, MemoryLedger, NestedRecordError,
                      NoRecordError, NonScalarLossError, StaleRecordError,
                      Tensor, backward)
 from febench import ops
+from febench.tensor import Pooled
 from helpers import probe_sum
 
 
@@ -225,15 +226,92 @@ class TestDeferredGradients:
         table = Tensor.param(rng.normal(size=(5, 4)))
         w = Tensor.param(rng.normal(size=(4, 4)))
         b = Tensor.param(np.zeros(4))
+        pooled_leaf = Tensor.param(rng.normal(size=(3, 4)))
         with ComputationRecord():
             docs = []
             for ids in (np.array([0, 2, 2]), np.array([4, 0])):
                 x = ops.embedding_lookup(table, ids=ids)
                 docs.append(ops.linear(ops.matmul(x, w), w, b))
-            grads = backward(ops.sum_all(ops.gelu(ops.concat(docs))))
-        assert {table.tid, w.tid, b.tid} <= set(grads)
+            grads = backward(ops.add(
+                ops.sum_all(ops.gelu(ops.concat(docs))),
+                ops.sum_all(ops.max_over_time(pooled_leaf, limit=2))))
+        assert {table.tid, w.tid, b.tid, pooled_leaf.tid} <= set(grads)
         for g in grads.values():
             assert type(g) is np.ndarray
+
+
+class TestPooledGradients:
+    """The walk hands a lone ``Pooled`` gradient only to a conv closure."""
+
+    @staticmethod
+    def _received(record, index, log):
+        inner = record.entries[index].backward_fn
+        record.entries[index].backward_fn = lambda g: log.append(g) or inner(g)
+
+    def test_conv_then_pool_gets_the_winners(self):
+        """In the head's order the conv closure receives the pooled rows
+        and values, not a dense array."""
+        rng = np.random.default_rng(41)
+        x = Tensor(rng.normal(size=(12, 8)).astype(np.float32))
+        w = Tensor.param(rng.normal(size=(3, 8, 5)).astype(np.float32))
+        b = Tensor.param(np.zeros(5, dtype=np.float32))
+        coef = rng.normal(size=5).astype(np.float32)
+        log = []
+        with ComputationRecord() as rec:
+            conv = ops.conv1d_valid(x, w, b)
+            loss = probe_sum(ops.max_over_time(conv, limit=7), coef)
+            self._received(rec, 0, log)
+            backward(loss)
+        (g,) = log
+        assert type(g) is Pooled
+        np.testing.assert_array_equal(g.rows, conv.data[:7].argmax(axis=0))
+        np.testing.assert_array_equal(g.values, coef)
+
+    def test_relu_then_pool_gets_the_dense_array(self):
+        rng = np.random.default_rng(34)
+        x = Tensor.param(rng.normal(size=(6, 3)))
+        coef = rng.normal(size=3)
+        log = []
+        with ComputationRecord() as rec:
+            pooled = ops.max_over_time(ops.relu(x), limit=4)
+            self._received(rec, 0, log)
+            grads = backward(probe_sum(pooled, coef))
+        idx = np.maximum(x.data[:4], 0).argmax(axis=0)
+        want = np.zeros((6, 3))
+        want[idx, np.arange(3)] = coef
+        (g,) = log
+        assert type(g) is np.ndarray
+        np.testing.assert_array_equal(g, want)
+        np.testing.assert_array_equal(grads[x.tid], want * (x.data > 0))
+
+    def test_pooled_leaf_gets_the_dense_array(self):
+        x = Tensor.param(np.array([[1.0, -2.0], [3.0, -1.0], [9.0, 9.0]]))
+        with ComputationRecord() as rec:
+            grads = backward(probe_sum(ops.max_over_time(x, limit=2),
+                                       np.array([2.0, -0.5])))
+            assert rec.ledger.current("gradients") == (6 + 2 + 1) * 8
+        assert type(grads[x.tid]) is np.ndarray
+        np.testing.assert_array_equal(grads[x.tid], [[0, 0], [2, -0.5], [0, 0]])
+
+    def test_second_gradient_densifies(self):
+        """A conv output pooled twice hands its closure the dense sum."""
+        rng = np.random.default_rng(35)
+        x = Tensor(rng.normal(size=(10, 4)))
+        w = Tensor.param(rng.normal(size=(3, 4, 2)))
+        b = Tensor.param(np.zeros(2))
+        log = []
+        with ComputationRecord() as rec:
+            conv = ops.conv1d_valid(x, w, b)
+            loss = ops.add(ops.sum_all(ops.max_over_time(conv, limit=8)),
+                           ops.sum_all(ops.max_over_time(conv, limit=3)))
+            self._received(rec, 0, log)
+            backward(loss)
+        want = np.zeros((8, 2))
+        for limit in (8, 3):
+            want[conv.data[:limit].argmax(axis=0), np.arange(2)] += 1.0
+        (g,) = log
+        assert type(g) is np.ndarray
+        np.testing.assert_array_equal(g, want)
 
 
 class TestRecordLifecycle:
