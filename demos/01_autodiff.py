@@ -35,7 +35,7 @@ def main():
         hidden = ops.matmul(Tensor(np.array([[1.0, 2.0]])), weights)
         return ops.sum_all(ops.gelu(hidden))
 
-    error = grad_check(objective, [w], eps=1e-5)
+    error = grad_check(objective, [w])
     print(f"max relative error vs central differences: {error:.2e}")
 
     print()

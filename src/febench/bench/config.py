@@ -22,14 +22,19 @@ import configparser
 import dataclasses
 import hashlib
 import json
-import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from febench.encoders import PRESETS
+from febench.cnn import CnnHeadConfig, check_kernels
+from febench.encoders import preset_config
+from febench.training import RunConfig
 
 _CELL_ID = re.compile(r"^[A-Za-z0-9_.-]+$")
+# the smallest vocabulary a config accepts: the four reserved tokens and one
+# more; a cell's checks build its preset at this size, since they read only
+# the preset's kind and positions
+_MIN_VOCAB = 5
 
 
 class ConfigError(ValueError):
@@ -38,52 +43,48 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One (encoder preset, training mode) cell of the benchmark grid."""
+    """One (encoder preset, training mode) cell of the benchmark grid.
+
+    Defaults and value rules are the library's: a cell is valid when its
+    :class:`RunConfig`, its preset and its head's kernels are. Only the
+    rules that tie one to another are checked here.
+    """
 
     cell_id: str
     preset: str
     mode: str
     epochs: Optional[int] = None
     batch_size: Optional[int] = None
-    learning_rate: float = 5e-5
-    threshold: float = 0.5
-    max_len: int = 200
-    kernel_sizes: Tuple[int, ...] = (3, 4, 5, 6)
-    filters: int = 100
+    learning_rate: float = RunConfig.learning_rate
+    threshold: float = RunConfig.threshold
+    max_len: int = RunConfig.max_len
+    kernel_sizes: Tuple[int, ...] = CnnHeadConfig.kernel_sizes
+    filters: int = CnnHeadConfig.filters
 
     def __post_init__(self):
         if not _CELL_ID.match(self.cell_id):
             raise ConfigError(f"invalid cell id {self.cell_id!r}")
-        if self.preset not in PRESETS:
-            raise ConfigError(f"cell {self.cell_id!r}: unknown preset "
-                              f"{self.preset!r} (choose from "
-                              f"{sorted(PRESETS)})")
-        if self.mode not in ("FE", "FiT"):
-            raise ConfigError(f"cell {self.cell_id!r}: mode must be FE or "
-                              f"FiT, got {self.mode!r}")
-        if self.epochs is not None and self.epochs < 1:
-            raise ConfigError(f"cell {self.cell_id!r}: epochs must be >= 1")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"cell {self.cell_id!r}: batch must be >= 1")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(f"cell {self.cell_id!r}: lr must be finite "
-                              f"and > 0")
-        if not 0 < self.threshold < 1:
-            raise ConfigError(f"cell {self.cell_id!r}: threshold must be in "
-                              f"(0, 1)")
-        if self.max_len < 3:
-            raise ConfigError(f"cell {self.cell_id!r}: max_len must be >= 3")
-        if self.filters < 1:
-            raise ConfigError(f"cell {self.cell_id!r}: filters must be >= 1")
-        if (not self.kernel_sizes
-                or len(set(self.kernel_sizes)) != len(self.kernel_sizes)
-                or any(k < 1 for k in self.kernel_sizes)):
-            raise ConfigError(f"cell {self.cell_id!r}: kernels must be "
-                              f"distinct positive integers")
+        try:
+            self.run_config(1 if self.epochs is None else self.epochs)
+            preset = preset_config(self.preset, vocab_size=_MIN_VOCAB)
+            check_kernels(self.kernel_sizes, self.filters)
+        except ValueError as exc:
+            raise ConfigError(f"cell {self.cell_id!r}: {exc}") from None
         if self.max_len < max(self.kernel_sizes):
             raise ConfigError(f"cell {self.cell_id!r}: max_len "
                               f"{self.max_len} is shorter than the largest "
                               f"kernel {max(self.kernel_sizes)}")
+        if preset.kind == "transformer" and self.max_len > preset.max_positions:
+            raise ConfigError(
+                f"cell {self.cell_id!r}: max_len {self.max_len} exceeds the "
+                f"{self.preset} preset's {preset.max_positions} positions")
+
+    def run_config(self, epochs):
+        """The library's run config for this cell, trained for ``epochs``."""
+        return RunConfig(mode=self.mode, epochs=epochs,
+                         batch_size=self.batch_size,
+                         learning_rate=self.learning_rate,
+                         threshold=self.threshold, max_len=self.max_len)
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,8 @@ class BenchmarkConfig:
             raise ConfigError("repeats must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.vocab_size < 5:
-            raise ConfigError("vocab must be >= 5")
+        if self.vocab_size < _MIN_VOCAB:
+            raise ConfigError(f"vocab must be >= {_MIN_VOCAB}")
         if self.baseline is not None and self.baseline not in ids:
             raise ConfigError(f"baseline {self.baseline!r} is not a "
                               f"configured cell")

@@ -155,19 +155,17 @@ def load_results(path):
 
 def _baseline(records, baseline_cell):
     """The explicit baseline cell, or else the default one; None when the
-    grid has no default. An explicit baseline that cannot serve raises."""
+    grid has no default. An explicit baseline that is not a result cell
+    raises; one that failed or has no timing leaves relative times
+    unavailable."""
     if baseline_cell is None:
         try:
             return default_baseline(records)
         except ReportError:
             return None
-    by_id = {r["cell"]: r for r in records}
-    if baseline_cell not in by_id:
+    if baseline_cell not in {r["cell"] for r in records}:
         raise ReportError(f"baseline {baseline_cell!r} is not among the "
                           f"result cells")
-    if by_id[baseline_cell]["failed"]:
-        raise ReportError(f"baseline {baseline_cell!r} failed; choose "
-                          f"another cell")
     return baseline_cell
 
 

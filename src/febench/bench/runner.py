@@ -13,9 +13,9 @@ from febench.bench.config import (ConfigError, apply_overrides, config_hash,
 from febench.bench.report import (RESULTS_FILE, TIMING_FILE, TIMING_KEYS,
                                   emit_report, load_results, render_tsv)
 from febench.cnn import CnnHead, CnnHeadConfig
-from febench.encoders import Encoder, preset_config
+from febench.encoders import Encoder
 from febench.text import build_vocab, load_dataset
-from febench.training import RunConfig, default_epochs, run_experiment
+from febench.training import default_epochs, run_experiment
 
 OUT_ROOT_VAR = "BENCH_OUT_ROOT"
 
@@ -47,26 +47,9 @@ def _resolve_epochs(config, dataset):
     return resolved
 
 
-def _preflight(config):
-    for cell in config.cells:
-        preset = preset_config(cell.preset, vocab_size=_MIN_VOCAB)
-        if preset.kind == "transformer" and cell.max_len > preset.max_positions:
-            raise ConfigError(
-                f"cell {cell.cell_id!r}: max_len {cell.max_len} exceeds the "
-                f"{cell.preset} preset's {preset.max_positions} positions")
-
-
-_MIN_VOCAB = 5
-
-
 def _run_cell(cell, config, dataset, vocab, epochs):
     """The cell's results record; a cell whose training raises is recorded
     as failed, with its error."""
-    run_cfg = RunConfig(mode=cell.mode, epochs=epochs,
-                        batch_size=cell.batch_size,
-                        learning_rate=cell.learning_rate,
-                        threshold=cell.threshold, max_len=cell.max_len)
-
     def make_model(seed):
         encoder = Encoder.from_preset(cell.preset, vocab.size, seed=[seed, 0])
         head_cfg = CnnHeadConfig(hidden=encoder.config.hidden,
@@ -84,7 +67,8 @@ def _run_cell(cell, config, dataset, vocab, epochs):
               "failed": False, "error": None,
               "epoch_seconds": [], "total_seconds": None}
     try:
-        record.update(run_experiment(run_cfg, dataset, make_model, seeds))
+        record.update(run_experiment(cell.run_config(epochs), dataset,
+                                     make_model, seeds))
     except Exception as exc:
         record.update(failed=True, error=f"{type(exc).__name__}: {exc}")
     return record
@@ -92,7 +76,6 @@ def _run_cell(cell, config, dataset, vocab, epochs):
 
 def execute(config):
     """Run every cell; cells fail independently and siblings continue."""
-    _preflight(config)
     try:
         dataset = load_dataset(config.dataset_path)
     except (OSError, ValueError) as exc:
@@ -130,11 +113,12 @@ def write_outputs(outcome, out_dir):
 
     records = load_results(root)
     baseline = outcome.config.baseline
-    with open(root / "report.tsv", "w", encoding="utf-8") as fh:
-        fh.write(render_tsv(records, baseline_cell=baseline))
-    with open(root / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write(emit_report(records, baseline_cell=baseline,
-                             master_seed=outcome.config.seed))
+    # render both before opening either, so an error leaves no empty file
+    reports = {"report.tsv": render_tsv(records, baseline_cell=baseline),
+               "report.txt": emit_report(records, baseline_cell=baseline,
+                                         master_seed=outcome.config.seed)}
+    for name, text in reports.items():
+        (root / name).write_text(text, encoding="utf-8")
 
 
 def resolve_out_dir(path):

@@ -28,14 +28,20 @@ class CnnHeadConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kernel_sizes", tuple(self.kernel_sizes))
-        if not self.kernel_sizes or any(k < 1 for k in self.kernel_sizes):
-            raise ValueError("kernel sizes must be positive integers")
-        if len(set(self.kernel_sizes)) != len(self.kernel_sizes):
-            raise ValueError("kernel sizes must be distinct")
-        if self.filters < 1:
-            raise ValueError("filter count must be positive")
+        check_kernels(self.kernel_sizes, self.filters)
         if self.hidden < 1 or self.classes < 1:
             raise ValueError("hidden width and class count must be positive")
+
+
+def check_kernels(kernel_sizes, filters):
+    """The head's rule for its convolutions, which holds whatever its width
+    and classes: distinct positive kernel sizes and a positive filter count."""
+    if not kernel_sizes or any(k < 1 for k in kernel_sizes):
+        raise ValueError("kernel sizes must be positive integers")
+    if len(set(kernel_sizes)) != len(kernel_sizes):
+        raise ValueError("kernel sizes must be distinct")
+    if filters < 1:
+        raise ValueError("filter count must be positive")
 
 
 def feature_dim(config):

@@ -17,6 +17,9 @@ import numpy as np
 from . import ops
 from .tensor import ShapeMismatchError, WeightSet
 
+# feed-forward width in hidden widths, as in BERT and every preset
+FF_MULTIPLE = 4
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -25,7 +28,6 @@ class EncoderConfig:
     vocab_size: int
     layers: int = 0
     heads: int = 1
-    ff_size: int = None
     max_positions: int = 200
 
     def __post_init__(self):
@@ -39,10 +41,6 @@ class EncoderConfig:
             if self.hidden % self.heads != 0:
                 raise ValueError(
                     f"hidden {self.hidden} not divisible by {self.heads} heads")
-            if self.ff_size is None:
-                object.__setattr__(self, "ff_size", 4 * self.hidden)
-            if self.ff_size < 1:
-                raise ValueError("ff_size must be positive")
 
 
 def expected_shapes(config):
@@ -54,7 +52,7 @@ def expected_shapes(config):
     shapes["position_embedding"] = (config.max_positions, h)
     shapes["embedding_norm.scale"] = (h,)
     shapes["embedding_norm.offset"] = (h,)
-    f = config.ff_size
+    f = FF_MULTIPLE * h
     for i in range(config.layers):
         p = f"layer{i}"
         # attention projections are pure matrices: a key-projection bias is
@@ -152,10 +150,6 @@ class Encoder:
         encoder = cls.build(preset_config(name, vocab_size), seed)
         encoder.set_trainable(not frozen)
         return encoder
-
-    @property
-    def frozen(self):
-        return not next(iter(self.weights.tensors.values())).requires_grad
 
     def set_trainable(self, trainable):
         self.weights.set_trainable(trainable)

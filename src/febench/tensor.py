@@ -98,9 +98,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def numpy(self):
-        return self.data
-
     def __repr__(self):
         flags = []
         if self.requires_grad:
@@ -363,16 +360,19 @@ def _densify(slot):
         slot[1], slot[2] = slot[1].dense(slot[0][2][0]), True
 
 
-def grad_check(function, point, eps=1e-5):
+# central-difference step of grad_check, in float64
+GRAD_CHECK_STEP = 1e-5
+
+
+def grad_check(function, point):
     """Max relative error between taped gradients and central differences.
 
     ``function`` maps the tensors in ``point`` (passed positionally) to a
-    scalar Tensor.  The check runs in float64; ``point`` is copied, never
-    mutated.  Error per coordinate is |analytic - numeric| divided by
+    scalar Tensor.  The check runs in float64 with a step of
+    ``GRAD_CHECK_STEP``; ``point`` is copied, never mutated.  Error per
+    coordinate is |analytic - numeric| divided by
     max(1e-8, |analytic| + |numeric|).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     points = [Tensor(np.array(p.data if isinstance(p, Tensor) else p, dtype=np.float64),
                      requires_grad=True) for p in point]
     with ComputationRecord():
@@ -393,12 +393,12 @@ def grad_check(function, point, eps=1e-5):
         flat_grads = grads.reshape(-1)
         for j in range(flat.size):
             saved = flat[j]
-            flat[j] = saved + eps
+            flat[j] = saved + GRAD_CHECK_STEP
             f_plus = evaluate()
-            flat[j] = saved - eps
+            flat[j] = saved - GRAD_CHECK_STEP
             f_minus = evaluate()
             flat[j] = saved
-            numeric = (f_plus - f_minus) / (2.0 * eps)
+            numeric = (f_plus - f_minus) / (2.0 * GRAD_CHECK_STEP)
             a = flat_grads[j]
             err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
             max_err = max(max_err, err)

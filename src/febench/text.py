@@ -53,20 +53,17 @@ class Vocabulary:
         return [inverse[i] for i in range(self.size)]
 
 
-def build_vocab(corpus, max_size, min_freq=1):
+def build_vocab(corpus, max_size):
     """Keep the most frequent tokens (ties lexicographic) after the reserved four."""
     if max_size <= len(RESERVED):
         raise ValueError(f"max_size must exceed {len(RESERVED)} reserved slots")
-    if min_freq < 1:
-        raise ValueError("min_freq must be at least 1")
     corpus = list(corpus)
     if not corpus:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     counts = Counter()
     for text in corpus:
         counts.update(tokenize(text))
-    kept = sorted((tok for tok, n in counts.items() if n >= min_freq),
-                  key=lambda tok: (-counts[tok], tok))
+    kept = sorted(counts, key=lambda tok: (-counts[tok], tok))
     kept = kept[:max_size - len(RESERVED)]
     mapping = {tok: i for i, tok in enumerate(RESERVED)}
     for offset, tok in enumerate(kept):

@@ -46,6 +46,11 @@ EPOCH_DEFAULTS = {
 
 DEFAULT_BATCH = {"FE": 50, "FiT": 40}
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 # Elements per chunk of the in-place Adam update: its two float32 scratch
 # buffers take 512 KiB together, small next to any parameter worth chunking.
 ADAM_CHUNK = 65_536
@@ -115,9 +120,6 @@ class AdamState:
     Each moment pair is charged to ``ledger``, a new one if none is given.
     """
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -159,10 +161,10 @@ def adam_step(params, grad_map, state, lr):
                              f"so a flat view of it would be a copy")
         updates.append((param, grad))
     state.t += 1
-    decay1 = 1.0 - state.beta1
-    decay2 = 1.0 - state.beta2
-    correct1 = 1.0 - state.beta1 ** state.t
-    correct2 = 1.0 - state.beta2 ** state.t
+    decay1 = 1.0 - ADAM_BETA1
+    decay2 = 1.0 - ADAM_BETA2
+    correct1 = 1.0 - ADAM_BETA1 ** state.t
+    correct2 = 1.0 - ADAM_BETA2 ** state.t
     length = min(ADAM_CHUNK, max((param.data.size for param, _ in updates),
                                  default=0))
     scratch = {}
@@ -194,7 +196,7 @@ def adam_step(params, grad_map, state, lr):
             step *= lr
             np.divide(vc, correct2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += state.eps
+            denom += ADAM_EPS
             step /= denom
             pc -= step
 

@@ -86,7 +86,7 @@ def test_criterion_1_gradient_correctness():
         for seed in range(GRAD_POINTS):
             rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
             function, points = builder(rng)
-            error = grad_check(function, points, eps=1e-5)
+            error = grad_check(function, points)
             worst = max(worst, error)
             assert error < GRAD_TOLERANCE, (
                 f"{name} seed {seed}: relative error {error:.3e}")

@@ -12,17 +12,19 @@ import pytest
 
 import febench
 from febench.bench.cli import main
-from febench.bench.config import (_BENCH_FIELDS, _CELL_FIELDS, ConfigError,
-                                  apply_overrides, config_hash, load_config,
-                                  read_ini)
+from febench.bench.config import (_BENCH_FIELDS, _CELL_FIELDS, CellSpec,
+                                  ConfigError, apply_overrides, config_hash,
+                                  load_config, read_ini)
 from febench.bench.report import (ReportError, default_baseline, emit_report,
                                   format_hours, format_mib, format_percent,
                                   format_ratio, load_results, render_tsv)
 from febench.bench.runner import execute, resolve_out_dir, run_benchmark
 from febench.bench.synth import (_SPEC_FIELDS, SynthSpec, SynthesisError,
                                  load_synth_spec, make_synthetic)
+from febench.cnn import CnnHeadConfig
 from febench.metrics import label_density
 from febench.text import load_dataset, save_dataset
+from febench.training import RunConfig
 
 
 def write_config(tmp_path, body, name="bench.ini"):
@@ -130,13 +132,24 @@ class TestConfig:
         ("dataset = d\n[benchmark]\n\n[cell:a]\npreset = tiny\nmode = FE\n",
          "cannot parse"),
         ("[benchmark]\ndataset = d\n\n[cell:a]\npreset = tiny\nmode = FE\n"
-         "lr = inf\n", "lr must be finite"),
+         "lr = inf\n", "'a': learning_rate must be finite"),
+        ("[benchmark]\ndataset = d\n\n[cell:a]\npreset = tiny\nmode = FE\n"
+         "max_len = 201\n", "'a': max_len 201 exceeds the tiny preset's 200 "
+         "positions"),
         ("[benchmark]\ndataset = d\nseed = -1\n\n[cell:a]\npreset = tiny\n"
          "mode = FE\n", "seed must be >= 0"),
     ])
     def test_rejects(self, tmp_path, body, fragment):
         with pytest.raises(ConfigError, match=fragment):
             load_config(write_config(tmp_path, body))
+
+    @pytest.mark.parametrize("mode", ["FE", "FiT"])
+    def test_unset_cell_values_are_the_library_defaults(self, mode):
+        cell = CellSpec(cell_id="a", preset="tiny", mode=mode)
+        assert cell.run_config(3) == RunConfig(mode=mode, epochs=3)
+        head = CnnHeadConfig(hidden=8, classes=2)
+        assert (cell.kernel_sizes, cell.filters) == (head.kernel_sizes,
+                                                     head.filters)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -857,6 +870,41 @@ class TestCli:
         assert "max_len 4 is shorter than the largest kernel 6" in \
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("mode", "partial"), ("epochs", "0"), ("batch", "0"), ("lr", "inf"),
+        ("threshold", "1.5"), ("max_len", "2"), ("kernels", "3,3"),
+        ("filters", "0"), ("preset", "huge")])
+    def test_bad_cell_value_exits_two_at_load(self, tmp_path, capsys, key,
+                                              value):
+        """A cell value the library's config types reject stops the run at
+        load: the error names the cell and no output directory appears."""
+        data = synth_to_disk(tmp_path)
+        body = RUN_CONFIG.format(data=data, out=tmp_path / "out")
+        line = f"{key} = {value}"
+        body = (re.sub(rf"(?m)^{key} = .*$", line, body)
+                if f"\n{key} = " in body else body + line + "\n")
+        assert main(["run", str(write_config(tmp_path, body))]) == 2
+        assert "bench: error: cell 'stat-fe': " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_baseline_cell_keeps_both_reports(self, tmp_path, capsys):
+        """A configured baseline that fails at run time is reported like
+        any failed cell: exit 1, both reports written, relative times
+        unavailable."""
+        data = synth_to_disk(tmp_path)
+        body = RUN_CONFIG.format(data=data, out=tmp_path / "out").replace(
+            "vocab = 100\n", "vocab = 100\nbaseline = broken\n") + \
+            EXTRA_CELL.format(cell_id="broken", mode="FE", kernels="20")
+        assert main(["run", str(write_config(tmp_path, body))]) == 1
+        assert "broken (static/FE): FAILED (ShapeMismatchError" in \
+            capsys.readouterr().out
+        text = (tmp_path / "out" / "report.txt").read_text()
+        tsv = (tmp_path / "out" / "report.tsv").read_text()
+        assert "  broken: FAILED (ShapeMismatchError" in text
+        assert ("relative epoch time (baseline broken)\n"
+                "  unavailable (no baseline cell with timing)") in text
+        assert "broken\tstatic\tFE\tFAILED: ShapeMismatchError" in tsv
 
     def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
         data = synth_to_disk(tmp_path)

@@ -6,8 +6,8 @@ import pytest
 from febench import ComputationRecord, Tensor, backward
 from febench import ops
 from febench.encoders import (PRESETS, Encoder, EncoderConfig,
-                              encoder_forward, init_weights, param_count,
-                              preset_config)
+                              encoder_forward, expected_shapes, init_weights,
+                              param_count, preset_config)
 from febench.tensor import WeightSet
 
 
@@ -20,7 +20,9 @@ def tiny_config(**overrides):
 
 class TestConfig:
     def test_ff_defaults_to_four_h(self):
-        assert tiny_config().ff_size == 32
+        shapes = expected_shapes(tiny_config())
+        assert shapes["layer0.ff.grow.weight"] == (8, 32)
+        assert shapes["layer0.ff.shrink.weight"] == (32, 8)
 
     def test_heads_must_divide_hidden(self):
         with pytest.raises(ValueError, match="divisible"):
@@ -174,15 +176,14 @@ class TestFreezing:
         encoder = Encoder.build(tiny_config(), seed=0)
         tensors = encoder.weights.tensors.values()
         encoder.set_trainable(False)
-        assert encoder.frozen and not any(t.requires_grad for t in tensors)
+        assert not any(t.requires_grad for t in tensors)
         encoder.set_trainable(True)
-        assert not encoder.frozen and all(t.requires_grad for t in tensors)
+        assert all(t.requires_grad for t in tensors)
 
     @pytest.mark.parametrize("frozen", [True, False])
     def test_from_preset_sets_trainability_on_the_tensors(self, frozen):
         encoder = Encoder.from_preset("tiny", vocab_size=20, seed=0,
                                       frozen=frozen)
-        assert encoder.frozen == frozen
         assert all(t.requires_grad != frozen
                    for t in encoder.weights.tensors.values())
 
@@ -194,7 +195,8 @@ class TestPresets:
     def test_grid_dimensions(self, name, hidden, layers, heads):
         config = preset_config(name, vocab_size=50)
         assert (config.hidden, config.layers, config.heads) == (hidden, layers, heads)
-        assert config.ff_size == 4 * hidden
+        assert expected_shapes(config)["layer0.ff.grow.weight"] == (
+            hidden, 4 * hidden)
         assert config.max_positions == 200
 
     @pytest.mark.parametrize("name", sorted(PRESETS))

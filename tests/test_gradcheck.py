@@ -22,30 +22,24 @@ TOLERANCE = 1e-4
 def test_primitive_gradient(name, seed):
     rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
     fn, point = PRIMITIVE_GRAD_CASES[name](rng)
-    assert grad_check(fn, point, eps=1e-5) < TOLERANCE
+    assert grad_check(fn, point) < TOLERANCE
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_end_to_end_frozen_encoder_gradient(seed):
     """Loss through frozen transformer + CNN head, differentiated in the head."""
     fn, point = e2e_frozen_encoder_case(np.random.default_rng([seed, 1001]))
-    assert grad_check(fn, point, eps=1e-5) < TOLERANCE
+    assert grad_check(fn, point) < TOLERANCE
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_end_to_end_transformer_gradient(seed):
     """Loss differentiated through one full transformer block and the head."""
     fn, point = e2e_transformer_case(np.random.default_rng([seed, 1002]))
-    assert grad_check(fn, point, eps=1e-5) < TOLERANCE
+    assert grad_check(fn, point) < TOLERANCE
 
 
 def test_gradcheck_rejects_vector_output():
     from febench import NonScalarLossError, ops
     with pytest.raises(NonScalarLossError):
         grad_check(lambda x: ops.relu(x), [np.ones(3)])
-
-
-def test_gradcheck_rejects_bad_step():
-    from febench import ops
-    with pytest.raises(ValueError):
-        grad_check(lambda x: ops.sum_all(x), [np.ones(2)], eps=0.0)

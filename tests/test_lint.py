@@ -1,7 +1,12 @@
 """Source hygiene checks that need no installed linter."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from febench.cnn import CnnHeadConfig
+from febench.encoders import EncoderConfig
+from febench.training import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted([*ROOT.glob("src/febench/**/*.py"), *ROOT.glob("tests/*.py"),
@@ -44,4 +49,71 @@ def test_no_unused_module_level_imports():
     assert len(SOURCES) > 30
     found = {str(path.relative_to(ROOT)): names for path in SOURCES
              if (names := unused_module_imports(path.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+def retyped_defaults(source, defaults):
+    """(line, name) of each annotated class field and keyword default in
+    ``source`` whose value is a literal equal to ``defaults[name]``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        pairs = []
+        if isinstance(node, ast.ClassDef):
+            pairs = [(stmt.target.id, stmt.value) for stmt in node.body
+                     if isinstance(stmt, ast.AnnAssign) and stmt.value
+                     and isinstance(stmt.target, ast.Name)]
+        elif isinstance(node, ast.FunctionDef):
+            args = node.args
+            named = args.posonlyargs + args.args
+            pairs = [(a.arg, d) for a, d in zip(
+                named[len(named) - len(args.defaults):], args.defaults)]
+            pairs += [(a.arg, d) for a, d in zip(args.kwonlyargs,
+                                                 args.kw_defaults) if d]
+        for name, value in pairs:
+            try:
+                literal = ast.literal_eval(value)
+            except ValueError:
+                continue
+            if name in defaults and literal == defaults[name]:
+                found.append((value.lineno, name))
+    return sorted(found)
+
+
+def library_defaults():
+    """Each field default of the library's run, head and encoder configs.
+
+    ``None`` marks a value left unset, and each ``seed`` seeds its own
+    stream (a corpus, a grid, one run), so neither counts as a copy.
+    """
+    return {f.name: f.default
+            for config in (RunConfig, CnnHeadConfig, EncoderConfig)
+            for f in dataclasses.fields(config)
+            if f.default not in (dataclasses.MISSING, None) and f.name != "seed"}
+
+
+def test_default_scanner_flags_only_repeated_literals():
+    source = ("class Cell:\n"
+              "    max_len: int = 200\n"
+              "    filters: int = Head.filters\n"
+              "    threshold: float = 0.4\n"
+              "    other: int = 200\n"
+              "def run(kernel_sizes=(3, 4, 5, 6), *, learning_rate=5e-5,\n"
+              "        name='x'):\n"
+              "    pass\n")
+    defaults = {"max_len": 200, "filters": 100, "threshold": 0.5,
+                "kernel_sizes": (3, 4, 5, 6), "learning_rate": 5e-5}
+    assert retyped_defaults(source, defaults) == [
+        (2, "max_len"), (6, "kernel_sizes"), (6, "learning_rate")]
+
+
+def test_bench_retypes_no_library_default():
+    """A bench default that copies the library's literal falls out of step
+    when the library's default changes; it must read the library's value."""
+    defaults = library_defaults()
+    assert {"learning_rate", "threshold", "max_len", "kernel_sizes",
+            "filters"} <= set(defaults)
+    found = {str(path.relative_to(ROOT)): hits
+             for path in sorted(ROOT.glob("src/febench/bench/*.py"))
+             if (hits := retyped_defaults(path.read_text(encoding="utf-8"),
+                                          defaults))}
     assert found == {}

@@ -16,7 +16,7 @@ from helpers import probe_sum
 
 def run(fn, *args, **kwargs):
     with ComputationRecord():
-        return fn(*args, **kwargs).numpy()
+        return fn(*args, **kwargs).data
 
 
 class TestElementwise:
@@ -102,7 +102,7 @@ class TestLinearAlgebra:
     def test_matmul_value(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
         b = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_array_equal(run(ops.matmul, a, b), a.numpy())
+        np.testing.assert_array_equal(run(ops.matmul, a, b), a.data)
 
     def test_matmul_rejects_bad_inner_dim(self):
         with pytest.raises(ShapeMismatchError):
@@ -164,7 +164,7 @@ class TestNormalization:
         dx = inv * (gs - gs.mean(axis=-1, keepdims=True)
                     - xhat * (gs * xhat).mean(axis=-1, keepdims=True))
         lead = tuple(range(len(shape) - 1))
-        np.testing.assert_array_equal(out.numpy(), xhat * sd + od)
+        np.testing.assert_array_equal(out.data, xhat * sd + od)
         np.testing.assert_array_equal(grads[x.tid], dx)
         np.testing.assert_array_equal(grads[scale.tid], (g * xhat).sum(axis=lead))
         np.testing.assert_array_equal(grads[offset.tid], g.sum(axis=lead))
@@ -208,7 +208,7 @@ class TestConvolution:
             w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
             with ComputationRecord() as record:
                 out = ops.conv1d_valid(x, w, b)
-                dx = record.entries[-1].backward_fn(np.ones_like(out.numpy()))[0]
+                dx = record.entries[-1].backward_fn(np.ones_like(out.data))[0]
                 grads = backward(ops.sum_all(ops.gelu(out)))
             assert (dx is not None) == trainable
             assert (x.tid in grads) == trainable
@@ -260,7 +260,7 @@ def _conv(xd, wd, bd, g=None, need_dx=True):
     x = Tensor(xd, requires_grad=need_dx)
     w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
     with ComputationRecord() as record:
-        out = ops.conv1d_valid(x, w, b).numpy()
+        out = ops.conv1d_valid(x, w, b).data
         if g is None:
             return out
         return (out,) + record.entries[-1].backward_fn(g)
@@ -433,7 +433,7 @@ class TestAttention:
         v = Tensor(np.tile(rng.normal(size=8), (5, 1)))
         out = run(ops.scaled_dot_attention, q, k, v, num_heads=2,
                   valid_length=5)
-        np.testing.assert_allclose(out, v.numpy(), rtol=1e-5)
+        np.testing.assert_allclose(out, v.data, rtol=1e-5)
 
     def test_masked_keys_do_not_influence_output(self):
         """Prefix rows must match attention run on the truncated sequence alone."""

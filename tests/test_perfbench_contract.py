@@ -104,7 +104,8 @@ def test_train_workload_runs_without_problems(mode, tmp_path):
                                        train_docs=8, test_docs=4)
     state = workload.setup(1, tmp_path)
     encoder = state.args[2]
-    assert encoder.frozen == (mode == "FE")
+    assert all(t.requires_grad == (mode == "FiT")
+               for t in encoder.weights.tensors.values())
     workload.run(state)
     outcome = workload.finish(state)
     assert outcome.problems == []

@@ -38,12 +38,6 @@ class TestVocabulary:
         assert v.id_of("c") == 6
         assert v.size == 7
 
-    def test_min_freq_filters(self):
-        v = build_vocab(["a b", "a c"], max_size=10, min_freq=2)
-        assert "a" in v.token_to_id
-        assert "b" not in v.token_to_id
-        assert v.size == 5
-
     def test_max_size_truncates_by_frequency(self):
         v = build_vocab(["a b", "a c"], max_size=5)
         assert "a" in v.token_to_id

@@ -222,12 +222,12 @@ class TestAdam:
                      .astype(grad_dtype) * (step != 1) for shape in shapes]
             adam_step(params, {p.tid: g for p, g in zip(params, grads)},
                       state, lr=1e-3)
-            correct1 = 1.0 - state.beta1 ** state.t
-            correct2 = 1.0 - state.beta2 ** state.t
+            correct1 = 1.0 - 0.9 ** state.t
+            correct2 = 1.0 - 0.999 ** state.t
             for p, m, v, grad in zip(ref_params, ref_m, ref_v, grads):
-                m += (1.0 - state.beta1) * (grad - m)
-                v += (1.0 - state.beta2) * (grad * grad - v)
-                p -= 1e-3 * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+                m += (1.0 - 0.9) * (grad - m)
+                v += (1.0 - 0.999) * (grad * grad - v)
+                p -= 1e-3 * (m / correct1) / (np.sqrt(v / correct2) + 1e-8)
         for param, p, m, v in zip(params, ref_params, ref_m, ref_v):
             np.testing.assert_array_equal(param.data, p)
             np.testing.assert_array_equal(state.m[param.tid], m)
