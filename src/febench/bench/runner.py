@@ -14,7 +14,7 @@ from febench.bench.report import (RESULTS_FILE, TIMING_FILE, TIMING_KEYS,
                                   emit_report, load_results, render_tsv)
 from febench.cnn import CnnHead, CnnHeadConfig
 from febench.encoders import Encoder
-from febench.text import build_vocab, load_dataset
+from febench.text import build_vocab, load_dataset, tokenize
 from febench.training import default_epochs, run_experiment
 
 OUT_ROOT_VAR = "BENCH_OUT_ROOT"
@@ -45,6 +45,22 @@ def _resolve_epochs(config, dataset):
                 f"{dataset.name!r} has no default; set epochs explicitly")
         resolved[cell.cell_id] = epochs
     return resolved
+
+
+def _check_lengths(config, dataset):
+    """Refuse a cell that would encode a document, CLS and SEP included, to
+    fewer positions than its largest kernel.  Its max_len covers that
+    kernel, so only a short text can; documents count from 1."""
+    for split in ("train", "test"):
+        sizes = [len(tokenize(ex.text)) + 2 for ex in getattr(dataset, split)]
+        for cell in config.cells:
+            need = max(cell.kernel_sizes)
+            for i, size in enumerate(sizes, start=1):
+                if size < need:
+                    raise ConfigError(
+                        f"cell {cell.cell_id!r}: {split} document {i} encodes "
+                        f"to {size} positions, fewer than the largest kernel "
+                        f"{need}")
 
 
 def _run_cell(cell, config, dataset, vocab, epochs):
@@ -86,6 +102,7 @@ def execute(config):
             raise ConfigError(f"dataset {config.dataset_path!r} has an "
                               f"empty {split} split")
     epochs = _resolve_epochs(config, dataset)
+    _check_lengths(config, dataset)
     vocab = build_vocab([ex.text for ex in dataset.train],
                         max_size=config.vocab_size)
     return BenchmarkOutcome(config=config, results=[

@@ -90,7 +90,7 @@ def cnn_forward(config, weights, hidden, valid_length):
                       tensors["projection.bias"])
 
 
-def predict(logits, task_kind, threshold=0.5):
+def predict(logits, task_kind, threshold):
     """Predicted label-index set from a logit vector.
 
     Single-label: singleton argmax (first index on ties).  Multi-label:

@@ -20,12 +20,13 @@ A closure may return a gradient in a form other than a dense array (see
 return their weight gradient as stacked factors ``(a, g)``, meaning
 ``a.T @ g``, and :func:`embedding_lookup` a row-sparse update, which the
 walk reduces once per step, not once per document.  :func:`max_over_time`
-returns its input's gradient as the pooled winners, one row and value per
-column, and the walk hands them on as they are to :func:`conv1d_valid`,
-which gathers each filter's weight gradient from its one winning window
-instead of multiplying out a product.  The conv weight gradient and the
-1-d ``linear``'s outer product stay dense per document; deferred conv
-factors would keep each document's windows alive.
+returns its input's gradient as :class:`Pooled` winners, one row and value
+per column, which the walk passes as they are to :func:`conv1d_valid`; it
+gathers each filter's weight gradient from its one winning window instead of
+multiplying out a product.  Another closure reads them as numpy's dense
+array, through ``np.asarray`` where it calls ndarray methods.  The conv
+weight gradient and the 1-d ``linear``'s outer product stay dense per
+document; deferred conv factors would keep each document's windows alive.
 
 All primitives accept and return :class:`~febench.tensor.Tensor`; integer
 side inputs (token ids, class targets) are plain numpy arrays passed as
@@ -38,10 +39,27 @@ import math
 
 import numpy as np
 
-from .tensor import (Factors, KernelTooLongError, Pooled, RowSparse,
+from .tensor import (Factors, KernelTooLongError, RowSparse,
                      ShapeMismatchError, Tensor, current_record)
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+
+
+class Pooled:
+    """The [length, F] gradient that :func:`max_over_time` passes back,
+    ``values[j]`` at ``(rows[j], j)`` and zero elsewhere.  Numpy reads it as
+    that dense array, built anew per read, and ``nbytes`` is its size."""
+
+    __slots__ = ("rows", "values", "length", "nbytes")
+
+    def __init__(self, rows, values, length):
+        self.rows, self.values, self.length = rows, values, length
+        self.nbytes = length * values.nbytes
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros((self.length, self.values.size), dtype=self.values.dtype)
+        out[self.rows, np.arange(self.values.size)] = self.values
+        return out if dtype is None else out.astype(dtype, copy=False)
 
 
 def _emit(kind, inputs, out_data, backward_fn):
@@ -143,6 +161,7 @@ def layer_norm(x, scale, offset):
     sd = scale.data
 
     def bwd(g):
+        g = np.asarray(g)
         gs = g * sd
         dx = inv * (gs - gs.sum(axis=-1, keepdims=True) / h
                     - xhat * ((gs * xhat).sum(axis=-1, keepdims=True) / h))
@@ -159,15 +178,15 @@ def conv1d_valid(x, w, b):
     ``x`` needs no gradient (a frozen encoder's output), the backward closure
     returns ``None`` for it and skips computing it.
 
-    The backward takes the upstream gradient dense or as
-    :class:`~febench.tensor.Pooled` winners, as :func:`max_over_time`
-    passes it.  From winners, filter j's weight gradient is its winning
-    window times its value and its bias gradient the value, each bit for bit
-    what the dense form gives; the input gradient goes the dense way.  That
-    way multiplies through only the live windows, whose row of the upstream
-    gradient is not all zero: a dead row adds only exact zeros, so the
-    gradients equal the all-window formula's, up to the rounding of the BLAS
-    kernel chosen for the smaller product.
+    The backward takes the upstream gradient as a dense array or as the
+    :class:`Pooled` winners that :func:`max_over_time` passes.  From
+    winners, filter j's weight gradient is its winning window times its
+    value and its bias gradient the value, each bit for bit what the dense
+    form gives; the input gradient reads the winners' dense array and goes
+    the dense way.  That way multiplies through only the live windows, whose
+    row of the upstream gradient is not all zero: a dead row adds only exact
+    zeros, so the gradients equal the all-window formula's, up to the
+    rounding of the BLAS kernel chosen for the smaller product.
     """
     if x.data.ndim != 2 or w.data.ndim != 3:
         raise ShapeMismatchError(
@@ -208,7 +227,7 @@ def conv1d_valid(x, w, b):
             gw, gb = gw.reshape(k, h, f), g.values + 0.0
             if not need_dx:
                 return None, gw, gb
-            g = g.dense(n)
+            g = np.asarray(g)
             rows = np.flatnonzero(g.any(axis=1))
             g_live = g[rows]
         else:
@@ -236,7 +255,7 @@ def max_over_time(x, limit):
     """Columnwise max over the first ``limit`` rows of [T, F].
 
     The backward saves only the argmax and returns the input's gradient as
-    :class:`~febench.tensor.Pooled` winners, without a dense [T, F] array.
+    :class:`Pooled` winners, without a dense [T, F] array.
     """
     if x.data.ndim != 2:
         raise ShapeMismatchError(f"max_over_time needs [T, F], got {tuple(x.shape)}")
@@ -250,7 +269,7 @@ def max_over_time(x, limit):
     out = sub[idx, np.arange(f)]
 
     def bwd(g):
-        return (Pooled(idx, g),)
+        return (Pooled(idx, g, t_len),)
 
     return _emit("max_over_time", (x,), out, bwd)
 
@@ -278,7 +297,7 @@ def embedding_lookup(table, ids):
                                          return_counts=True)
         by_count = np.argsort(-counts, kind="stable")
         rows, starts, counts = rows[by_count], starts[by_count], counts[by_count]
-        g_flat = g.reshape(flat.size, shape[1])
+        g_flat = np.asarray(g).reshape(flat.size, shape[1])
         sums = np.zeros((rows.size, shape[1]), dtype=dtype)
         for r in range(counts[0] if counts.size else 0):
             m = np.count_nonzero(counts > r)
@@ -322,7 +341,7 @@ def scaled_dot_attention(q, k, v, num_heads, valid_length):
     out = (wts @ vh).transpose(1, 0, 2).reshape(t_len, h)
 
     def bwd(g):
-        gh = g.reshape(t_len, num_heads, d).transpose(1, 0, 2)
+        gh = np.asarray(g).reshape(t_len, num_heads, d).transpose(1, 0, 2)
         dv = wts.transpose(0, 2, 1) @ gh
         dwts = gh @ vh.transpose(0, 2, 1)
         ds = wts * (dwts - (dwts * wts).sum(axis=-1, keepdims=True)) * inv_scale
@@ -351,7 +370,7 @@ def concat(parts):
     splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
-        return tuple(np.split(g, splits, axis=0))
+        return tuple(np.split(np.asarray(g), splits, axis=0))
 
     return _emit("concat", parts, np.concatenate([p.data for p in parts], axis=0), bwd)
 
@@ -368,7 +387,7 @@ def stack(parts):
                 f"stack shapes differ: {[tuple(p.shape) for p in parts]}")
 
     def bwd(g):
-        return tuple(g[i] for i in range(len(parts)))
+        return tuple(np.asarray(g))
 
     return _emit("stack", parts, np.stack([p.data for p in parts]), bwd)
 
@@ -390,6 +409,7 @@ def linear(x, w, b):
             return wd @ g, np.outer(xd, g), g
     else:
         def bwd(g):
+            g = np.asarray(g)
             return g @ wd.T, Factors(xd, g), g.sum(axis=0)
 
     return _emit("linear", (x, w, b), xd @ wd + b.data, bwd)

@@ -8,7 +8,8 @@ reverse, once per record, and returns a map from tensor id to gradient for
 every leaf that requires one.  Frozen tensors (``requires_grad=False``)
 never receive gradients, and subgraphs reachable only through frozen tensors
 are not taped for backward at all.  Outside a record nothing is taped or
-charged, as in evaluation.
+charged, as in evaluation.  The walk reads no primitive's kind: it treats
+each gradient form alike, whichever primitive made it.
 
 The record is also the one owner of activation and gradient bytes: it
 charges every primitive output and every gradient of its walk to its
@@ -24,7 +25,6 @@ code paths in float64 and compares against central finite differences.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -91,10 +91,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def size(self):
-        return self.data.size
-
-    @property
     def dtype(self):
         return self.data.dtype
 
@@ -154,37 +150,17 @@ class RowSparse(NamedTuple):
     values: np.ndarray
 
 
-class Pooled(NamedTuple):
-    """A [T, F] gradient that is ``values[j]`` at ``(rows[j], j)`` and zero
-    elsewhere: what max-over-time pooling passes back."""
-
-    rows: np.ndarray
-    values: np.ndarray
-
-    def dense(self, length):
-        """The gradient as a [length, F] array."""
-        out = np.zeros((length, self.values.size), dtype=self.values.dtype)
-        out[self.rows, np.arange(self.values.size)] = self.values
-        return out
-
-
-# producer kinds whose closure reads a lone Pooled gradient of its output
-POOLED_CONSUMERS = frozenset({"conv1d_valid"})
-
-
 class _Entry:
     """A taped primitive, holding no tensor: its output's id, its closure,
-    whether that closure takes a :class:`Pooled` gradient, and per input
-    ``None`` if it needs no gradient, else the ``(tid, group, shape,
-    dtype)`` that backward reads of it."""
+    and per input ``None`` if it needs no gradient, else the ``(tid, group,
+    shape, dtype)`` that backward reads of it."""
 
-    __slots__ = ("inputs", "out_tid", "backward_fn", "takes_pooled")
+    __slots__ = ("inputs", "out_tid", "backward_fn")
 
-    def __init__(self, inputs, out_tid, backward_fn, takes_pooled):
+    def __init__(self, inputs, out_tid, backward_fn):
         self.inputs = inputs
         self.out_tid = out_tid
         self.backward_fn = backward_fn
-        self.takes_pooled = takes_pooled
 
 
 class ComputationRecord:
@@ -229,12 +205,12 @@ class ComputationRecord:
         return False
 
     def append(self, kind, inputs, output, backward_fn):
-        """Charge ``output`` and, if ``backward_fn`` is kept, tape the entry."""
+        """Charge ``output`` and, if ``backward_fn`` is kept, tape the entry;
+        ``kind`` names the primitive for observers and goes unread here."""
         if backward_fn is not None:
             refs = tuple([(t.tid, t.group, t.data.shape, t.data.dtype)
                           if t.requires_grad else None for t in inputs])
-            self.entries.append(_Entry(refs, output.tid, backward_fn,
-                                       kind in POOLED_CONSUMERS))
+            self.entries.append(_Entry(refs, output.tid, backward_fn))
         self.ledger.record_alloc("activations", output.data.nbytes)
         self._activation_bytes += output.data.nbytes
 
@@ -252,18 +228,18 @@ def backward(loss):
     until its block exits.  A second walk in the same record raises
     :class:`StaleRecordError`.
 
-    A closure may return a gradient in one of three forms besides a dense
-    array.  :class:`Factors` and :class:`RowSparse` let each parameter's
-    gradient be reduced once per step, not once per document: the walk
-    stacks a tensor's factors and multiplies them out once,
+    A closure may return a gradient as a dense array, in one of two
+    deferred forms, or as any array-like with an ``nbytes``.
+    :class:`Factors` and :class:`RowSparse` let each parameter's gradient be
+    reduced once per step, not once per document: the walk stacks a
+    tensor's factors and multiplies them out once,
     ``concatenate(a).T @ concatenate(g)``, when the tensor's producer needs
     its gradient or, for a parameter, at the end; it adds row-sparse updates
-    in place into the tensor's one dense gradient.  :class:`Pooled` holds
-    one value per column; the walk hands it as it is to a producer in
-    :data:`POOLED_CONSUMERS` when it is the tensor's only gradient, and
-    densifies it when a second gradient arrives, for any other producer and
-    for a leaf.  The record charges a pooled gradient as the dense array it
-    stands for.  Every value in the returned map is a dense array.
+    in place into the tensor's one dense gradient.  Any other gradient goes
+    as it is to the producer when it is the tensor's only gradient, so an
+    array-like reaches it undensified; numpy densifies one when it is added
+    to another gradient or reaches a leaf.  The record charges every gradient
+    by its ``nbytes``.  Every value in the returned map is a dense array.
     """
     if loss.data.ndim != 0:
         raise NonScalarLossError(f"loss must be scalar, got shape {tuple(loss.shape)}")
@@ -274,8 +250,8 @@ def backward(loss):
         raise StaleRecordError("record already walked; open a new one")
     record.walked = True
 
-    # slot layout: [(tid, group, shape, dtype), dense grad, a lone Pooled
-    # or None, owns_array, Factors list]
+    # slot layout: [(tid, group, shape, dtype), grad or None, owns_array,
+    # Factors list]
     loss_ref = (loss.tid, loss.group, loss.shape, loss.dtype)
     pending = {loss.tid: [loss_ref, np.ones((), dtype=loss.dtype), True, []]}
     held = Counter()
@@ -285,10 +261,8 @@ def backward(loss):
         slot = pending.pop(entry.out_tid, None)
         if slot is None:
             continue
-        grad = _reduce(slot, entry.takes_pooled)
-        _, group, shape, _ = slot[0]
-        held[group] += (math.prod(shape) * grad.values.itemsize
-                        if isinstance(grad, Pooled) else np.asarray(grad).nbytes)
+        grad = _reduce(slot)
+        held[slot[0][1]] += grad.nbytes
         for ref, g in zip(entry.inputs, entry.backward_fn(grad)):
             if g is None or ref is None:
                 continue
@@ -311,22 +285,19 @@ def backward(loss):
 def _accumulate(slot, g):
     """Add one closure's gradient for ``slot``'s tensor into the slot.
 
-    A dense array that a closure returned may be shared with another slot,
-    so it is only added into in place once the slot owns a copy.
+    A gradient that a closure returned may be shared with another slot, so
+    it is only added into in place once the slot owns a dense copy.
     """
     if isinstance(g, Factors):
         slot[3].append(g)
         return
-    _densify(slot)
-    if isinstance(g, Pooled) and slot[1] is not None:
-        g = g.dense(slot[0][2][0])
     if isinstance(g, RowSparse):
         # absent rows would only add exact zeros, as a dense table's do
         if slot[1] is None:
             _, _, shape, dtype = slot[0]
             slot[1] = np.zeros(shape, dtype=dtype)
         elif not slot[2]:
-            slot[1] = slot[1].copy()
+            slot[1] = np.array(slot[1])
         slot[2] = True
         slot[1][g.rows] += g.values
     elif slot[1] is None:
@@ -334,12 +305,11 @@ def _accumulate(slot, g):
     elif slot[2]:
         slot[1] += g
     else:
-        slot[1], slot[2] = slot[1] + g, True
+        slot[1], slot[2] = np.add(slot[1], g), True
 
 
-def _reduce(slot, keep_pooled=False):
-    """The slot's gradient, once its stacked factors are multiplied out:
-    dense, or a lone :class:`Pooled` if ``keep_pooled``."""
+def _reduce(slot):
+    """The slot's gradient, once its stacked factors are multiplied out."""
     factors = slot[3]
     if factors:
         slot[3] = []
@@ -349,15 +319,7 @@ def _reduce(slot, keep_pooled=False):
             a = np.concatenate([f.a for f in factors])
             g = np.concatenate([f.g for f in factors])
         _accumulate(slot, a.T @ g)
-    if not keep_pooled:
-        _densify(slot)
     return slot[1]
-
-
-def _densify(slot):
-    """Replace a :class:`Pooled` gradient in ``slot`` by its own dense array."""
-    if isinstance(slot[1], Pooled):
-        slot[1], slot[2] = slot[1].dense(slot[0][2][0]), True
 
 
 # central-difference step of grad_check, in float64

@@ -71,7 +71,7 @@ def build_vocab(corpus, max_size):
     return Vocabulary(mapping)
 
 
-def encode(text, vocab, max_len=200):
+def encode(text, vocab, max_len):
     """Token ids ``[CLS, ..., SEP, PAD...]`` of exactly ``max_len``, plus valid length.
 
     Content is truncated to ``max_len - 2`` tokens so the CLS/SEP wrapper

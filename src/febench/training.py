@@ -244,7 +244,7 @@ def train_step(encoder, head, params, state, ids_batch, valid_batch, targets,
     return value
 
 
-def evaluate(encoder, head, ids, valid, task_kind, threshold=0.5):
+def evaluate(encoder, head, ids, valid, task_kind, threshold):
     """Predicted label-index sets for an encoded test split.
 
     ``train`` calls it outside every record, so it tapes and charges nothing.

@@ -733,6 +733,17 @@ kernels = 2,3
 filters = 4
 """
 
+
+@pytest.fixture
+def unchecked_lengths(monkeypatch):
+    """A cell fails at run time only past every check that load and the
+    runner's length check make.  Lifting the length check lets the
+    kernel-20 ``broken`` cell below reach training, where its head raises
+    mid-run as an unforeseen fault would."""
+    monkeypatch.setattr("febench.bench.runner._check_lengths",
+                        lambda config, dataset: None)
+
+
 EXTRA_CELL = """
 [cell:{cell_id}]
 preset = static
@@ -777,7 +788,8 @@ class TestRunner:
         assert ((tmp_path / "r1" / "results.jsonl").read_bytes()
                 == (tmp_path / "r2" / "results.jsonl").read_bytes())
 
-    def test_failed_cell_preserves_siblings(self, tmp_path):
+    def test_failed_cell_preserves_siblings(self, tmp_path,
+                                            unchecked_lengths):
         data = synth_to_disk(tmp_path)
         body = RUN_CONFIG.format(data=data, out=tmp_path / "run") + \
             EXTRA_CELL.format(cell_id="broken", mode="FE", kernels="20")
@@ -792,7 +804,7 @@ class TestRunner:
         assert len(marked) == 1
         assert "FAILED" in (out_dir / "report.txt").read_text()
 
-    def test_failed_cell_is_untimed(self, tmp_path):
+    def test_failed_cell_is_untimed(self, tmp_path, unchecked_lengths):
         data = synth_to_disk(tmp_path)
         body = RUN_CONFIG.format(data=data, out=tmp_path / "run") + \
             EXTRA_CELL.format(cell_id="broken", mode="FE", kernels="20")
@@ -848,7 +860,8 @@ class TestCli:
         assert main(["report", str(tmp_path / "out")]) == 0
         assert "provenance" in capsys.readouterr().out
 
-    def test_run_exit_one_on_cell_failure(self, tmp_path, capsys):
+    def test_run_exit_one_on_cell_failure(self, tmp_path, capsys,
+                                          unchecked_lengths):
         data = synth_to_disk(tmp_path)
         body = RUN_CONFIG.format(data=data, out=tmp_path / "out") + \
             EXTRA_CELL.format(cell_id="broken", mode="FE", kernels="20")
@@ -871,6 +884,29 @@ class TestCli:
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("split, short", [("train", 3), ("test", 1)])
+    def test_short_document_exits_two_before_any_cell(self, tmp_path, capsys,
+                                                      split, short):
+        """A document that a cell would encode to fewer positions than its
+        largest kernel stops the run before any cell trains; the error
+        names the cell, the split and the first such document."""
+        data = synth_to_disk(tmp_path)
+        path = data / f"{split}.jsonl"
+        lines = path.read_text().splitlines()
+        for at in (short, short + 1):
+            record = json.loads(lines[at - 1])
+            lines[at - 1] = json.dumps({"text": "hi",
+                                        "labels": record["labels"]})
+        path.write_text("\n".join(lines) + "\n")
+        body = RUN_CONFIG.format(data=data, out=tmp_path / "out").replace(
+            "max_len = 12", "max_len = 16").replace("kernels = 2,3",
+                                                     "kernels = 3,6")
+        assert main(["run", str(write_config(tmp_path, body))]) == 2
+        assert (f"bench: error: cell 'stat-fe': {split} document {short} "
+                f"encodes to 3 positions, fewer than the largest kernel 6"
+                ) in capsys.readouterr().err
+        assert not (tmp_path / "out" / "results.jsonl").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("mode", "partial"), ("epochs", "0"), ("batch", "0"), ("lr", "inf"),
         ("threshold", "1.5"), ("max_len", "2"), ("kernels", "3,3"),
@@ -888,7 +924,8 @@ class TestCli:
         assert "bench: error: cell 'stat-fe': " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_failed_baseline_cell_keeps_both_reports(self, tmp_path, capsys):
+    def test_failed_baseline_cell_keeps_both_reports(self, tmp_path, capsys,
+                                                     unchecked_lengths):
         """A configured baseline that fails at run time is reported like
         any failed cell: exit 1, both reports written, relative times
         unavailable."""

@@ -209,10 +209,10 @@ class TestPoolBeforeRelu:
 
 class TestPredict:
     def test_single_label_argmax(self):
-        assert predict(np.array([0.1, 2.0, -1.0]), "single_label") == {1}
+        assert predict(np.array([0.1, 2.0, -1.0]), "single_label", 0.5) == {1}
 
     def test_single_label_tie_takes_lowest_index(self):
-        assert predict(np.array([3.0, 3.0, 1.0]), "single_label") == {0}
+        assert predict(np.array([3.0, 3.0, 1.0]), "single_label", 0.5) == {0}
 
     def test_multi_label_threshold(self):
         """sigmoid(0) = 0.5 meets a 0.5 threshold; strongly negative does not."""
@@ -220,7 +220,7 @@ class TestPredict:
                        threshold=0.5) == {0, 1}
 
     def test_multi_label_may_be_empty(self):
-        assert predict(np.full(4, -10.0), "multi_label") == set()
+        assert predict(np.full(4, -10.0), "multi_label", 0.5) == set()
 
     def test_multi_label_threshold_bounds(self):
         with pytest.raises(ValueError):
@@ -228,7 +228,8 @@ class TestPredict:
 
     def test_accepts_tensor_input(self):
         with ComputationRecord():
-            assert predict(Tensor(np.array([0.0, 5.0])), "single_label") == {1}
+            assert predict(Tensor(np.array([0.0, 5.0])), "single_label",
+                           0.5) == {1}
 
     def test_argmax_of_softmax_equals_argmax_of_logits(self):
         rng = np.random.default_rng(20)

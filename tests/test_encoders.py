@@ -53,7 +53,7 @@ class TestParamCount:
     def test_matches_actual_tensor_sizes(self):
         config = tiny_config(layers=2)
         weights = init_weights(config, seed=0)
-        total = sum(t.size for t in weights.tensors.values())
+        total = sum(t.data.size for t in weights.tensors.values())
         assert total == param_count(config)
 
 

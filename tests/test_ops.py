@@ -10,7 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from febench import (ComputationRecord, KernelTooLongError, ShapeMismatchError,
                      Tensor, backward)
 from febench import ops
-from febench.tensor import Pooled
+from febench.ops import Pooled
 from helpers import probe_sum
 
 
@@ -339,9 +339,9 @@ class TestConvolutionPooled:
             values = rng.normal(size=100).astype(dtype)
             values[::3] = zero
             for upstream in (values, np.full(100, zero, dtype=dtype)):
-                pooled = Pooled(rows, upstream)
+                pooled = Pooled(rows, upstream, n)
                 got = _conv(xd, wd, bd, pooled, need_dx)
-                want = _conv(xd, wd, bd, pooled.dense(n), need_dx)
+                want = _conv(xd, wd, bd, np.asarray(pooled), need_dx)
                 assert (got[1] is None) == (not need_dx)
                 for name, a, b in zip(("out", "dx", "gw", "gb"), got, want):
                     if b is not None:
@@ -371,6 +371,49 @@ class TestMaxOverTime:
             run(ops.max_over_time, x, limit=0)
         with pytest.raises(ShapeMismatchError):
             run(ops.max_over_time, x, limit=4)
+
+
+# every primitive whose output can be pooled, on float64 x [6, 4], w [4, 4]
+# and b [4]
+POOL_PRODUCERS = {
+    "matmul": lambda x, w, b: ops.matmul(x, w),
+    "add": lambda x, w, b: ops.add(x, x),
+    "relu": lambda x, w, b: ops.relu(x),
+    "gelu": lambda x, w, b: ops.gelu(x),
+    "layer_norm": lambda x, w, b: ops.layer_norm(x, b, b),
+    "embedding_lookup": lambda x, w, b: ops.embedding_lookup(
+        x, ids=np.array([3, 0, 3, 1, 5, 2])),
+    "scaled_dot_attention": lambda x, w, b: ops.scaled_dot_attention(
+        x, x, x, num_heads=2, valid_length=5),
+    "concat": lambda x, w, b: ops.concat([x, x]),
+    "stack": lambda x, w, b: ops.stack([b, b, b]),
+    "linear": lambda x, w, b: ops.linear(x, w, b),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_PRODUCERS))
+def test_every_producer_takes_the_pooled_gradient(name):
+    """A producer whose output is pooled gets the same gradients from the
+    :class:`Pooled` winners as from their dense array."""
+    rng = np.random.default_rng(43)
+    point = [Tensor.param(rng.normal(size=shape))
+             for shape in ((6, 4), (4, 4), (4,))]
+    coef = rng.normal(size=4)
+    runs = []
+    for pooled in (True, False):
+        with ComputationRecord():
+            out = POOL_PRODUCERS[name](*point)
+            limit = out.shape[0] - 1
+            if pooled:
+                loss = probe_sum(ops.max_over_time(out, limit=limit), coef)
+            else:
+                dense = np.zeros(out.shape)
+                dense[out.data[:limit].argmax(axis=0), np.arange(4)] = coef
+                loss = probe_sum(out, dense)
+            runs.append(backward(loss))
+    assert runs[0].keys() == runs[1].keys()
+    for tid, g in runs[0].items():
+        np.testing.assert_array_equal(g, runs[1][tid])
 
 
 class TestEmbeddingLookup:

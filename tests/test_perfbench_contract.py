@@ -136,10 +136,14 @@ kernels = 20
 """
 
 
-def test_result_files_keep_the_keys_the_cli_workload_reads(tmp_path):
+def test_result_files_keep_the_keys_the_cli_workload_reads(tmp_path,
+                                                           monkeypatch):
     """``CliWorkload.finish`` reads ``cell``, ``failed``, ``error`` and
     ``peak_bytes`` from results.jsonl and ``epoch_seconds`` from
-    timing.jsonl, for a finished and a failed cell alike."""
+    timing.jsonl, for a finished and a failed cell alike.  The length check
+    is lifted so that the kernel-20 cell fails at run time."""
+    monkeypatch.setattr("febench.bench.runner._check_lengths",
+                        lambda config, dataset: None)
     save_dataset(make_synthetic(SynthSpec(classes=2, train_docs=8,
                                           test_docs=4, vocab=10, doc_len=8,
                                           seed=1)), tmp_path / "data")

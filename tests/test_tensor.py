@@ -9,7 +9,8 @@ from febench import (ComputationRecord, MemoryLedger, NestedRecordError,
                      NoRecordError, NonScalarLossError, StaleRecordError,
                      Tensor, backward)
 from febench import ops
-from febench.tensor import Pooled
+from febench.ops import Pooled
+from febench.tensor import current_record
 from helpers import probe_sum
 
 
@@ -240,8 +241,86 @@ class TestDeferredGradients:
             assert type(g) is np.ndarray
 
 
+class _Spike:
+    """A test-local array-like gradient: ``value`` at ``index`` of a zero
+    array of ``shape``.  The walk may read only ``__array__`` and
+    ``nbytes``; ``reads`` counts the latter."""
+
+    def __init__(self, shape, index, value):
+        self.shape, self.index, self.value = shape, index, value
+        self.reads = 0
+
+    @property
+    def nbytes(self):
+        self.reads += 1
+        return np.zeros(self.shape).nbytes
+
+    def __array__(self, dtype=None, copy=None):
+        out = np.zeros(self.shape, dtype=dtype)
+        out[self.index] = self.value
+        return out
+
+
+def spike(x, *spikes):
+    """Identity on float64 ``x``, whose closure passes back the given
+    :class:`_Spike` gradients, one after another, whatever its upstream."""
+    out = Tensor(x.data.copy(), requires_grad=x.requires_grad)
+    queue = list(spikes)
+    current_record().append("spike", (x,), out, lambda g: (queue.pop(0),))
+    return out
+
+
+class TestArrayLikeGradients:
+    """The walk's contract for a gradient that is neither an array nor a
+    deferred form: passed on as it is, added and densified by numpy,
+    charged by its ``nbytes``."""
+
+    def test_lone_one_reaches_its_producer_unchanged(self):
+        x = Tensor.param(np.array([[1.0, -2.0], [3.0, 4.0]]))
+        one = _Spike((2, 2), (1, 0), 5.0)
+        log = []
+        with ComputationRecord() as rec:
+            loss = ops.sum_all(spike(ops.relu(x), one))
+            TestPooledGradients._received(rec, 0, log)
+            grads = backward(loss)
+            # loss, spike output, relu output (the spike's nbytes), x
+            assert rec.ledger.current("gradients") == 8 + 3 * 32
+        assert log == [one] and log[0] is one
+        assert one.reads == 1
+        np.testing.assert_array_equal(grads[x.tid], [[0, 0], [5, 0]])
+
+    def test_two_that_meet_are_added(self):
+        x = Tensor.param(np.ones((2, 3)))
+        first, second = _Spike((2, 3), (1, 2), 2.0), _Spike((2, 3), (1, 2), 0.5)
+        log = []
+        with ComputationRecord() as rec:
+            y = ops.relu(x)
+            loss = ops.add(ops.sum_all(spike(y, first)),
+                           ops.sum_all(spike(y, second)))
+            TestPooledGradients._received(rec, 0, log)
+            grads = backward(loss)
+        (g,) = log
+        assert type(g) is np.ndarray
+        want = np.zeros((2, 3))
+        want[1, 2] = 2.5
+        np.testing.assert_array_equal(g, want)
+        np.testing.assert_array_equal(grads[x.tid], want)
+
+    def test_one_at_a_leaf_is_densified_and_charged(self):
+        x = Tensor.param(np.zeros((3, 2)))
+        one = _Spike((3, 2), (2, 0), -1.5)
+        with ComputationRecord() as rec:
+            grads = backward(ops.sum_all(spike(x, one)))
+            # loss, spike output, and x's dense array
+            assert rec.ledger.current("gradients") == 8 + 2 * 48
+        assert type(grads[x.tid]) is np.ndarray
+        np.testing.assert_array_equal(grads[x.tid], [[0, 0], [0, 0], [-1.5, 0]])
+
+
 class TestPooledGradients:
-    """The walk hands a lone ``Pooled`` gradient only to a conv closure."""
+    """``max_over_time`` passes its winners as a :class:`Pooled`: the walk
+    hands a lone one to the producer as it is, and numpy densifies it
+    wherever it is read as an array."""
 
     @staticmethod
     def _received(record, index, log):
@@ -280,8 +359,7 @@ class TestPooledGradients:
         want = np.zeros((6, 3))
         want[idx, np.arange(3)] = coef
         (g,) = log
-        assert type(g) is np.ndarray
-        np.testing.assert_array_equal(g, want)
+        np.testing.assert_array_equal(np.asarray(g), want)
         np.testing.assert_array_equal(grads[x.tid], want * (x.data > 0))
 
     def test_pooled_leaf_gets_the_dense_array(self):

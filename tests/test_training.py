@@ -456,7 +456,7 @@ class TestEvaluate:
         encoder, head, vocab = toy_model(12, dataset, classes=2)
         ids, valid, _ = encode_examples(dataset.test, vocab, 12,
                                         dataset.label_space, "single_label")
-        preds = evaluate(encoder, head, ids, valid, "single_label")
+        preds = evaluate(encoder, head, ids, valid, "single_label", 0.5)
         assert len(preds) == len(dataset.test)
         assert all(len(p) == 1 for p in preds)
 
