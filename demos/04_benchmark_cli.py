@@ -67,8 +67,9 @@ def main():
               f"cells")
         print()
 
-        outcome, out_dir = run_benchmark(config_path)
-        print(f"all cells succeeded: {outcome.ok}")
+        records, out_dir = run_benchmark(config_path)
+        ok = not any(record["failed"] for record in records)
+        print(f"all cells succeeded: {ok}")
         print()
         print((out_dir / "report.txt").read_text())
 

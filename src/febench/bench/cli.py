@@ -1,10 +1,12 @@
 """The ``bench`` command line.
 
-Subcommands: ``run`` executes a benchmark config, ``synth`` generates a
-synthetic dataset from a spec file, ``report`` re-renders the table document
-from previously written results. Exit codes: 0 success, 1 at least one cell
-failed (partial results are preserved with FAILED markers), 2 bad
-configuration or arguments.
+Subcommands: ``run`` executes a benchmark config and prints one line per
+cell, ``synth`` generates a synthetic dataset from a spec file, ``report``
+prints the table document rendered from a run's result files alone, which
+is the run's ``report.txt`` byte for byte unless ``--baseline`` moves the
+relative-time anchor. Exit codes: 0 success, 1 at least one cell failed
+(partial results are preserved with FAILED markers), 2 bad configuration or
+arguments.
 
 Relative output paths resolve under ``$BENCH_OUT_ROOT`` when that variable
 is set.
@@ -31,14 +33,14 @@ def _cell_summary(record):
 
 
 def _cmd_run(args):
-    outcome, out_dir = run_benchmark(args.config, seed=args.seed,
+    records, out_dir = run_benchmark(args.config, seed=args.seed,
                                      repeats=args.repeats, out=args.out)
-    for record in outcome.results:
+    for record in records:
         print(f"{record['cell']} ({record['preset']}/{record['mode']}): "
               f"{_cell_summary(record)}")
     print(f"results written to {out_dir}")
-    if not outcome.ok:
-        failed = [r["cell"] for r in outcome.results if r["failed"]]
+    failed = [r["cell"] for r in records if r["failed"]]
+    if failed:
         print(f"bench: {len(failed)} cell(s) failed: "
               f"{', '.join(failed)}", file=sys.stderr)
         return 1

@@ -95,7 +95,6 @@ class BenchmarkConfig:
     seed: int = 0
     out_dir: str = "bench-out"
     vocab_size: int = 30000
-    baseline: Optional[str] = None
 
     def __post_init__(self):
         if not self.cells:
@@ -109,9 +108,6 @@ class BenchmarkConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.vocab_size < _MIN_VOCAB:
             raise ConfigError(f"vocab must be >= {_MIN_VOCAB}")
-        if self.baseline is not None and self.baseline not in ids:
-            raise ConfigError(f"baseline {self.baseline!r} is not a "
-                              f"configured cell")
 
 
 def read_ini(path, error, what):
@@ -169,7 +165,6 @@ _BENCH_FIELDS = {
     "seed": ("seed", INTEGER),
     "out": ("out_dir", TEXT),
     "vocab": ("vocab_size", INTEGER),
-    "baseline": ("baseline", TEXT),
 }
 _CELL_FIELDS = {
     "preset": ("preset", TEXT),
@@ -226,12 +221,13 @@ def config_hash(config):
     """
     payload = {
         "dataset": config.dataset_path,
-        # constant, so results written while a format key existed keep theirs
+        # constants, so results written while the format and baseline keys
+        # existed, with both unset, keep their digest
         "format": None,
+        "baseline": None,
         "repeats": config.repeats,
         "seed": config.seed,
         "vocab": config.vocab_size,
-        "baseline": config.baseline,
         "cells": [dataclasses.asdict(c) for c in config.cells],
     }
     blob = json.dumps(payload, sort_keys=True).encode()

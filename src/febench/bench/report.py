@@ -3,7 +3,9 @@
 Three audiences share one set of numbers: ``results.jsonl`` holds the
 deterministic per-cell records, ``timing.jsonl`` the wall-clock measurements
 (kept apart so reruns with the same config and seed produce byte-identical
-result records), and the TSV/text tables render the merged view.
+result records), and the TSV/text tables render the merged view. The tables
+read nothing but those two files, so ``bench report <dir>`` prints the
+``report.txt`` that ``bench run`` wrote there.
 
 These files come from outside the program, so :func:`load_results` checks
 every record on load: each key the runner writes, with the JSON type it
@@ -11,11 +13,11 @@ writes. A malformed line raises :class:`ReportError` naming the file, the
 line and the cell, before any table is built.
 """
 
-import json
 import math
 from pathlib import Path
 
 from febench.encoders import PRESETS, param_count, preset_config
+from febench.text import read_jsonl
 
 _METRIC_ORDER = ("accuracy", "precision", "recall", "f1")
 _NOMINAL_VOCAB = 30000
@@ -109,21 +111,14 @@ def _check(record, keys, where):
                               f"missing or not {kind}")
 
 
-def _read_jsonl(path):
+def _read_records(path):
     """``(path:line, object)`` per non-blank line, each naming its ``cell``."""
     records = []
-    with open(path, "rb") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise ReportError(f"{path}:{number}: {exc}") from None
-            if not isinstance(record, dict) or "cell" not in record:
-                raise ReportError(f"{path}:{number}: not an object with a "
-                                  f"'cell' key")
-            records.append((f"{path}:{number}", record))
+    for number, record in read_jsonl(path, ReportError):
+        if not isinstance(record, dict) or "cell" not in record:
+            raise ReportError(f"{path}:{number}: not an object with a "
+                              f"'cell' key")
+        records.append((f"{path}:{number}", record))
     return records
 
 
@@ -136,10 +131,10 @@ def load_results(path):
     results_path = root / RESULTS_FILE if root.is_dir() else root
     if not results_path.exists():
         raise ReportError(f"no results at {results_path}")
-    results = _read_jsonl(results_path)
+    results = _read_records(results_path)
     timing_path = results_path.parent / TIMING_FILE
     timing = {}
-    for where, entry in (_read_jsonl(timing_path) if timing_path.exists()
+    for where, entry in (_read_records(timing_path) if timing_path.exists()
                          else []):
         entry.setdefault("total_seconds", None)
         _check(entry, TIMING_KEYS, where)
@@ -232,7 +227,7 @@ def _metric_cell(row, name):
                                                     entry["std"])
 
 
-def emit_report(records, baseline_cell=None, master_seed=None):
+def emit_report(records, baseline_cell=None):
     """Build the human-readable table document."""
     baseline, rows = _rows(records, baseline_cell)
     names = _metric_names(records)
@@ -271,11 +266,9 @@ def emit_report(records, baseline_cell=None, master_seed=None):
                      for row in failed] + [""])
 
     hashes = {r["config_hash"] for r in records}
-    lines += ["provenance", "  config hash: "
-              + (hashes.pop() if len(hashes) == 1 else "mixed")]
-    if master_seed is not None:
-        lines.append(f"  master seed: {master_seed}")
     lines += [
+        "provenance",
+        "  config hash: " + (hashes.pop() if len(hashes) == 1 else "mixed"),
         "  run seeds: " + "; ".join(f"{row['cell']}: {row['seeds']}"
                                     for row in rows),
         "  precision: float32 training arithmetic",

@@ -1,12 +1,9 @@
-"""Execute a benchmark grid and write its result files."""
-
-from __future__ import annotations
+"""Execute a benchmark grid and write its result files, and the reports
+that ``bench report`` renders again from those files alone."""
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
-from typing import List
 
 from febench.bench.config import (ConfigError, apply_overrides, config_hash,
                                   load_config)
@@ -18,19 +15,6 @@ from febench.text import build_vocab, load_dataset, tokenize
 from febench.training import default_epochs, run_experiment
 
 OUT_ROOT_VAR = "BENCH_OUT_ROOT"
-
-
-@dataclass
-class BenchmarkOutcome:
-    """The config that ran and one results record per cell, in config
-    order; each record also carries the cell's timing keys."""
-
-    config: object
-    results: List[dict]
-
-    @property
-    def ok(self):
-        return not any(r["failed"] for r in self.results)
 
 
 def _resolve_epochs(config, dataset):
@@ -50,7 +34,8 @@ def _resolve_epochs(config, dataset):
 def _check_lengths(config, dataset):
     """Refuse a cell that would encode a document, CLS and SEP included, to
     fewer positions than its largest kernel.  Its max_len covers that
-    kernel, so only a short text can; documents count from 1."""
+    kernel, so only a short text can.  Documents count from 1 in file
+    order; the loader skips blank lines, so the count is not a line number."""
     for split in ("train", "test"):
         sizes = [len(tokenize(ex.text)) + 2 for ex in getattr(dataset, split)]
         for cell in config.cells:
@@ -58,9 +43,9 @@ def _check_lengths(config, dataset):
             for i, size in enumerate(sizes, start=1):
                 if size < need:
                     raise ConfigError(
-                        f"cell {cell.cell_id!r}: {split} document {i} encodes "
-                        f"to {size} positions, fewer than the largest kernel "
-                        f"{need}")
+                        f"cell {cell.cell_id!r}: {split}.jsonl document {i} "
+                        f"(blank lines not counted) encodes to {size} "
+                        f"positions, fewer than the largest kernel {need}")
 
 
 def _run_cell(cell, config, dataset, vocab, epochs):
@@ -91,7 +76,8 @@ def _run_cell(cell, config, dataset, vocab, epochs):
 
 
 def execute(config):
-    """Run every cell; cells fail independently and siblings continue."""
+    """One results record per cell, in config order, each also carrying the
+    cell's timing keys; cells fail independently and siblings continue."""
     try:
         dataset = load_dataset(config.dataset_path)
     except (OSError, ValueError) as exc:
@@ -105,35 +91,34 @@ def execute(config):
     _check_lengths(config, dataset)
     vocab = build_vocab([ex.text for ex in dataset.train],
                         max_size=config.vocab_size)
-    return BenchmarkOutcome(config=config, results=[
-        _run_cell(cell, config, dataset, vocab, epochs[cell.cell_id])
-        for cell in config.cells])
+    return [_run_cell(cell, config, dataset, vocab, epochs[cell.cell_id])
+            for cell in config.cells]
 
 
-def write_outputs(outcome, out_dir):
+def write_outputs(records, out_dir):
     """Write results.jsonl, timing.jsonl, report.tsv, and report.txt.
 
     results.jsonl carries only deterministic fields so identical reruns
-    produce identical bytes; wall-clock numbers live in timing.jsonl.
+    produce identical bytes; wall-clock numbers live in timing.jsonl. Both
+    reports are rendered from those two files as written, with the default
+    baseline, so ``bench report`` reproduces them.
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
 
     with open(root / RESULTS_FILE, "w", encoding="utf-8") as results, \
             open(root / TIMING_FILE, "w", encoding="utf-8") as timing:
-        for record in outcome.results:
+        for record in records:
             kept = {key: value for key, value in record.items()
                     if key == "cell" or key not in TIMING_KEYS}
             timed = {key: record[key] for key in TIMING_KEYS}
             results.write(json.dumps(kept, sort_keys=True) + "\n")
             timing.write(json.dumps(timed, sort_keys=True) + "\n")
 
-    records = load_results(root)
-    baseline = outcome.config.baseline
+    written = load_results(root)
     # render both before opening either, so an error leaves no empty file
-    reports = {"report.tsv": render_tsv(records, baseline_cell=baseline),
-               "report.txt": emit_report(records, baseline_cell=baseline,
-                                         master_seed=outcome.config.seed)}
+    reports = {"report.tsv": render_tsv(written),
+               "report.txt": emit_report(written)}
     for name, text in reports.items():
         (root / name).write_text(text, encoding="utf-8")
 
@@ -149,12 +134,13 @@ def resolve_out_dir(path):
 def run_benchmark(config_path, seed=None, repeats=None, out=None):
     """Load a config, apply overrides, run the grid and write its outputs.
 
-    Returns the outcome and the output directory, resolved under
-    ``$BENCH_OUT_ROOT`` when the configured path is relative.
+    Returns the results records, as :func:`execute` gives them, and the
+    output directory, resolved under ``$BENCH_OUT_ROOT`` when the configured
+    path is relative.
     """
     config = apply_overrides(load_config(config_path), seed=seed,
                              repeats=repeats, out=out)
-    outcome = execute(config)
+    records = execute(config)
     out_dir = Path(resolve_out_dir(config.out_dir))
-    write_outputs(outcome, out_dir)
-    return outcome, out_dir
+    write_outputs(records, out_dir)
+    return records, out_dir

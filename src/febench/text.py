@@ -126,23 +126,31 @@ class Dataset:
                 raise ValueError("single-label datasets need exactly one label per example")
 
 
-def _parse_jsonl(path):
-    examples = []
-    with open(path, encoding="utf-8") as fh:
+def read_jsonl(path, error):
+    """``(line number, object)`` for each non-blank line of a JSON Lines file.
+
+    A line that is not UTF-8 or not JSON raises ``error`` with a message
+    that starts ``<path>:<line>:``.
+    """
+    rows = []
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                rows.append((lineno, json.loads(line.decode("utf-8"))))
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8 ({exc.reason} at "
+                            f"byte {exc.start + 1})") from None
             except json.JSONDecodeError as exc:
-                raise DatasetFormatError(f"{path}:{lineno}: invalid JSON ({exc.msg})")
-            examples.append(_record_to_example(record, path, lineno))
-    return examples
+                raise error(f"{path}:{lineno}: invalid JSON ({exc.msg} at "
+                            f"column {exc.colno})") from None
+    return rows
 
 
 def _record_to_example(record, path, lineno):
-    text = record.get("text")
-    labels = record.get("labels")
+    fields = record if isinstance(record, dict) else {}
+    text, labels = fields.get("text"), fields.get("labels")
     if not isinstance(text, str) or not isinstance(labels, list):
         raise DatasetFormatError(
             f"{path}:{lineno}: record needs a text string and a labels array")
@@ -164,7 +172,8 @@ def load_dataset(path):
         file = root / f"{split}.jsonl"
         if not file.exists():
             raise FileNotFoundError(f"missing dataset file {file}")
-        splits[split] = _parse_jsonl(file)
+        splits[split] = [_record_to_example(record, file, lineno)
+                         for lineno, record in read_jsonl(file, DatasetFormatError)]
     labels = sorted({l for exs in splits.values() for ex in exs for l in ex.labels})
     multi = any(len(ex.labels) > 1 for exs in splits.values() for ex in exs)
     return Dataset(name=root.name,

@@ -40,7 +40,6 @@ FULL_CONFIG = """\
     seed = 11
     out = runs/kw
     vocab = 500
-    baseline = small-fe
 
     [cell:small-fe]
     preset = tiny
@@ -68,7 +67,6 @@ class TestConfig:
         assert config.seed == 11
         assert config.out_dir == "runs/kw"
         assert config.vocab_size == 500
-        assert config.baseline == "small-fe"
         assert [c.cell_id for c in config.cells] == ["small-fe", "small-fit"]
         fe = config.cells[0]
         assert (fe.preset, fe.mode, fe.epochs) == ("tiny", "FE", 4)
@@ -89,7 +87,6 @@ class TestConfig:
             """))
         assert config.repeats == 3
         assert config.seed == 0
-        assert config.baseline is None
         cell = config.cells[0]
         assert cell.epochs is None
         assert cell.batch_size is None
@@ -118,7 +115,7 @@ class TestConfig:
          "mode = partial\n", "mode"),
         ("[benchmark]\ndataset = d\n\n[cell:a]\nmode = FE\n", "preset"),
         ("[benchmark]\ndataset = d\nbaseline = ghost\n\n[cell:a]\n"
-         "preset = tiny\nmode = FE\n", "baseline"),
+         "preset = tiny\nmode = FE\n", "unknown keys: baseline"),
         ("[benchmark]\ndataset = d\n\n[cell:a]\npreset = tiny\nmode = FE\n"
          "kernels = 3;4\n", "kernels"),
         ("[benchmark]\ndataset = d\n\n[cell:a]\npreset = tiny\nmode = FE\n"
@@ -171,12 +168,12 @@ class TestConfig:
 
     def test_hash_ignores_out_dir_and_parallel(self, tmp_path):
         """The digest is the one FULL_CONFIG had while the removed
-        ``parallel`` and ``format`` keys existed, with ``parallel = 1`` or
-        ``2`` alike and ``format`` unset, so result files written before
-        their removal keep a matching hash."""
+        ``parallel``, ``format`` and ``baseline`` keys existed, with
+        ``parallel = 1`` or ``2`` alike and the other two unset, so result
+        files written before their removal keep a matching hash."""
         config = load_config(write_config(tmp_path, FULL_CONFIG))
         assert config_hash(config) == (
-            "76b2b2a4284f5e771696645b78f3636f64cac08267aca5c7c39930cc6d888686")
+            "69457d5c27249c2745b1ab499a1e467bd9dd60290691e6bf9833427227834689")
         assert config_hash(config) == config_hash(
             apply_overrides(config, out="other"))
         assert config_hash(config) != config_hash(
@@ -385,7 +382,7 @@ class TestEmitReport:
         records = [forced_record("base-fe", "base", "FE"),
                    forced_record("base-fit", "base", "FiT",
                                  epoch_seconds=(26.2,), total=9000.0)]
-        doc = emit_report(records, master_seed=11)
+        doc = emit_report(records)
         assert "92.97 ± 0.06" in doc
         assert "693" in doc
         assert "2.62" in doc
@@ -393,7 +390,6 @@ class TestEmitReport:
         assert "1.50" in doc
         assert "baseline base-fe" in doc
         assert "config hash: cafe" in doc
-        assert "master seed: 11" in doc
         assert "population standard deviation" in doc
         assert "float32" in doc
         assert "not device VRAM" in doc
@@ -565,7 +561,6 @@ failed cells
 
 provenance
   config hash: cafe
-  master seed: 11
   run seeds: base-fe: 1,2,3; base-fit: 1,2,3; multi: 1,2,3; broken: 1,2,3; untimed: 7
 """ + PROVENANCE_TAIL
 
@@ -625,7 +620,6 @@ failed cells
 
 provenance
   config hash: cafe
-  master seed: 11
   run seeds: base-fit: 1,2,3; broken: 1,2,3
 """ + PROVENANCE_TAIL,
 }
@@ -679,8 +673,7 @@ class TestGoldenReport:
     @pytest.mark.parametrize("grid, baseline", sorted(
         GOLDEN_REPORTS, key=str))
     def test_text(self, grid, baseline):
-        doc = emit_report(GRIDS[grid](), baseline_cell=baseline,
-                          master_seed=11)
+        doc = emit_report(GRIDS[grid](), baseline_cell=baseline)
         assert doc == GOLDEN_REPORTS[grid, baseline]
 
     @pytest.mark.parametrize("grid, baseline", sorted(GOLDEN_TSV, key=str))
@@ -734,25 +727,19 @@ filters = 4
 """
 
 
-@pytest.fixture
-def unchecked_lengths(monkeypatch):
-    """A cell fails at run time only past every check that load and the
-    runner's length check make.  Lifting the length check lets the
-    kernel-20 ``broken`` cell below reach training, where its head raises
-    mid-run as an unforeseen fault would."""
-    monkeypatch.setattr("febench.bench.runner._check_lengths",
-                        lambda config, dataset: None)
-
-
-EXTRA_CELL = """
-[cell:{cell_id}]
+# passes every check made before training and fails in it, as an unforeseen
+# fault would: at this learning rate the first update overflows the head's
+# float32 weights, so the second batch's loss is not finite
+BROKEN_CELL = """
+[cell:broken]
 preset = static
-mode = {mode}
+mode = FE
 epochs = 2
 batch = 8
-max_len = 24
-kernels = {kernels}
+max_len = 12
+kernels = 2,3
 filters = 4
+lr = 1e30
 """
 
 
@@ -761,8 +748,8 @@ class TestRunner:
         data = synth_to_disk(tmp_path)
         config_path = write_config(tmp_path, RUN_CONFIG.format(
             data=data, out=tmp_path / "run1"))
-        outcome, out_dir = run_benchmark(config_path)
-        assert outcome.ok
+        returned, out_dir = run_benchmark(config_path)
+        assert [r["failed"] for r in returned] == [False]
         for name in ("results.jsonl", "timing.jsonl", "report.tsv",
                      "report.txt"):
             assert (out_dir / name).exists()
@@ -788,26 +775,23 @@ class TestRunner:
         assert ((tmp_path / "r1" / "results.jsonl").read_bytes()
                 == (tmp_path / "r2" / "results.jsonl").read_bytes())
 
-    def test_failed_cell_preserves_siblings(self, tmp_path,
-                                            unchecked_lengths):
+    def test_failed_cell_preserves_siblings(self, tmp_path):
         data = synth_to_disk(tmp_path)
-        body = RUN_CONFIG.format(data=data, out=tmp_path / "run") + \
-            EXTRA_CELL.format(cell_id="broken", mode="FE", kernels="20")
-        outcome, out_dir = run_benchmark(write_config(tmp_path, body))
-        assert not outcome.ok
-        by_id = {r["cell"]: r for r in outcome.results}
+        body = RUN_CONFIG.format(data=data, out=tmp_path / "run") + BROKEN_CELL
+        returned, out_dir = run_benchmark(write_config(tmp_path, body))
+        by_id = {r["cell"]: r for r in returned}
         assert not by_id["stat-fe"]["failed"]
         assert by_id["broken"]["failed"]
-        assert "ShapeMismatchError" in by_id["broken"]["error"]
+        assert by_id["broken"]["error"] == ("TrainingDivergedError: non-finite "
+                                            "loss nan at epoch 0, batch 1")
         records = load_results(out_dir)
         marked = [r for r in records if r["failed"]]
         assert len(marked) == 1
         assert "FAILED" in (out_dir / "report.txt").read_text()
 
-    def test_failed_cell_is_untimed(self, tmp_path, unchecked_lengths):
+    def test_failed_cell_is_untimed(self, tmp_path):
         data = synth_to_disk(tmp_path)
-        body = RUN_CONFIG.format(data=data, out=tmp_path / "run") + \
-            EXTRA_CELL.format(cell_id="broken", mode="FE", kernels="20")
+        body = RUN_CONFIG.format(data=data, out=tmp_path / "run") + BROKEN_CELL
         _, out_dir = run_benchmark(write_config(tmp_path, body))
         timing = {entry["cell"]: entry for entry in map(
             json.loads, (out_dir / "timing.jsonl").read_text().splitlines())}
@@ -832,9 +816,9 @@ class TestRunner:
         body = RUN_CONFIG.format(data=data, out=tmp_path / "run").replace(
             "preset = static", "preset = tiny").replace(
             "repeats = 2", "repeats = 1")
-        outcome, _ = run_benchmark(write_config(tmp_path, body))
-        assert outcome.ok
-        assert outcome.results[0]["metrics"]["accuracy"]["mean"] >= 0.0
+        (record,), _ = run_benchmark(write_config(tmp_path, body))
+        assert not record["failed"]
+        assert record["metrics"]["accuracy"]["mean"] >= 0.0
 
     def test_relative_out_resolves_under_out_root(self, tmp_path,
                                                   monkeypatch):
@@ -860,11 +844,9 @@ class TestCli:
         assert main(["report", str(tmp_path / "out")]) == 0
         assert "provenance" in capsys.readouterr().out
 
-    def test_run_exit_one_on_cell_failure(self, tmp_path, capsys,
-                                          unchecked_lengths):
+    def test_run_exit_one_on_cell_failure(self, tmp_path, capsys):
         data = synth_to_disk(tmp_path)
-        body = RUN_CONFIG.format(data=data, out=tmp_path / "out") + \
-            EXTRA_CELL.format(cell_id="broken", mode="FE", kernels="20")
+        body = RUN_CONFIG.format(data=data, out=tmp_path / "out") + BROKEN_CELL
         assert main(["run", str(write_config(tmp_path, body))]) == 1
         assert "broken" in capsys.readouterr().err
         assert (tmp_path / "out" / "results.jsonl").exists()
@@ -884,12 +866,16 @@ class TestCli:
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("split, short", [("train", 3), ("test", 1)])
+    @pytest.mark.parametrize("split, short, blanks", [
+        pytest.param("train", 3, 0, id="train-3"),
+        pytest.param("test", 1, 0, id="test-1"),
+        pytest.param("train", 3, 2, id="train-3-after-blank-lines")])
     def test_short_document_exits_two_before_any_cell(self, tmp_path, capsys,
-                                                      split, short):
+                                                      split, short, blanks):
         """A document that a cell would encode to fewer positions than its
         largest kernel stops the run before any cell trains; the error
-        names the cell, the split and the first such document."""
+        names the cell, the file and the first such document, counted
+        without the ``blanks`` blank lines put before it."""
         data = synth_to_disk(tmp_path)
         path = data / f"{split}.jsonl"
         lines = path.read_text().splitlines()
@@ -897,14 +883,15 @@ class TestCli:
             record = json.loads(lines[at - 1])
             lines[at - 1] = json.dumps({"text": "hi",
                                         "labels": record["labels"]})
+        lines[short - 1:short - 1] = [""] * blanks
         path.write_text("\n".join(lines) + "\n")
         body = RUN_CONFIG.format(data=data, out=tmp_path / "out").replace(
             "max_len = 12", "max_len = 16").replace("kernels = 2,3",
                                                      "kernels = 3,6")
         assert main(["run", str(write_config(tmp_path, body))]) == 2
-        assert (f"bench: error: cell 'stat-fe': {split} document {short} "
-                f"encodes to 3 positions, fewer than the largest kernel 6"
-                ) in capsys.readouterr().err
+        assert (f"bench: error: cell 'stat-fe': {split}.jsonl document "
+                f"{short} (blank lines not counted) encodes to 3 positions, "
+                f"fewer than the largest kernel 6") in capsys.readouterr().err
         assert not (tmp_path / "out" / "results.jsonl").exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -924,24 +911,54 @@ class TestCli:
         assert "bench: error: cell 'stat-fe': " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_failed_baseline_cell_keeps_both_reports(self, tmp_path, capsys,
-                                                     unchecked_lengths):
-        """A configured baseline that fails at run time is reported like
-        any failed cell: exit 1, both reports written, relative times
-        unavailable."""
+    def test_failed_baseline_cell_keeps_both_reports(self, tmp_path, capsys):
+        """The relative-time anchor is a report flag, not a config key. A
+        run with a failed cell writes both reports and exits 1; naming that
+        cell as the baseline leaves relative times unavailable."""
         data = synth_to_disk(tmp_path)
-        body = RUN_CONFIG.format(data=data, out=tmp_path / "out").replace(
-            "vocab = 100\n", "vocab = 100\nbaseline = broken\n") + \
-            EXTRA_CELL.format(cell_id="broken", mode="FE", kernels="20")
+        body = RUN_CONFIG.format(data=data, out=tmp_path / "out") + BROKEN_CELL
+        anchored = write_config(tmp_path, body.replace(
+            "vocab = 100\n", "vocab = 100\nbaseline = broken\n"), "a.ini")
+        assert main(["run", str(anchored)]) == 2
+        assert "[benchmark] has unknown keys: baseline" in \
+            capsys.readouterr().err
         assert main(["run", str(write_config(tmp_path, body))]) == 1
-        assert "broken (static/FE): FAILED (ShapeMismatchError" in \
+        assert "broken (static/FE): FAILED (TrainingDivergedError" in \
             capsys.readouterr().out
         text = (tmp_path / "out" / "report.txt").read_text()
         tsv = (tmp_path / "out" / "report.tsv").read_text()
-        assert "  broken: FAILED (ShapeMismatchError" in text
+        assert "  broken: FAILED (TrainingDivergedError" in text
+        assert "broken\tstatic\tFE\tFAILED: TrainingDivergedError" in tsv
+        assert main(["report", str(tmp_path / "out"),
+                     "--baseline", "broken"]) == 0
         assert ("relative epoch time (baseline broken)\n"
-                "  unavailable (no baseline cell with timing)") in text
-        assert "broken\tstatic\tFE\tFAILED: ShapeMismatchError" in tsv
+                "  unavailable (no baseline cell with timing)") in \
+            capsys.readouterr().out
+
+    def test_report_prints_the_run_report(self, tmp_path, capsys):
+        """Both reports are a function of the result files alone: ``bench
+        report <dir>`` prints the run's report.txt byte for byte, and the
+        TSV renders again from the same files."""
+        data = synth_to_disk(tmp_path)
+        body = RUN_CONFIG.format(data=data, out=tmp_path / "out") + BROKEN_CELL
+        _, out_dir = run_benchmark(write_config(tmp_path, body))
+        assert main(["report", str(out_dir)]) == 0
+        assert (capsys.readouterr().out.encode("utf-8")
+                == (out_dir / "report.txt").read_bytes())
+        assert (render_tsv(load_results(out_dir)).encode("utf-8")
+                == (out_dir / "report.tsv").read_bytes())
+
+    def test_undecodable_dataset_line_exits_two(self, tmp_path, capsys):
+        data = synth_to_disk(tmp_path)
+        path = data / "train.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"text": "', b'"text": "caf\xe9 ')
+        path.write_bytes(b"".join(lines))
+        config_path = write_config(tmp_path, RUN_CONFIG.format(
+            data=data, out=tmp_path / "out"))
+        assert main(["run", str(config_path)]) == 2
+        assert f"{path}:3: not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
         data = synth_to_disk(tmp_path)

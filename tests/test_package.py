@@ -1,9 +1,12 @@
 """The package's public names."""
 
 import febench
+import febench.bench
 
 
 def test_every_exported_name_resolves():
-    missing = [name for name in febench.__all__ if not hasattr(febench, name)]
-    assert missing == []
-    assert len(set(febench.__all__)) == len(febench.__all__)
+    for package in (febench, febench.bench):
+        missing = [name for name in package.__all__
+                   if not hasattr(package, name)]
+        assert missing == [], package.__name__
+        assert len(set(package.__all__)) == len(package.__all__)

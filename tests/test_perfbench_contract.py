@@ -131,26 +131,27 @@ filters = 2
 preset = static
 mode = FE
 epochs = 1
-max_len = 24
-kernels = 20
+batch = 4
+max_len = 12
+kernels = 2,3
+lr = 1e30
 """
 
 
-def test_result_files_keep_the_keys_the_cli_workload_reads(tmp_path,
-                                                           monkeypatch):
+def test_result_files_keep_the_keys_the_cli_workload_reads(tmp_path):
     """``CliWorkload.finish`` reads ``cell``, ``failed``, ``error`` and
     ``peak_bytes`` from results.jsonl and ``epoch_seconds`` from
-    timing.jsonl, for a finished and a failed cell alike.  The length check
-    is lifted so that the kernel-20 cell fails at run time."""
-    monkeypatch.setattr("febench.bench.runner._check_lengths",
-                        lambda config, dataset: None)
+    timing.jsonl, for a finished and a failed cell alike.  The ``broken``
+    cell's learning rate makes its second batch's loss non-finite, so it
+    fails at run time."""
     save_dataset(make_synthetic(SynthSpec(classes=2, train_docs=8,
                                           test_docs=4, vocab=10, doc_len=8,
                                           seed=1)), tmp_path / "data")
     config = tmp_path / "bench.ini"
     config.write_text(CONFIG.format(data=tmp_path / "data",
                                     out=tmp_path / "out"))
-    _, out_dir = run_benchmark(config)
+    records, out_dir = run_benchmark(config)
+    assert records[1]["error"].startswith("TrainingDivergedError: ")
     expected = {
         "results.jsonl": {"cell", "config_hash", "dataset", "error",
                           "failed", "metrics", "mode", "peak_bytes",
@@ -181,9 +182,9 @@ def test_run_benchmark_trains_through_the_module_attribute(tmp_path,
         return real_train(run_config, *args)
 
     monkeypatch.setattr(training, "train", counted)
-    outcome, _ = run_benchmark(config, repeats=2)
+    (record,), _ = run_benchmark(config, repeats=2)
     assert len(seen) == 2
-    assert seen == outcome.results[0]["seeds"]
+    assert seen == record["seeds"]
 
 
 @pytest.mark.parametrize("workload, preset, mode, batch, max_len",

@@ -142,6 +142,21 @@ class TestDatasetFiles:
         with pytest.raises(DatasetFormatError, match=r"train\.jsonl:7"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("line, message", [
+        (b'{"text": "caf\xe9", "labels": ["a"]}', "not UTF-8"),
+        (b'["text", "labels"]', "record needs a text string")])
+    def test_bad_line_names_location(self, tmp_path, line, message):
+        """A line that is not UTF-8 or not an object raises the dataset
+        error with the file and line, never a bare decode or attribute
+        error; the blank line 2 still counts as a line."""
+        self._write(tmp_path, ['{"text": "ok", "labels": ["a"]}', ""],
+                    ['{"text": "u", "labels": ["a"]}'])
+        with open(tmp_path / "train.jsonl", "ab") as fh:
+            fh.write(line + b"\n")
+        with pytest.raises(DatasetFormatError,
+                           match=rf"train\.jsonl:3: {message}"):
+            load_dataset(tmp_path)
+
     def test_empty_labels_rejected(self, tmp_path):
         self._write(tmp_path, ['{"text": "t", "labels": []}'],
                     ['{"text": "u", "labels": ["a"]}'])
