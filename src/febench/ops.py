@@ -10,6 +10,11 @@ no backward state.  The record charges every output but keeps no reference
 to it, so an output dies with its last consumer unless a kept closure saves
 its array: ``add`` and ``max_over_time`` save none of their inputs, and
 ``gelu`` saves only its local derivative.
+A kernel writes in place only into arrays it allocated in the same call,
+never into an input, a saved array or an upstream gradient (``add`` hands
+one gradient array to both of its inputs).  Each in-place step runs its
+expression's operations in the same order, with at most the operands of a
+``*`` or ``+`` swapped, so outputs and gradients keep every bit.
 A backward closure returns one gradient per input, or ``None`` for an input
 that needs no gradient (PyTorch's ``needs_input_grad`` rule), which
 :func:`~febench.tensor.backward` skips; :func:`conv1d_valid` does so for a
@@ -18,13 +23,14 @@ frozen input.
 A closure may return a gradient in a form other than a dense array (see
 :func:`~febench.tensor.backward`).  :func:`matmul` and 2-d :func:`linear`
 return their weight gradient as stacked factors ``(a, g)``, meaning
-``a.T @ g``, and :func:`embedding_lookup` a row-sparse update, which the
-walk reduces once per step, not once per document.  :func:`max_over_time`
-returns its input's gradient as :class:`Pooled` winners, one row and value
-per column, which the walk passes as they are to :func:`conv1d_valid`; it
-gathers each filter's weight gradient from its one winning window instead of
-multiplying out a product.  Another closure reads them as numpy's dense
-array, through ``np.asarray`` where it calls ndarray methods.  The conv
+``a.T @ g``, and :func:`embedding_lookup` a row-sparse update that carries
+its table's row count, which the walk reduces once per step, not once per
+document.  :func:`max_over_time` returns its input's gradient as
+:class:`Pooled` winners, one row and value per column, which the walk
+passes as they are to :func:`conv1d_valid`; it gathers each filter's weight
+gradient from its one winning window instead of multiplying out a product.
+Another closure reads them as numpy's dense array, through ``np.asarray``
+where it calls ndarray methods.  The conv
 weight gradient and the 1-d ``linear``'s outer product stay dense per
 document; deferred conv factors would keep each document's windows alive.
 
@@ -125,19 +131,39 @@ def gelu(x):
     When ``x`` needs a gradient, the forward computes the local derivative
     ``d`` and the closure saves only it, not ``x`` and ``tanh(u)``; its
     ``g * d`` rounds exactly as multiplying by the derivative's expression
-    at backward time would.  Otherwise ``d`` is never computed.
+    at backward time would.  Otherwise ``d`` is never computed.  The
+    forward reuses its own temporaries: ``tanh(u)`` overwrites ``u``, the
+    output ``0.5 * x``, and ``d`` the array ``1 + tanh(u)``.
     """
     xd = x.data
-    u = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(u)
-    out = 0.5 * xd * (1.0 + t)
+    # a 0-d input's product is a numpy scalar, which takes no ``out=``
+    t = np.asarray(xd * xd)
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = 0.5 * xd
     bwd = None
     if x.requires_grad:
-        du = _GELU_C * (1.0 + 3 * 0.044715 * xd * xd)
-        d = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t * t) * du
+        d = t + 1.0
+        du = xd * (3 * 0.044715)
+        du *= xd
+        du += 1.0
+        du *= _GELU_C
+        t *= t
+        np.subtract(1.0, t, out=t)
+        t *= out
+        t *= du
+        out *= d
+        d *= 0.5
+        d += t
 
         def bwd(g):
             return (g * d,)
+    else:
+        t += 1.0
+        out *= t
 
     return _emit("gelu", (x,), out, bwd)
 
@@ -152,20 +178,26 @@ def layer_norm(x, scale, offset):
             f"offset {tuple(offset.shape)}")
     xd = x.data
     # sum / h rounds exactly as numpy's mean and var do, in float32 and float64
-    xc = xd - xd.sum(axis=-1, keepdims=True) / h
-    var = (xc * xc).sum(axis=-1, keepdims=True) / h
-    inv = 1.0 / np.sqrt(var + 1e-12)
-    xhat = xc * inv
-    out = xhat * scale.data + offset.data
+    xhat = xd - xd.sum(axis=-1, keepdims=True) / h
+    squares = xhat * xhat
+    inv = 1.0 / np.sqrt(squares.sum(axis=-1, keepdims=True) / h + 1e-12)
+    xhat *= inv
+    out = np.multiply(xhat, scale.data, out=squares)
+    out += offset.data
     lead = tuple(range(xd.ndim - 1))
     sd = scale.data
 
     def bwd(g):
         g = np.asarray(g)
-        gs = g * sd
-        dx = inv * (gs - gs.sum(axis=-1, keepdims=True) / h
-                    - xhat * ((gs * xhat).sum(axis=-1, keepdims=True) / h))
-        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+        dx = g * sd
+        p = dx * xhat
+        mixed = p.sum(axis=-1, keepdims=True) / h
+        np.multiply(xhat, mixed, out=p)
+        dx -= dx.sum(axis=-1, keepdims=True) / h
+        dx -= p
+        dx *= inv
+        np.multiply(g, xhat, out=p)
+        return dx, p.sum(axis=lead), g.sum(axis=lead)
 
     return _emit("layer_norm", (x, scale, offset), out, bwd)
 
@@ -282,10 +314,10 @@ def embedding_lookup(table, ids):
     ids = np.asarray(ids)
     if ids.dtype.kind not in "iu":
         raise TypeError(f"ids must be integers, got dtype {ids.dtype}")
-    v = table.shape[0]
+    v, width = table.shape
     if ids.size and (ids.min() < 0 or ids.max() >= v):
         raise IndexError(f"id out of range for table with {v} rows")
-    shape, dtype = table.shape, table.data.dtype
+    dtype = table.data.dtype
 
     def bwd(g):
         # each row sums its occurrences in id order, as np.add.at into a
@@ -297,12 +329,12 @@ def embedding_lookup(table, ids):
                                          return_counts=True)
         by_count = np.argsort(-counts, kind="stable")
         rows, starts, counts = rows[by_count], starts[by_count], counts[by_count]
-        g_flat = np.asarray(g).reshape(flat.size, shape[1])
-        sums = np.zeros((rows.size, shape[1]), dtype=dtype)
+        g_flat = np.asarray(g).reshape(flat.size, width)
+        sums = np.zeros((rows.size, width), dtype=dtype)
         for r in range(counts[0] if counts.size else 0):
             m = np.count_nonzero(counts > r)
             sums[:m] += g_flat[order[starts[:m] + r]]
-        return (RowSparse(rows, sums),)
+        return (RowSparse(rows, sums, v),)
 
     return _emit("embedding_lookup", (table,), table.data[ids], bwd)
 
@@ -332,19 +364,22 @@ def scaled_dot_attention(q, k, v, num_heads, valid_length):
         return t.data.reshape(t_len, num_heads, d).transpose(1, 0, 2)
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = qh @ kh.transpose(0, 2, 1) * inv_scale
+    scores = qh @ kh.transpose(0, 2, 1)
+    scores *= inv_scale
     if valid_length < t_len:
         scores[:, :, valid_length:] = -1e30
     scores -= scores.max(axis=-1, keepdims=True)
-    wts = np.exp(scores)
+    wts = np.exp(scores, out=scores)
     wts /= wts.sum(axis=-1, keepdims=True)
     out = (wts @ vh).transpose(1, 0, 2).reshape(t_len, h)
 
     def bwd(g):
         gh = np.asarray(g).reshape(t_len, num_heads, d).transpose(1, 0, 2)
         dv = wts.transpose(0, 2, 1) @ gh
-        dwts = gh @ vh.transpose(0, 2, 1)
-        ds = wts * (dwts - (dwts * wts).sum(axis=-1, keepdims=True)) * inv_scale
+        ds = gh @ vh.transpose(0, 2, 1)
+        ds -= (ds * wts).sum(axis=-1, keepdims=True)
+        ds *= wts
+        ds *= inv_scale
         dq = ds @ kh
         dk = ds.transpose(0, 2, 1) @ qh
 
@@ -412,7 +447,9 @@ def linear(x, w, b):
             g = np.asarray(g)
             return g @ wd.T, Factors(xd, g), g.sum(axis=0)
 
-    return _emit("linear", (x, w, b), xd @ wd + b.data, bwd)
+    out = xd @ wd
+    out += b.data
+    return _emit("linear", (x, w, b), out, bwd)
 
 
 def softmax_xent(logits, targets):
@@ -440,7 +477,8 @@ def softmax_xent(logits, targets):
     def bwd(g):
         p = expv / total
         p[rows, targets] -= 1.0
-        return (p * (g / n),)
+        p *= g / n
+        return (p,)
 
     return _emit("softmax_xent", (logits,), loss, bwd)
 

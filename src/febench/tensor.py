@@ -15,8 +15,9 @@ The record is also the one owner of activation and gradient bytes: it
 charges every primitive output and every gradient of its walk to its
 :class:`~febench.profiling.MemoryLedger` until its ``with`` block exits,
 yet holds only what backward has still to read.  Its tape keeps ids and
-metadata, never a tensor, so an output lives only while a backward closure
-saves it or a later consumer holds it (PyTorch's eager rule).
+groups, never a tensor or an array's shape, so an output lives only while a
+backward closure saves it or a later consumer holds it (PyTorch's eager
+rule).
 
 Training arithmetic runs in float32.  :func:`grad_check` re-runs the same
 code paths in float64 and compares against central finite differences.
@@ -144,16 +145,18 @@ class Factors(NamedTuple):
 
 
 class RowSparse(NamedTuple):
-    """A gradient that is ``values`` at the unique ``rows`` and zero elsewhere."""
+    """A gradient of a table with ``length`` rows that is ``values`` at the
+    unique ``rows`` and zero elsewhere."""
 
     rows: np.ndarray
     values: np.ndarray
+    length: int
 
 
 class _Entry:
     """A taped primitive, holding no tensor: its output's id, its closure,
-    and per input ``None`` if it needs no gradient, else the ``(tid, group,
-    shape, dtype)`` that backward reads of it."""
+    and per input ``None`` if it needs no gradient, else the ``(tid, group)``
+    that backward reads of it."""
 
     __slots__ = ("inputs", "out_tid", "backward_fn")
 
@@ -172,9 +175,9 @@ class ComputationRecord:
     the tape holds an entry only for a primitive whose backward closure is
     kept; backward pops those entries in reverse, so a record is walked
     once.  An entry keeps its output's id and, per input that needs a
-    gradient, the id, group, shape and dtype that backward reads, but no
-    tensor: every output, taped or not, dies with its last consumer unless
-    a closure saves its array.  The record charges every output to
+    gradient, the id and group that backward reads, but no tensor: every
+    output, taped or not, dies with its last consumer unless a closure
+    saves its array.  The record charges every output to
     ``activations`` in its ``ledger`` (a new one if none is given), held or
     not, and every gradient of the walk to ``gradients`` (under the
     tensor's group); leaving the ``with`` block, by any exit, frees both.
@@ -208,8 +211,8 @@ class ComputationRecord:
         """Charge ``output`` and, if ``backward_fn`` is kept, tape the entry;
         ``kind`` names the primitive for observers and goes unread here."""
         if backward_fn is not None:
-            refs = tuple([(t.tid, t.group, t.data.shape, t.data.dtype)
-                          if t.requires_grad else None for t in inputs])
+            refs = tuple([(t.tid, t.group) if t.requires_grad else None
+                          for t in inputs])
             self.entries.append(_Entry(refs, output.tid, backward_fn))
         self.ledger.record_alloc("activations", output.data.nbytes)
         self._activation_bytes += output.data.nbytes
@@ -235,10 +238,12 @@ def backward(loss):
     tensor's factors and multiplies them out once,
     ``concatenate(a).T @ concatenate(g)``, when the tensor's producer needs
     its gradient or, for a parameter, at the end; it adds row-sparse updates
-    in place into the tensor's one dense gradient.  Any other gradient goes
-    as it is to the producer when it is the tensor's only gradient, so an
-    array-like reaches it undensified; numpy densifies one when it is added
-    to another gradient or reaches a leaf.  The record charges every gradient
+    in place into the tensor's one dense gradient, which the first update
+    makes a zero table of its ``length`` rows, since the tape keeps ids and
+    groups but no shape.  Any other gradient goes as it is to the producer
+    when it is the tensor's only gradient, so an array-like reaches it
+    undensified; numpy densifies one when it is added to another gradient
+    or reaches a leaf.  The record charges every gradient
     by its ``nbytes``.  Every value in the returned map is a dense array.
     """
     if loss.data.ndim != 0:
@@ -250,9 +255,8 @@ def backward(loss):
         raise StaleRecordError("record already walked; open a new one")
     record.walked = True
 
-    # slot layout: [(tid, group, shape, dtype), grad or None, owns_array,
-    # Factors list]
-    loss_ref = (loss.tid, loss.group, loss.shape, loss.dtype)
+    # slot layout: [(tid, group), grad or None, owns_array, Factors list]
+    loss_ref = (loss.tid, loss.group)
     pending = {loss.tid: [loss_ref, np.ones((), dtype=loss.dtype), True, []]}
     held = Counter()
     while record.entries:
@@ -294,8 +298,7 @@ def _accumulate(slot, g):
     if isinstance(g, RowSparse):
         # absent rows would only add exact zeros, as a dense table's do
         if slot[1] is None:
-            _, _, shape, dtype = slot[0]
-            slot[1] = np.zeros(shape, dtype=dtype)
+            slot[1] = np.zeros((g.length, g.values.shape[1]), g.values.dtype)
         elif not slot[2]:
             slot[1] = np.array(slot[1])
         slot[2] = True

@@ -57,11 +57,15 @@ ADAM_CHUNK = 65_536
 
 
 class TrainingDivergedError(RuntimeError):
-    """Loss became non-finite; carries the epoch and batch where it happened."""
+    """A batch's loss, or an epoch's evaluation logits, became non-finite;
+    carries the epoch and the batch (None for the evaluation) where it
+    happened."""
 
-    def __init__(self, epoch, batch, value):
-        super().__init__(
-            f"non-finite loss {value!r} at epoch {epoch}, batch {batch}")
+    def __init__(self, epoch, batch=None, value=None):
+        where = (f"non-finite evaluation logits at epoch {epoch}"
+                 if batch is None else
+                 f"non-finite loss {value!r} at epoch {epoch}, batch {batch}")
+        super().__init__(where)
         self.epoch = epoch
         self.batch = batch
 
@@ -245,12 +249,13 @@ def train_step(encoder, head, params, state, ids_batch, valid_batch, targets,
 
 
 def evaluate(encoder, head, ids, valid, task_kind, threshold):
-    """Predicted label-index sets for an encoded test split.
+    """The [B, C] logit array and the predicted label-index sets of an
+    encoded test split.
 
     ``train`` calls it outside every record, so it tapes and charges nothing.
     """
-    logits = forward_batch(encoder, head, ids, valid)
-    return [predict(row, task_kind, threshold) for row in logits.data]
+    logits = forward_batch(encoder, head, ids, valid).data
+    return logits, [predict(row, task_kind, threshold) for row in logits]
 
 
 def _gold_sets(targets, task_kind):
@@ -306,24 +311,33 @@ def train(config, dataset, encoder, head, vocab):
 
     n = len(dataset.train)
     train_losses, epoch_metrics, epoch_seconds = [], [], []
-    for epoch in range(config.epochs):
-        epoch_started = time.perf_counter()
-        order = np.random.default_rng([config.seed, 2, epoch]).permutation(n)
-        batch_losses = []
-        for batch_index, start in enumerate(range(0, n, config.batch_size)):
-            chosen = order[start:start + config.batch_size]
-            value = train_step(
-                encoder, head, trainable, state, train_ids[chosen],
-                train_valid[chosen], train_targets[chosen],
-                dataset.task_kind, config.learning_rate)
-            if not np.isfinite(value):
-                raise TrainingDivergedError(epoch, batch_index, value)
-            batch_losses.append(value)
-        predictions = evaluate(encoder, head, test_ids, test_valid,
-                               dataset.task_kind, config.threshold)
-        train_losses.append(float(np.mean(batch_losses)))
-        epoch_metrics.append(_metrics(predictions, gold, dataset.task_kind))
-        epoch_seconds.append(time.perf_counter() - epoch_started)
+    # a diverging run is reported by the checks below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            epoch_started = time.perf_counter()
+            order = np.random.default_rng([config.seed, 2,
+                                           epoch]).permutation(n)
+            batch_losses = []
+            for batch_index, start in enumerate(
+                    range(0, n, config.batch_size)):
+                chosen = order[start:start + config.batch_size]
+                value = train_step(
+                    encoder, head, trainable, state, train_ids[chosen],
+                    train_valid[chosen], train_targets[chosen],
+                    dataset.task_kind, config.learning_rate)
+                if not np.isfinite(value):
+                    raise TrainingDivergedError(epoch, batch_index, value)
+                batch_losses.append(value)
+            # each loss above precedes its batch's update, so only the
+            # evaluation sees what the epoch's last update did
+            logits, predictions = evaluate(encoder, head, test_ids, test_valid,
+                                           dataset.task_kind, config.threshold)
+            if not np.isfinite(logits).all():
+                raise TrainingDivergedError(epoch)
+            train_losses.append(float(np.mean(batch_losses)))
+            epoch_metrics.append(_metrics(predictions, gold,
+                                          dataset.task_kind))
+            epoch_seconds.append(time.perf_counter() - epoch_started)
 
     timing = TimingTrace(epoch_seconds=epoch_seconds,
                          total_seconds=time.perf_counter() - started)

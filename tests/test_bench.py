@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -850,6 +851,25 @@ class TestCli:
         assert main(["run", str(write_config(tmp_path, body))]) == 1
         assert "broken" in capsys.readouterr().err
         assert (tmp_path / "out" / "results.jsonl").exists()
+
+    def test_divergence_on_the_last_update_fails_the_cell(self, tmp_path,
+                                                          capsys):
+        """A one-batch cell whose only update makes the evaluation logits
+        non-finite is recorded as failed, the run exits 1, and numpy prints
+        no RuntimeWarning on the way."""
+        data = synth_to_disk(tmp_path)
+        body = RUN_CONFIG.format(data=data, out=tmp_path / "out").replace(
+            "epochs = 2\nbatch = 8\n", "epochs = 1\nbatch = 50\n") + \
+            "lr = 1e30\n"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(write_config(tmp_path, body))]) == 1
+        assert [w for w in caught if w.category is RuntimeWarning] == []
+        (record,) = load_results(tmp_path / "out")
+        assert record["failed"] is True
+        assert record["error"] == ("TrainingDivergedError: non-finite "
+                                   "evaluation logits at epoch 0")
+        assert "stat-fe" in capsys.readouterr().err
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, "[benchmark]\nrepeats = 1\n")

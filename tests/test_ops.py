@@ -11,6 +11,7 @@ from febench import (ComputationRecord, KernelTooLongError, ShapeMismatchError,
                      Tensor, backward)
 from febench import ops
 from febench.ops import Pooled
+from febench.tensor import Factors
 from helpers import probe_sum
 
 
@@ -96,6 +97,151 @@ class TestGeluSavedDerivative:
                 entries[trainable] = len(record.entries)
         assert entries == {False: 0, True: 1}
         assert peaks[False] + xd.nbytes <= peaks[True]
+
+
+# the kernels' expressions before they reused their own temporaries; each
+# returns the forward output and the closure's gradients for upstream g
+def _reference_gelu(xd, g):
+    t = np.tanh(math.sqrt(2.0 / math.pi) * (xd + 0.044715 * (xd * xd * xd)))
+    return 0.5 * xd * (1.0 + t), (_gelu_grad_at_backward(xd, g),)
+
+
+def _reference_layer_norm(xd, sd, od, g):
+    h = xd.shape[-1]
+    xc = xd - xd.sum(axis=-1, keepdims=True) / h
+    var = (xc * xc).sum(axis=-1, keepdims=True) / h
+    inv = 1.0 / np.sqrt(var + 1e-12)
+    xhat = xc * inv
+    lead = tuple(range(xd.ndim - 1))
+    gs = g * sd
+    dx = inv * (gs - gs.sum(axis=-1, keepdims=True) / h
+                - xhat * ((gs * xhat).sum(axis=-1, keepdims=True) / h))
+    return xhat * sd + od, (dx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
+
+
+def _reference_attention(qd, kd, vd, g, num_heads, valid_length):
+    t_len, h = qd.shape
+    d = h // num_heads
+    inv_scale = 1.0 / math.sqrt(d)
+
+    def split(a):
+        return a.reshape(t_len, num_heads, d).transpose(1, 0, 2)
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(t_len, h)
+
+    qh, kh, vh = split(qd), split(kd), split(vd)
+    scores = qh @ kh.transpose(0, 2, 1) * inv_scale
+    if valid_length < t_len:
+        scores[:, :, valid_length:] = -1e30
+    scores -= scores.max(axis=-1, keepdims=True)
+    wts = np.exp(scores)
+    wts /= wts.sum(axis=-1, keepdims=True)
+    gh = split(g)
+    dv = wts.transpose(0, 2, 1) @ gh
+    dwts = gh @ vh.transpose(0, 2, 1)
+    ds = wts * (dwts - (dwts * wts).sum(axis=-1, keepdims=True)) * inv_scale
+    return merge(wts @ vh), (merge(ds @ kh), merge(ds.transpose(0, 2, 1) @ qh),
+                             merge(dv))
+
+
+def _reference_linear(xd, wd, bd, g):
+    if xd.ndim == 1:
+        return xd @ wd + bd, (wd @ g, np.outer(xd, g), g)
+    return xd @ wd + bd, (g @ wd.T, xd.T @ g, g.sum(axis=0))
+
+
+def _reference_softmax_xent(ld, targets, g):
+    n = ld.shape[0]
+    shifted = ld - ld.max(axis=1, keepdims=True)
+    expv = np.exp(shifted)
+    total = expv.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    loss = -(shifted[rows, targets] - np.log(total[:, 0])).mean()
+    p = expv / total
+    p[rows, targets] -= 1.0
+    return loss, (p * (g / n),)
+
+
+def _edged(rng, shape, dtype):
+    """Normal values with a -0.0 and a large-magnitude pair mixed in."""
+    a = rng.normal(scale=2.0, size=shape).astype(dtype)
+    flat = a.reshape(-1)
+    flat[:3] = (-0.0, 1e4, -1e4)[:flat.size]
+    return a
+
+
+def _dense_bytes(grad):
+    grad = grad.a.T @ grad.g if isinstance(grad, Factors) else np.asarray(grad)
+    return grad.dtype, grad.tobytes()
+
+
+class TestKernelsKeepEveryBit:
+    """Each kernel that works in its own temporaries gives, bit for bit, the
+    output and gradients of its expressions as plainly written, and never
+    writes into an input or the upstream gradient: its closure, run twice,
+    gives the same gradients."""
+
+    @staticmethod
+    def check(fn, arrays, g, reference, trainable=True, **kwargs):
+        before = [a.tobytes() for a in (*arrays, g)]
+        with ComputationRecord() as record:
+            out = fn(*(Tensor(a, requires_grad=trainable) for a in arrays),
+                     **kwargs)
+            runs = ([record.entries[-1].backward_fn(g) for _ in range(2)]
+                    if trainable else [])
+        want_out, want_grads = reference
+        assert out.data.dtype == want_out.dtype
+        assert out.data.tobytes() == want_out.tobytes()
+        for grads in runs:
+            assert len(grads) == len(want_grads)
+            for got, want in zip(grads, want_grads):
+                assert _dense_bytes(got) == _dense_bytes(want)
+        assert [a.tobytes() for a in (*arrays, g)] == before
+
+    @pytest.mark.parametrize("shape", [(24, 16), ()])
+    @pytest.mark.parametrize("trainable", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu(self, dtype, trainable, shape):
+        rng = np.random.default_rng(60)
+        xd, g = _edged(rng, shape, dtype), _edged(rng, shape, dtype)
+        self.check(ops.gelu, [xd], g, _reference_gelu(xd, g), trainable)
+
+    @pytest.mark.parametrize("shape", [(16,), (12, 16)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm(self, dtype, shape):
+        rng = np.random.default_rng(61)
+        xd, sd, od, g = (_edged(rng, s, dtype)
+                         for s in (shape, shape[-1:], shape[-1:], shape))
+        self.check(ops.layer_norm, [xd, sd, od], g,
+                   _reference_layer_norm(xd, sd, od, g))
+
+    @pytest.mark.parametrize("valid_length", [5, 9])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention(self, dtype, valid_length):
+        rng = np.random.default_rng(62)
+        # head width 3: a scale of 1/sqrt(3) rounds, where 1/2 would not
+        qd, kd, vd, g = (_edged(rng, (9, 6), dtype) for _ in range(4))
+        self.check(ops.scaled_dot_attention, [qd, kd, vd], g,
+                   _reference_attention(qd, kd, vd, g, 2, valid_length),
+                   num_heads=2, valid_length=valid_length)
+
+    @pytest.mark.parametrize("shape", [(6,), (7, 6)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear(self, dtype, shape):
+        rng = np.random.default_rng(63)
+        xd, wd, bd = (_edged(rng, s, dtype) for s in (shape, (6, 5), (5,)))
+        g = _edged(rng, shape[:-1] + (5,), dtype)
+        self.check(ops.linear, [xd, wd, bd], g,
+                   _reference_linear(xd, wd, bd, g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_xent(self, dtype):
+        rng = np.random.default_rng(64)
+        ld, targets = _edged(rng, (6, 4), dtype), np.array([0, 3, 1, 1, 2, 0])
+        g = np.array(0.75, dtype=dtype)
+        self.check(ops.softmax_xent, [ld], g,
+                   _reference_softmax_xent(ld, targets, g), targets=targets)
 
 
 class TestLinearAlgebra:

@@ -195,6 +195,35 @@ class TestDeferredGradients:
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_table_gradient_is_sized_from_the_row_sparse_update(self, dtype):
+        """The tape keeps no input shapes, so the walk sizes a table's dense
+        gradient from the row-sparse update's ``length``: rows past every
+        looked-up id are there too.  A table whose lookup the loss does not
+        read gets no gradient."""
+        rng = np.random.default_rng(34)
+        table = Tensor.param(rng.normal(size=(9, 4)).astype(dtype))
+        unused = Tensor.param(rng.normal(size=(6, 4)).astype(dtype))
+        docs = [np.array([1, 4, 1]), np.array([4, 0])]
+        probes = [rng.normal(size=(ids.size, 4)).astype(dtype) for ids in docs]
+        probes[1][0, 0] = -0.0
+        with ComputationRecord():
+            ops.embedding_lookup(unused, ids=np.array([5, 2]))
+            losses = [probe_sum(ops.embedding_lookup(table, ids=ids), probe)
+                      for ids, probe in zip(docs, probes)]
+            grads = backward(ops.add(losses[0], losses[1]))
+        # the parent's walk: a zero table of the input's taped shape, into
+        # which the last document's rows go first
+        want = np.zeros(table.shape, dtype=dtype)
+        for ids, probe in zip(docs[::-1], probes[::-1]):
+            update = np.zeros(table.shape, dtype=dtype)
+            np.add.at(update, ids, probe)
+            want += update
+        assert unused.tid not in grads
+        got = grads[table.tid]
+        assert got.dtype == dtype and got.shape == table.shape
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("kind", ["matmul", "linear"])
     def test_one_document_weight_gradient_is_one_product(self, kind):
         rng = np.random.default_rng(32)

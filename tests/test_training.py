@@ -1,11 +1,13 @@
 """Loss dispatch, Adam updates, training loops, and run aggregation."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from febench import ComputationRecord, MemoryLedger, Tensor, tensor, training
+from febench.bench.synth import SynthSpec, make_synthetic
 from febench.cnn import CnnHead, CnnHeadConfig, predict
 from febench.cnn import expected_shapes as head_shapes
 from febench.encoders import Encoder, EncoderConfig
@@ -359,6 +361,34 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="epoch 0, batch 0"):
             train(toy_run_config(), dataset, encoder, head, vocab)
 
+    @pytest.mark.parametrize("mode", ["FE", "FiT"])
+    def test_divergence_on_the_last_update_fails(self, mode):
+        """One batch at a learning rate of 1e30: its loss comes before the
+        update and is finite, and the weights stay finite (about 1e30), but
+        the evaluation that follows gets non-finite logits.  The run raises
+        and numpy warns of nothing."""
+        dataset = make_synthetic(SynthSpec(classes=2, train_docs=16,
+                                           test_docs=8, vocab=15, doc_len=8,
+                                           seed=6, name="kw"))
+        vocab = build_vocab([ex.text for ex in dataset.train], max_size=100)
+        encoder = Encoder.from_preset("static", vocab.size, seed=[0, 0],
+                                      frozen=mode == "FE")
+        head = CnnHead.build(CnnHeadConfig(hidden=encoder.config.hidden,
+                                           classes=2, kernel_sizes=(2, 3),
+                                           filters=4), seed=[0, 1])
+        config = RunConfig(mode=mode, epochs=1, batch_size=50,
+                           learning_rate=1e30, max_len=12)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(TrainingDivergedError) as raised:
+                train(config, dataset, encoder, head, vocab)
+        assert str(raised.value) == \
+            "non-finite evaluation logits at epoch 0"
+        assert (raised.value.epoch, raised.value.batch) == (0, None)
+        assert all(np.isfinite(t.data).all() for part in (encoder, head)
+                   for t in part.weights.tensors.values())
+        assert [w for w in caught if w.category is RuntimeWarning] == []
+
     def test_empty_split_rejected(self):
         dataset = toy_dataset()
         empty = Dataset(name="toy", task_kind="single_label",
@@ -456,7 +486,9 @@ class TestEvaluate:
         encoder, head, vocab = toy_model(12, dataset, classes=2)
         ids, valid, _ = encode_examples(dataset.test, vocab, 12,
                                         dataset.label_space, "single_label")
-        preds = evaluate(encoder, head, ids, valid, "single_label", 0.5)
+        logits, preds = evaluate(encoder, head, ids, valid, "single_label",
+                                 0.5)
+        assert logits.shape == (len(dataset.test), 2)
         assert len(preds) == len(dataset.test)
         assert all(len(p) == 1 for p in preds)
 
@@ -475,7 +507,7 @@ class TestEvaluate:
                         task_kind, 0.5)
                 for doc, n in zip(ids, valid)]
         assert len({frozenset(p) for p in want}) > 1
-        assert evaluate(encoder, head, ids, valid, task_kind, 0.5) == want
+        assert evaluate(encoder, head, ids, valid, task_kind, 0.5)[1] == want
 
     @pytest.mark.parametrize("mode", ["FE", "FiT"])
     def test_tapes_and_charges_nothing(self, monkeypatch, mode):
