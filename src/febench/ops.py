@@ -171,8 +171,8 @@ def gelu(x):
 def layer_norm(x, scale, offset):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     h = x.shape[-1] if x.data.ndim else 0
-    if scale.data.ndim != 1 or offset.data.ndim != 1 or scale.shape[0] != h \
-            or offset.shape[0] != h:
+    if h == 0 or scale.data.ndim != 1 or offset.data.ndim != 1 \
+            or scale.shape[0] != h or offset.shape[0] != h:
         raise ShapeMismatchError(
             f"layer_norm over width {h} got scale {tuple(scale.shape)}, "
             f"offset {tuple(offset.shape)}")
@@ -398,11 +398,11 @@ def concat(parts):
         raise ShapeMismatchError("concat of zero tensors")
     trail = parts[0].shape[1:]
     for p in parts:
-        if p.data.ndim != parts[0].data.ndim or p.shape[1:] != trail:
+        if p.data.ndim != len(trail) + 1 or p.shape[1:] != trail:
             raise ShapeMismatchError(
-                f"concat trailing dims differ: {[tuple(p.shape) for p in parts]}")
-    sizes = [p.shape[0] if p.data.ndim else 1 for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+                f"concat needs a leading axis and equal trailing dims, got "
+                f"{[tuple(p.shape) for p in parts]}")
+    splits = np.cumsum([p.shape[0] for p in parts])[:-1]
 
     def bwd(g):
         return tuple(np.split(np.asarray(g), splits, axis=0))

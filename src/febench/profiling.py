@@ -26,76 +26,73 @@ class MemoryLedger:
 
     Allocations may carry an optional ``group`` tag (e.g. ``"encoder"`` or
     ``"head"``) so that gradient and optimizer bytes can be attributed to the
-    model part that owns them.
+    model part that owns them.  One table of current bytes and one of peaks
+    hold every figure, keyed by ``None`` (the total), a category, or a
+    ``(category, group)`` pair; a charge moves each key it names alike.
     """
 
     def __init__(self):
-        self._current = {c: 0 for c in CATEGORIES}
-        self._peak = {c: 0 for c in CATEGORIES}
-        self._group_current = {}
-        self._group_peak = {}
-        self.current_total = 0
-        self.peak_total = 0
+        self._current = dict.fromkeys((None, *CATEGORIES), 0)
+        self._peak = dict(self._current)
 
     def record_alloc(self, category, nbytes, group=None):
         if category not in CATEGORIES:
             raise LedgerError(f"unknown ledger category {category!r}")
         if nbytes < 0:
             raise LedgerError("allocation size must be non-negative")
-        self._current[category] += nbytes
-        self._peak[category] = max(self._peak[category], self._current[category])
-        self.current_total += nbytes
-        self.peak_total = max(self.peak_total, self.current_total)
-        if group is not None:
-            key = (category, group)
-            cur = self._group_current.get(key, 0) + nbytes
-            self._group_current[key] = cur
-            self._group_peak[key] = max(self._group_peak.get(key, 0), cur)
+        current, peak = self._current, self._peak
+        keys = (None, category) if group is None else (None, category, (category, group))
+        for key in keys:
+            now = current.get(key, 0) + nbytes
+            current[key] = now
+            if now >= peak.get(key, 0):
+                peak[key] = now
 
     def record_free(self, category, nbytes, group=None):
+        # check before any change; the total holds at least its category
         if category not in CATEGORIES:
             raise LedgerError(f"unknown ledger category {category!r}")
-        if nbytes > self._current[category]:
-            raise LedgerError(
-                f"over-free: releasing {nbytes} bytes from {category!r} "
-                f"which holds only {self._current[category]}"
-            )
-        key = (category, group)
-        held = self._group_current.get(key, 0)
-        if group is not None and nbytes > held:
-            raise LedgerError(
-                f"over-free: releasing {nbytes} bytes from {category!r}/{group!r} "
-                f"which holds only {held}"
-            )
-        self._current[category] -= nbytes
-        self.current_total -= nbytes
+        current = self._current
+        held = current[category]
+        if nbytes > held:
+            raise LedgerError(f"over-free: releasing {nbytes} bytes from "
+                              f"{category!r} which holds only {held}")
         if group is not None:
-            self._group_current[key] = held - nbytes
+            key = (category, group)
+            tagged = current.get(key, 0)
+            if nbytes > tagged:
+                raise LedgerError(f"over-free: releasing {nbytes} bytes from "
+                                  f"{category!r}/{group!r} which holds only {tagged}")
+            current[key] = tagged - nbytes
+        current[category] = held - nbytes
+        current[None] -= nbytes
 
     def current(self, category=None):
-        if category is None:
-            return self.current_total
         return self._current[category]
 
     def peak(self, category=None):
-        if category is None:
-            return self.peak_total
         return self._peak[category]
 
     def group_current(self, category, group):
-        return self._group_current.get((category, group), 0)
+        return self._current.get((category, group), 0)
 
     def group_peak(self, category, group):
-        return self._group_peak.get((category, group), 0)
+        return self._peak.get((category, group), 0)
 
     def breakdown(self):
         """Current and peak bytes per category plus tagged-group detail."""
         return {
-            "current": dict(self._current),
-            "peak": dict(self._peak),
-            "group_current": {f"{c}/{g}": v for (c, g), v in sorted(self._group_current.items())},
-            "group_peak": {f"{c}/{g}": v for (c, g), v in sorted(self._group_peak.items())},
+            "current": {c: self._current[c] for c in CATEGORIES},
+            "peak": {c: self._peak[c] for c in CATEGORIES},
+            "group_current": _by_group(self._current),
+            "group_peak": _by_group(self._peak),
         }
+
+
+def _by_group(table):
+    """``table``'s ``(category, group)`` entries, keyed ``"category/group"``."""
+    return {f"{c}/{g}": table[c, g]
+            for c, g in sorted(k for k in table if isinstance(k, tuple))}
 
 
 @dataclass

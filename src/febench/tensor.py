@@ -177,18 +177,17 @@ class ComputationRecord:
     once.  An entry keeps its output's id and, per input that needs a
     gradient, the id and group that backward reads, but no tensor: every
     output, taped or not, dies with its last consumer unless a closure
-    saves its array.  The record charges every output to
-    ``activations`` in its ``ledger`` (a new one if none is given), held or
-    not, and every gradient of the walk to ``gradients`` (under the
-    tensor's group); leaving the ``with`` block, by any exit, frees both.
+    saves its array.  Via :meth:`charge` the record charges its ``ledger``
+    (a new one if none is given) and one ``(category, group)`` tally: each
+    output to ``activations``, each gradient of the walk to ``gradients``
+    under its tensor's group.  Leaving the block, by any exit, frees the tally.
     """
 
     def __init__(self, ledger=None):
         self.entries = []
         self.ledger = MemoryLedger() if ledger is None else ledger
         self.walked = False
-        self._activation_bytes = 0
-        self._grad_bytes = Counter()
+        self._held = {}
 
     def __enter__(self):
         global _active
@@ -200,12 +199,17 @@ class ComputationRecord:
     def __exit__(self, exc_type, exc, tb):
         global _active
         _active = None
-        self.ledger.record_free("activations", self._activation_bytes)
-        for group, nbytes in self._grad_bytes.items():
-            self.ledger.record_free("gradients", nbytes, group=group)
-        self._activation_bytes, self._grad_bytes = 0, Counter()
+        for (category, group), nbytes in self._held.items():
+            self.ledger.record_free(category, nbytes, group=group)
+        self._held = {}
         self.entries.clear()
         return False
+
+    def charge(self, category, nbytes, group=None):
+        """Charge the ledger with ``nbytes`` until the ``with`` block exits."""
+        self.ledger.record_alloc(category, nbytes, group)
+        key = (category, group)
+        self._held[key] = self._held.get(key, 0) + nbytes
 
     def append(self, kind, inputs, output, backward_fn):
         """Charge ``output`` and, if ``backward_fn`` is kept, tape the entry;
@@ -214,8 +218,7 @@ class ComputationRecord:
             refs = tuple([(t.tid, t.group) if t.requires_grad else None
                           for t in inputs])
             self.entries.append(_Entry(refs, output.tid, backward_fn))
-        self.ledger.record_alloc("activations", output.data.nbytes)
-        self._activation_bytes += output.data.nbytes
+        self.charge("activations", output.data.nbytes)
 
 
 def backward(loss):
@@ -227,9 +230,9 @@ def backward(loss):
     anything reachable only through them are absent.  The walk pops each
     entry, and drops each intermediate gradient once its producer has read
     it (a pending :class:`Factors` may still hold it), so both die as they
-    propagate; the record still charges every gradient, once per group,
-    until its block exits.  A second walk in the same record raises
-    :class:`StaleRecordError`.
+    propagate; after the walk, it charges the record's tally with every
+    gradient, once per group, until the block exits.  A second walk in the
+    same record raises :class:`StaleRecordError`.
 
     A closure may return a gradient as a dense array, in one of two
     deferred forms, or as any array-like with an ``nbytes``.
@@ -278,11 +281,10 @@ def backward(loss):
     grads = {tid: np.asarray(_reduce(slot)) for tid, slot in pending.items()}
     for tid, g in grads.items():
         held[pending[tid][0][1]] += g.nbytes
+    # one charge per group, after the walk: a closure that raises mid-walk
+    # leaves the record nothing to free
     for group, nbytes in held.items():
-        record.ledger.record_alloc("gradients", nbytes, group=group)
-    # only charged bytes go to the record: a closure that raises mid-walk
-    # leaves __exit__ nothing to free
-    record._grad_bytes = held
+        record.charge("gradients", nbytes, group)
     return grads
 
 

@@ -125,3 +125,40 @@ def test_bench_retypes_no_library_default():
              if (hits := retyped_defaults(path.read_text(encoding="utf-8"),
                                           defaults, owners))}
     assert found == {}
+
+
+def foreign_private_writes(source):
+    """(line, target) of each assignment to an underscore attribute of an
+    object other than ``self`` or ``cls``."""
+    return sorted((node.lineno, ast.unparse(node))
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Store)
+                  and node.attr.startswith("_")
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id in ("self", "cls")))
+
+
+def test_private_write_scanner_flags_only_foreign_objects():
+    source = ("class A:\n"
+              "    def f(self, other):\n"
+              "        self._x = 1\n"
+              "        cls._y = 2\n"
+              "        other._z = 3\n"
+              "        other.z, self._w = 4, 5\n"
+              "        other._n += 1\n"
+              "        print(other._z)\n"
+              "        self.part._held: int = 0\n"
+              "record._held = {}\n")
+    assert foreign_private_writes(source) == [
+        (5, "other._z"), (7, "other._n"), (9, "self.part._held"),
+        (10, "record._held")]
+
+
+def test_no_module_writes_another_objects_private_attribute():
+    """An underscore attribute is its class's own state: another object
+    writing it bypasses the methods that keep the state consistent."""
+    found = {str(path.relative_to(ROOT)): hits
+             for path in sorted(ROOT.glob("src/febench/**/*.py"))
+             if (hits := foreign_private_writes(path.read_text(encoding="utf-8")))}
+    assert found == {}

@@ -1,5 +1,6 @@
 """Forward values, shape validation, and masking behavior of the primitives."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -319,6 +320,14 @@ class TestNormalization:
         with pytest.raises(ShapeMismatchError):
             run(ops.layer_norm, Tensor(np.ones((2, 8))),
                 Tensor(np.ones(4)), Tensor(np.zeros(8)))
+
+    @pytest.mark.parametrize("shape", [(), (3, 0)])
+    def test_layer_norm_refuses_zero_width(self, shape):
+        """No width to normalize over: a scalar, or an empty last axis with
+        empty affine parameters, is refused before any division."""
+        empty = Tensor(np.zeros(0))
+        with pytest.raises(ShapeMismatchError, match="over width 0 "):
+            run(ops.layer_norm, Tensor(np.zeros(shape)), empty, empty)
 
 
 class TestConvolution:
@@ -729,3 +738,31 @@ class TestDispatch:
             "matmul", "add", "conv1d_valid", "max_over_time", "relu", "gelu",
             "layer_norm", "embedding_lookup", "scaled_dot_attention",
             "concat", "linear"}
+
+
+# 0-d integer side inputs, by parameter name
+SCALAR_SIDE_INPUTS = {"ids": np.array(0), "targets": np.array(0),
+                      "limit": np.array(1), "num_heads": np.array(1),
+                      "valid_length": np.array(1)}
+
+
+@pytest.mark.parametrize("name", sorted(ops.PRIMITIVES))
+def test_every_primitive_computes_or_refuses_scalars(name):
+    """Fed 0-d float tensors, and 0-d integers as side inputs, a primitive
+    computes or raises :class:`ShapeMismatchError`: never a bare numpy
+    error or a warning."""
+    fn = ops.PRIMITIVES[name]
+    args = []
+    for param in inspect.signature(fn).parameters:
+        if param in SCALAR_SIDE_INPUTS:
+            args.append(SCALAR_SIDE_INPUTS[param])
+        elif param == "parts":
+            args.append([Tensor.param(np.float32(1.5)) for _ in range(2)])
+        else:
+            args.append(Tensor.param(np.float32(1.5)))
+    with ComputationRecord():
+        try:
+            out = fn(*args)
+        except ShapeMismatchError:
+            return
+    assert isinstance(out, Tensor)

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from febench import MemoryLedger, TimingTrace
-from febench.profiling import LedgerError
+from febench.profiling import CATEGORIES, LedgerError
+
+GROUPS = ("encoder", "head")
+# (allocate?, category, group or None, bytes)
+LEDGER_STEPS = st.lists(st.tuples(st.booleans(), st.sampled_from(CATEGORIES),
+                                  st.sampled_from((None, *GROUPS)),
+                                  st.integers(min_value=0, max_value=64)),
+                        max_size=40)
 
 
 class TestMemoryLedger:
@@ -74,6 +83,68 @@ class TestMemoryLedger:
             ops.relu(x)
             assert ledger.current("activations") == 120
         assert ledger.peak("activations") == 120
+
+
+def ledger_figures(ledger):
+    """Every (current, peak) pair the accessors report, keyed by ``None``
+    (the total), category and ``(category, group)``."""
+    figures = {None: (ledger.current(), ledger.peak())}
+    for c in CATEGORIES:
+        figures[c] = (ledger.current(c), ledger.peak(c))
+        for g in GROUPS:
+            figures[c, g] = (ledger.group_current(c, g), ledger.group_peak(c, g))
+    return figures
+
+
+def check_ledger(ledger, figures, last_peaks):
+    """The ledger's invariants over ``figures``, given the peaks last seen."""
+    assert figures[None][0] == sum(figures[c][0] for c in CATEGORIES)
+    for c in CATEGORIES:
+        assert figures[c][0] >= sum(figures[c, g][0] for g in GROUPS)
+    for key, (now, peak) in figures.items():
+        assert peak >= now
+        assert peak >= last_peaks.get(key, 0)
+    b = ledger.breakdown()
+    for part, at in (("current", 0), ("peak", 1)):
+        assert list(b[part].items()) == [(c, figures[c][at]) for c in CATEGORIES]
+        by_group = b["group_" + part]
+        assert list(by_group) == sorted(by_group, key=lambda k: tuple(k.split("/")))
+        for c in CATEGORIES:
+            for g in GROUPS:
+                assert by_group.get(f"{c}/{g}", 0) == figures[c, g][at]
+
+
+@given(LEDGER_STEPS)
+@settings(max_examples=300, deadline=None)
+def test_ledger_invariants_hold_over_any_alloc_free_sequence(steps):
+    """The total is the sum of the categories, a category holds at least
+    its groups, peaks never fall below current nor over time,
+    ``breakdown()`` agrees with the accessors, and a refused free changes
+    nothing."""
+    ledger = MemoryLedger()
+    last_peaks = {}
+    for allocate, category, group, nbytes in steps:
+        if allocate:
+            ledger.record_alloc(category, nbytes, group=group)
+        else:
+            held = ledger.current(category)
+            if group is not None:
+                held = min(held, ledger.group_current(category, group))
+            elif held - sum(ledger.group_current(category, g)
+                            for g in GROUPS) < nbytes <= held:
+                # an owner frees only what it charged: an ungrouped free
+                # that reaches into grouped bytes is accepted but not made
+                continue
+            if nbytes > held:
+                before = ledger_figures(ledger), ledger.breakdown()
+                with pytest.raises(LedgerError, match="over-free"):
+                    ledger.record_free(category, nbytes, group=group)
+                assert (ledger_figures(ledger), ledger.breakdown()) == before
+            else:
+                ledger.record_free(category, nbytes, group=group)
+        figures = ledger_figures(ledger)
+        check_ledger(ledger, figures, last_peaks)
+        last_peaks = {key: peak for key, (_, peak) in figures.items()}
 
 
 class TestTiming:
