@@ -24,6 +24,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Tuple
 
 from febench.cnn import CnnHeadConfig, check_kernels
@@ -215,16 +216,17 @@ def apply_overrides(config, seed=None, repeats=None, out=None):
 def config_hash(config):
     """Hash of everything that shapes the results.
 
-    The output directory is excluded: it does not affect the numbers, and
-    two runs that differ only in where they write must produce
-    byte-identical result records.
+    The dataset counts by the SHA-256 of its ``train.jsonl`` and
+    ``test.jsonl`` bytes, not by its path, and the output directory not at
+    all: neither affects the numbers, and the same config and data run from
+    any directory and written anywhere must produce byte-identical result
+    records.
     """
+    root = Path(config.dataset_path)
     payload = {
-        "dataset": config.dataset_path,
-        # constants, so results written while the format and baseline keys
-        # existed, with both unset, keep their digest
-        "format": None,
-        "baseline": None,
+        "dataset": {split: hashlib.sha256(
+            (root / f"{split}.jsonl").read_bytes()).hexdigest()
+            for split in ("train", "test")},
         "repeats": config.repeats,
         "seed": config.seed,
         "vocab": config.vocab_size,

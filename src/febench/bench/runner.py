@@ -48,7 +48,7 @@ def _check_lengths(config, dataset):
                         f"positions, fewer than the largest kernel {need}")
 
 
-def _run_cell(cell, config, dataset, vocab, epochs):
+def _run_cell(cell, config, dataset, vocab, epochs, digest):
     """The cell's results record; a cell whose training raises is recorded
     as failed, with its error."""
     def make_model(seed):
@@ -64,7 +64,7 @@ def _run_cell(cell, config, dataset, vocab, epochs):
     record = {"cell": cell.cell_id, "preset": cell.preset, "mode": cell.mode,
               "dataset": dataset.name, "task_kind": dataset.task_kind,
               "metrics": {}, "peak_bytes": 0.0, "seeds": seeds,
-              "repeats": config.repeats, "config_hash": config_hash(config),
+              "repeats": config.repeats, "config_hash": digest,
               "failed": False, "error": None,
               "epoch_seconds": [], "total_seconds": None}
     try:
@@ -91,7 +91,8 @@ def execute(config):
     _check_lengths(config, dataset)
     vocab = build_vocab([ex.text for ex in dataset.train],
                         max_size=config.vocab_size)
-    return [_run_cell(cell, config, dataset, vocab, epochs[cell.cell_id])
+    digest = config_hash(config)
+    return [_run_cell(cell, config, dataset, vocab, epochs[cell.cell_id], digest)
             for cell in config.cells]
 
 

@@ -1,8 +1,10 @@
 """Convolutional classification head over a hidden-state sequence.
 
-Parallel 1-d convolutions of several kernel sizes, max-over-time pooling
-restricted to windows that lie fully inside the valid (non-PAD) prefix,
-ReLU, concatenation, and an affine projection to class logits.  Pooling
+Parallel 1-d convolutions of several kernel sizes over only the windows
+that lie fully inside the valid (non-PAD) prefix, max-over-time pooling of
+those windows, ReLU, concatenation, and an affine projection to class
+logits.  Windows that overlap padding are never computed, kept or charged,
+so the head's cost follows a document's length, not ``max_len``.  Pooling
 comes before ReLU because ReLU is monotone, so ``relu(max(x)) ==
 max(relu(x))`` exactly, and the backward passes the same gradient to the
 same window (or an exact zero where a column's max is not positive); ReLU
@@ -68,8 +70,9 @@ def cnn_forward(config, weights, hidden, valid_length):
     """Logits [classes] for one document's hidden sequence [max_len x H].
 
     Convolution windows that start past ``valid_length - k`` would overlap
-    padding rows, so pooling only sees the first ``valid_length - k + 1``
-    windows.  valid_length must cover the largest kernel.
+    padding rows, so each kernel convolves and pools only the first
+    ``valid_length - k + 1`` windows.  valid_length must cover the largest
+    kernel.
     """
     t_len = hidden.shape[0]
     max_k = max(config.kernel_sizes)
@@ -82,9 +85,10 @@ def cnn_forward(config, weights, hidden, valid_length):
     tensors = weights.tensors
     pooled = []
     for k in config.kernel_sizes:
+        live = valid_length - k + 1
         conv = ops.conv1d_valid(hidden, tensors[f"conv{k}.weight"],
-                                tensors[f"conv{k}.bias"])
-        pooled.append(ops.relu(ops.max_over_time(conv, limit=valid_length - k + 1)))
+                                tensors[f"conv{k}.bias"], limit=live)
+        pooled.append(ops.relu(ops.max_over_time(conv, limit=live)))
     features = ops.concat(pooled)
     return ops.linear(features, tensors["projection.weight"],
                       tensors["projection.bias"])

@@ -202,13 +202,17 @@ def layer_norm(x, scale, offset):
     return _emit("layer_norm", (x, scale, offset), out, bwd)
 
 
-def conv1d_valid(x, w, b):
+def conv1d_valid(x, w, b, limit=None):
     """Valid-mode 1-d convolution over the time axis.
 
-    ``x`` is [T, H], ``w`` is [k, H, f], ``b`` is [f]; output is
-    [T - k + 1, f].  A kernel longer than the sequence is an error.  When
-    ``x`` needs no gradient (a frozen encoder's output), the backward closure
-    returns ``None`` for it and skips computing it.
+    ``x`` is [T, H], ``w`` is [k, H, f], ``b`` is [f]; output is [limit, f],
+    the first ``limit`` of the T - k + 1 windows (every one when ``limit``
+    is None).  Only those windows are copied, multiplied, kept for the
+    backward and charged; input rows that no kept window reads get an exact
+    zero gradient.  A kernel longer than the sequence, or a ``limit``
+    outside 1..T - k + 1, is an error.  When ``x`` needs no gradient (a
+    frozen encoder's output), the backward closure returns ``None`` for it
+    and skips computing it.
 
     The backward takes the upstream gradient as a dense array or as the
     :class:`Pooled` winners that :func:`max_over_time` passes.  From
@@ -235,10 +239,13 @@ def conv1d_valid(x, w, b):
     if t_len < k:
         raise KernelTooLongError(
             f"kernel size {k} exceeds sequence length {t_len}")
-    n = t_len - k + 1
+    n = t_len - k + 1 if limit is None else int(limit)
+    if not 1 <= n <= t_len - k + 1:
+        raise ShapeMismatchError(
+            f"conv1d_valid limit {limit} outside 1..{t_len - k + 1}")
     xd = np.ascontiguousarray(x.data)
     # row t of this read-only view is the flattened window x[t:t+k]; row
-    # n - 1 ends at element (n - 1 + k)·H = T·H, so the view covers exactly
+    # n - 1 ends at element (n - 1 + k)·H <= T·H, so the view lies within
     # x's T·H elements.  Its contiguous copy feeds one matmul and dies here,
     # bwd gathers the rows it reads
     windows = np.ndarray((n, k * h), xd.dtype, buffer=xd, strides=xd.strides)
@@ -287,7 +294,9 @@ def max_over_time(x, limit):
     """Columnwise max over the first ``limit`` rows of [T, F].
 
     The backward saves only the argmax and returns the input's gradient as
-    :class:`Pooled` winners, without a dense [T, F] array.
+    :class:`Pooled` winners, without a dense [T, F] array.  The CNN head
+    gives :func:`conv1d_valid` the same ``limit``, so T is ``limit`` there
+    and the gradient is [limit, F].
     """
     if x.data.ndim != 2:
         raise ShapeMismatchError(f"max_over_time needs [T, F], got {tuple(x.shape)}")

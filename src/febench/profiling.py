@@ -49,21 +49,24 @@ class MemoryLedger:
                 peak[key] = now
 
     def record_free(self, category, nbytes, group=None):
-        # check before any change; the total holds at least its category
+        # check before any change; a group holds no more than its category,
+        # so only the group's bytes, or the category's ungrouped ones, bound it
         if category not in CATEGORIES:
             raise LedgerError(f"unknown ledger category {category!r}")
         current = self._current
         held = current[category]
-        if nbytes > held:
+        if group is None:
+            owner = repr(category)
+            free = held - sum(n for key, n in current.items()
+                              if isinstance(key, tuple) and key[0] == category)
+        else:
+            owner = f"{category!r}/{group!r}"
+            free = current.get((category, group), 0)
+        if nbytes > free:
             raise LedgerError(f"over-free: releasing {nbytes} bytes from "
-                              f"{category!r} which holds only {held}")
+                              f"{owner} which holds only {free}")
         if group is not None:
-            key = (category, group)
-            tagged = current.get(key, 0)
-            if nbytes > tagged:
-                raise LedgerError(f"over-free: releasing {nbytes} bytes from "
-                                  f"{category!r}/{group!r} which holds only {tagged}")
-            current[key] = tagged - nbytes
+            current[category, group] = free - nbytes
         current[category] = held - nbytes
         current[None] -= nbytes
 

@@ -70,6 +70,36 @@ def _case_conv1d_valid_frozen_input(rng):
             [rng.normal(size=(3, 4, 5)), rng.normal(size=5)])
 
 
+def _conv1d_valid_limit_case(limit, frozen_input):
+    """Conv over only its first ``limit`` of 5 windows: the input rows past
+    window ``limit - 1`` get an exact zero gradient.  Weights of scale 0.3
+    keep each output where gelu's slope is far from zero, as one window
+    alone must carry a filter's gradient."""
+    def case(rng):
+        from febench.tensor import Tensor
+        x, w, b = (rng.normal(size=(7, 4)), 0.3 * rng.normal(size=(3, 4, 5)),
+                   rng.normal(size=5))
+
+        def fn(*args):
+            conv = ops.conv1d_valid(*args, limit=limit)
+            return ops.sum_all(ops.gelu(conv))
+        if frozen_input:
+            x = Tensor(x)
+            return (lambda w, b: fn(x, w, b)), [w, b]
+        return fn, [x, w, b]
+    return case
+
+
+def _case_conv1d_valid_limit_pooled(rng):
+    """Conv over its first 4 of 7 windows, pooled over all 4 by 2 filters,
+    as the CNN head pairs them."""
+    def fn(x, w, b):
+        conv = ops.conv1d_valid(x, w, b, limit=4)
+        return ops.sum_all(ops.gelu(ops.max_over_time(conv, limit=4)))
+    return fn, [rng.normal(size=(9, 4)), rng.normal(size=(3, 4, 2)),
+                rng.normal(size=2)]
+
+
 def _case_conv1d_valid_pooled(rng):
     """Conv pooled over its first 4 of 7 windows by 2 filters: the conv
     backward sees dead rows (past the limit, and never a column's max)."""
@@ -245,6 +275,10 @@ PRIMITIVE_GRAD_CASES = {
     "conv1d_valid": _case_conv1d_valid,
     "conv1d_valid_frozen_input": _case_conv1d_valid_frozen_input,
     "conv1d_valid_pooled": _case_conv1d_valid_pooled,
+    **{f"conv1d_valid_limit{m}{suffix}": _conv1d_valid_limit_case(m, frozen)
+       for m in (1, 3, 5)
+       for frozen, suffix in ((False, ""), (True, "_frozen_input"))},
+    "conv1d_valid_limit_pooled": _case_conv1d_valid_limit_pooled,
     "max_over_time": _case_max_over_time,
     "embedding_lookup": _case_embedding_lookup,
     "embedding_two_lookups": _case_embedding_two_lookups,

@@ -167,14 +167,22 @@ class TestConfig:
         assert updated.repeats == config.repeats
         assert apply_overrides(config) is config
 
-    def test_hash_ignores_out_dir_and_parallel(self, tmp_path):
-        """The digest is the one FULL_CONFIG had while the removed
-        ``parallel``, ``format`` and ``baseline`` keys existed, with
-        ``parallel = 1`` or ``2`` alike and the other two unset, so result
-        files written before their removal keep a matching hash."""
+    def test_hash_ignores_out_dir_and_parallel(self, tmp_path, monkeypatch):
+        """The digest, derived by hand, is the SHA-256 of the sorted-key
+        JSON of FULL_CONFIG's cells with every default filled in, its
+        repeats, seed and vocab, and ``{"test": <sha256 of test.jsonl>,
+        "train": <sha256 of train.jsonl>}`` as ``dataset``; the removed
+        ``parallel`` key and the output directory are not in it."""
+        data = tmp_path / "data" / "kw"
+        data.mkdir(parents=True)
+        (data / "train.jsonl").write_bytes(
+            b'{"text": "alpha beta gamma", "labels": ["x"]}\n')
+        (data / "test.jsonl").write_bytes(
+            b'{"text": "beta gamma", "labels": ["y"]}\n')
+        monkeypatch.chdir(tmp_path)
         config = load_config(write_config(tmp_path, FULL_CONFIG))
         assert config_hash(config) == (
-            "69457d5c27249c2745b1ab499a1e467bd9dd60290691e6bf9833427227834689")
+            "56ab4e367d128d7c22e76352d926b35ff9f8b022f16fb7caf3a2f786768064f8")
         assert config_hash(config) == config_hash(
             apply_overrides(config, out="other"))
         assert config_hash(config) != config_hash(
@@ -775,6 +783,26 @@ class TestRunner:
         run_benchmark(second)
         assert ((tmp_path / "r1" / "results.jsonl").read_bytes()
                 == (tmp_path / "r2" / "results.jsonl").read_bytes())
+
+    def test_copies_in_two_directories_are_byte_identical(self, tmp_path):
+        """The same config and data under two roots, each config naming its
+        own copy of the data, write the same results.jsonl bytes."""
+        for root in ("a", "b"):
+            data = synth_to_disk(tmp_path / root)
+            run_benchmark(write_config(tmp_path / root, RUN_CONFIG.format(
+                data=data, out=tmp_path / root / "run")))
+        assert ((tmp_path / "a" / "run" / "results.jsonl").read_bytes()
+                == (tmp_path / "b" / "run" / "results.jsonl").read_bytes())
+
+    def test_one_changed_data_byte_changes_the_hash(self, tmp_path):
+        data = synth_to_disk(tmp_path)
+        config = load_config(write_config(tmp_path, RUN_CONFIG.format(
+            data=data, out=tmp_path / "run")))
+        before = config_hash(config)
+        train = bytearray((data / "train.jsonl").read_bytes())
+        train[-2] ^= 1
+        (data / "train.jsonl").write_bytes(bytes(train))
+        assert config_hash(config) != before
 
     def test_failed_cell_preserves_siblings(self, tmp_path):
         data = synth_to_disk(tmp_path)

@@ -131,15 +131,59 @@ class TestForward:
 
 
 def _relu_then_pool(config, weights, hidden, valid_length):
-    """The head's former order: ReLU over every window, then pooling."""
+    """The head's former order: ReLU over every live window, then pooling."""
+    tensors = weights.tensors
+    pooled = []
+    for k in config.kernel_sizes:
+        live = valid_length - k + 1
+        conv = ops.conv1d_valid(hidden, tensors[f"conv{k}.weight"],
+                                tensors[f"conv{k}.bias"], limit=live)
+        pooled.append(ops.max_over_time(ops.relu(conv), limit=live))
+    return ops.linear(ops.concat(pooled), tensors["projection.weight"],
+                      tensors["projection.bias"])
+
+
+def _all_windows(config, weights, hidden, valid_length):
+    """The head with every window convolved, those over padding included;
+    pooling still reads only the live ones."""
     tensors = weights.tensors
     pooled = []
     for k in config.kernel_sizes:
         conv = ops.conv1d_valid(hidden, tensors[f"conv{k}.weight"],
                                 tensors[f"conv{k}.bias"])
-        pooled.append(ops.max_over_time(ops.relu(conv), limit=valid_length - k + 1))
+        pooled.append(ops.relu(ops.max_over_time(conv, limit=valid_length - k + 1)))
     return ops.linear(ops.concat(pooled), tensors["projection.weight"],
                       tensors["projection.bias"])
+
+
+def _head_runs(dtype, trainable_hidden, forwards):
+    """Logits and gradients of the default head under each forward, at
+    valid lengths 6, 17 and 32 of a 32-row hidden sequence."""
+    rng = np.random.default_rng([17, trainable_hidden])
+    config = CnnHeadConfig(hidden=128, classes=4)
+    arrays = {name: rng.normal(0.0, 0.02, size=shape).astype(dtype)
+              for name, shape in expected_shapes(config).items()}
+    # filter 0 of the width-3 kernel is never positive: its pooled max
+    # is negative, and every order must pass it an exact zero
+    arrays["conv3.bias"][0] = -10.0
+    weights = WeightSet({
+        name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()})
+    coef = rng.normal(size=config.classes).astype(dtype)
+    for valid in (6, 17, 32):
+        hidden = Tensor(rng.normal(size=(32, 128)).astype(dtype),
+                        requires_grad=trainable_hidden)
+        conv3 = ops.conv1d_valid(hidden, weights.tensors["conv3.weight"],
+                                 weights.tensors["conv3.bias"], limit=valid - 2)
+        assert conv3.data[:, 0].max() <= 0 < conv3.data.max()
+        runs = []
+        for forward in forwards:
+            with ComputationRecord():
+                logits = forward(config, weights, hidden, valid)
+                grads = backward(probe_sum(logits, coef))
+            assert logits.data.dtype == dtype
+            assert (hidden.tid in grads) == trainable_hidden
+            runs.append((logits.data, grads))
+        yield valid, list(weights.tensors.values()) + [hidden], runs
 
 
 class TestPoolBeforeRelu:
@@ -148,36 +192,39 @@ class TestPoolBeforeRelu:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("trainable_hidden", [True, False])
     def test_bit_identical_to_relu_then_pool(self, dtype, trainable_hidden):
-        rng = np.random.default_rng([17, trainable_hidden])
-        config = CnnHeadConfig(hidden=128, classes=4)
-        arrays = {name: rng.normal(0.0, 0.02, size=shape).astype(dtype)
-                  for name, shape in expected_shapes(config).items()}
-        # filter 0 of the width-3 kernel is never positive: its pooled max
-        # is negative, and both orders must pass it an exact zero
-        arrays["conv3.bias"][0] = -10.0
-        weights = WeightSet({
-            name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()})
-        params = list(weights.tensors.values())
-        coef = rng.normal(size=config.classes).astype(dtype)
-        for valid in (6, 17, 32):
-            hidden = Tensor(rng.normal(size=(32, 128)).astype(dtype),
-                            requires_grad=trainable_hidden)
-            conv3 = ops.conv1d_valid(hidden, weights.tensors["conv3.weight"],
-                                     weights.tensors["conv3.bias"])
-            assert conv3.data[:valid - 2, 0].max() <= 0 < conv3.data[:valid - 2].max()
-            runs = []
-            for forward in (cnn_forward, _relu_then_pool):
-                with ComputationRecord():
-                    logits = forward(config, weights, hidden, valid)
-                    grads = backward(probe_sum(logits, coef))
-                runs.append((logits.data, grads))
+        for _, tensors, runs in _head_runs(dtype, trainable_hidden,
+                                           (cnn_forward, _relu_then_pool)):
             (new_logits, new_grads), (old_logits, old_grads) = runs
-            assert new_logits.dtype == dtype
             np.testing.assert_array_equal(new_logits, old_logits)
-            assert (hidden.tid in new_grads) == trainable_hidden
-            for t in params + ([hidden] if trainable_hidden else []):
-                assert new_grads[t.tid].dtype == dtype
-                np.testing.assert_array_equal(new_grads[t.tid], old_grads[t.tid])
+            assert new_grads.keys() == old_grads.keys()
+            for t in tensors:
+                if t.tid in old_grads:
+                    assert new_grads[t.tid].dtype == dtype
+                    np.testing.assert_array_equal(new_grads[t.tid], old_grads[t.tid])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("trainable_hidden", [True, False])
+    def test_live_windows_match_all_windows(self, dtype, trainable_hidden):
+        """Convolving only the live windows multiplies fewer rows, which BLAS
+        may round differently in the last bits: logits and gradients agree
+        with the all-window head to 1e-5 (float32) or 1e-12 (float64) of
+        each array's largest magnitude; rows of the input gradient past the
+        live windows are exact zeros in both."""
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for valid, tensors, runs in _head_runs(dtype, trainable_hidden,
+                                               (cnn_forward, _all_windows)):
+            (live_logits, live_grads), (all_logits, all_grads) = runs
+            assert live_grads.keys() == all_grads.keys()
+            pairs = [(live_logits, all_logits)] + [
+                (live_grads[t.tid], all_grads[t.tid])
+                for t in tensors if t.tid in all_grads]
+            for got, want in pairs:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=tol,
+                                           atol=tol * np.abs(want).max())
+            if trainable_hidden:
+                for grads in (live_grads, all_grads):
+                    assert not grads[tensors[-1].tid][valid:].any()
 
     def test_hand_computed_ledger_for_one_document(self):
         """Hidden 8, kernels (2, 3), 5 filters, 3 classes, T 10: every byte by hand."""
@@ -187,10 +234,11 @@ class TestPoolBeforeRelu:
         ledger = MemoryLedger()
         with ComputationRecord(ledger):
             loss = ops.sum_all(cnn_forward(config, weights, hidden, valid_length=7))
-            # conv outputs [9, 5] and [8, 5]; per kernel a pooled and a relu
-            # [5]; the [10] concat, the [3] logits and the scalar loss
-            outputs = (9 + 8) * 5 * 4 + 2 * 2 * 5 * 4 + 10 * 4 + 3 * 4 + 4
-            assert ledger.current("activations") == outputs == 476
+            # conv outputs over the live windows, [7 - 2 + 1, 5] and
+            # [7 - 3 + 1, 5]; per kernel a pooled and a relu [5]; the [10]
+            # concat, the [3] logits and the scalar loss
+            outputs = (6 + 5) * 5 * 4 + 2 * 2 * 5 * 4 + 10 * 4 + 3 * 4 + 4
+            assert ledger.current("activations") == outputs == 356
             grads = backward(loss)
             # the weights: conv [2, 8, 5] and [3, 8, 5] with [5] biases,
             # projection [10, 3] and [3]
@@ -198,13 +246,41 @@ class TestPoolBeforeRelu:
             assert ledger.group_current("gradients", "head") == weight_grads == 972
             # every output also holds a gradient of its own shape
             assert ledger.current("gradients") == outputs + weight_grads
-            assert ledger.peak() == 2 * outputs + weight_grads
+            assert ledger.peak() == 2 * outputs + weight_grads == 1684
         assert hidden.tid not in grads
         # the map holds the weights' gradients only; the outputs' died in the walk
         widths = sorted(g.shape for g in grads.values())
         assert widths == sorted([(2, 8, 5), (5,), (3, 8, 5), (5,), (10, 3), (3,)])
         assert ledger.current("activations") == 0
         assert ledger.current("gradients") == 0
+
+    @pytest.mark.parametrize("trainable_hidden", [True, False])
+    def test_conv_charges_follow_valid_length(self, monkeypatch, trainable_hidden):
+        """One document's conv outputs, and the pooled gradients that come
+        back to them, are charged [valid - k + 1, f] whatever T is."""
+        config = CnnHeadConfig(hidden=8, classes=3, kernel_sizes=(2, 3), filters=5)
+        weights = init_weights(config, seed=0)
+        conv, charged, peaks = ops.conv1d_valid, [], set()
+
+        def charging_conv(*args, **kwargs):
+            before = ledger.current("activations")
+            out = conv(*args, **kwargs)
+            charged.append(ledger.current("activations") - before)
+            return out
+
+        monkeypatch.setattr(ops, "conv1d_valid", charging_conv)
+        for t_len in (7, 12, 40):
+            hidden = Tensor(np.ones((t_len, 8), dtype=np.float32),
+                            requires_grad=trainable_hidden)
+            ledger = MemoryLedger()
+            with ComputationRecord(ledger):
+                backward(ops.sum_all(cnn_forward(config, weights, hidden,
+                                                 valid_length=7)))
+            # a trainable input's own gradient is [T, 8]
+            own = t_len * 8 * 4 if trainable_hidden else 0
+            peaks.add((ledger.peak("activations"), ledger.peak("gradients") - own))
+        assert charged == [(7 - 2 + 1) * 5 * 4, (7 - 3 + 1) * 5 * 4] * 3
+        assert len(peaks) == 1
 
 
 class TestPredict:

@@ -376,6 +376,24 @@ class TestConvolution:
             run(ops.conv1d_valid, Tensor(np.ones((2, 4))),
                 Tensor(np.ones((3, 4, 1))), Tensor(np.zeros(1)))
 
+    def test_limit_keeps_the_first_windows(self):
+        """Output row t at any limit is the all-window output's row t."""
+        rng = np.random.default_rng(13)
+        x, w, b = (Tensor(rng.normal(size=(9, 4))), Tensor(rng.normal(size=(3, 4, 5))),
+                   Tensor(rng.normal(size=5)))
+        every = run(ops.conv1d_valid, x, w, b)
+        for limit in (1, 4, 7):
+            out = run(ops.conv1d_valid, x, w, b, limit=limit)
+            assert out.shape == (limit, 5)
+            np.testing.assert_allclose(out, every[:limit], rtol=1e-12)
+
+    @pytest.mark.parametrize("limit", [0, 9 - 3 + 2])
+    def test_limit_bounds(self, limit):
+        """A limit outside 1..T - k + 1 names no set of windows."""
+        x, w, b = Tensor(np.ones((9, 4))), Tensor(np.ones((3, 4, 1))), Tensor(np.zeros(1))
+        with pytest.raises(ShapeMismatchError, match=r"limit .* outside 1\.\.7"):
+            run(ops.conv1d_valid, x, w, b, limit=limit)
+
 
 def _dense_conv(xd, wd, bd, g, need_dx):
     """The dense reference: every window of a ``sliding_window_view``."""

@@ -187,15 +187,10 @@ def test_run_benchmark_trains_through_the_module_attribute(tmp_path,
     assert seen == record["seeds"]
 
 
-@pytest.mark.parametrize("workload, preset, mode, batch, max_len",
-                         _train_step_shapes())
-def test_train_step_makes_the_pinned_tape_entries(workload, preset, mode,
-                                                  batch, max_len):
-    """One traced ``train_step`` at a workload's shape appends as many
-    entries as ``perfbench/expected.json`` pins per step, so a change to the
-    tape's structure fails here and not only in the traced benchmark."""
-    expected = json.loads((PERFBENCH / "expected.json").read_text())
-    want = expected["counts"][workload]["tensor.tape_entries_per_step"]["value"]
+def _traced_step(preset, mode, batch, max_len):
+    """One traced ``train_step`` at a workload's shape, on documents whose
+    valid lengths range from half of ``max_len`` to all of it; returns the
+    trace, the valid lengths and the head's config."""
     rng = np.random.default_rng(0)
     encoder = Encoder.from_preset(preset, 50, seed=[0, 0], frozen=mode == "FE")
     head = CnnHead.build(CnnHeadConfig(hidden=encoder.config.hidden,
@@ -209,4 +204,29 @@ def test_train_step_makes_the_pinned_tape_entries(workload, preset, mode,
     with TRACER.Tracer() as trace:
         training.train_step(encoder, head, params, state, ids, valid, targets,
                             "single_label", 1e-3)
+    return trace, valid, head.config
+
+
+@pytest.mark.parametrize("workload, preset, mode, batch, max_len",
+                         _train_step_shapes())
+def test_train_step_makes_the_pinned_tape_entries(workload, preset, mode,
+                                                  batch, max_len):
+    """One traced ``train_step`` at a workload's shape appends as many
+    entries as ``perfbench/expected.json`` pins per step, so a change to the
+    tape's structure fails here and not only in the traced benchmark."""
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    want = expected["counts"][workload]["tensor.tape_entries_per_step"]["value"]
+    trace, _, _ = _traced_step(preset, mode, batch, max_len)
     assert trace.tape_entries == want
+
+
+@pytest.mark.parametrize("workload, preset, mode, batch, max_len",
+                         _train_step_shapes())
+def test_train_step_convolves_only_the_live_windows(workload, preset, mode,
+                                                    batch, max_len):
+    """The traced step's ``ops.conv1d_valid.out_bytes`` counts float32
+    [valid - k + 1, filters] per document and kernel: no window that
+    overlaps padding is computed."""
+    trace, valid, config = _traced_step(preset, mode, batch, max_len)
+    live = sum(int(v) - k + 1 for v in valid for k in config.kernel_sizes)
+    assert trace.out_bytes["ops.conv1d_valid"] == 4 * config.filters * live

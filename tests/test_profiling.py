@@ -63,6 +63,20 @@ class TestMemoryLedger:
         assert ledger.group_current("gradients", "head") == 8
         assert ledger.group_current("gradients", "encoder") == 8
 
+    def test_ungrouped_free_cannot_reach_grouped_bytes(self):
+        """Grouped bytes are freed by their group; an ungrouped free takes
+        only the category's ungrouped bytes and leaves the rest as it was."""
+        ledger = MemoryLedger()
+        ledger.record_alloc("gradients", 8, group="head")
+        ledger.record_alloc("gradients", 3)
+        before = ledger.breakdown()
+        with pytest.raises(LedgerError, match="over-free.* holds only 3"):
+            ledger.record_free("gradients", 8)
+        assert ledger.breakdown() == before
+        ledger.record_free("gradients", 3)
+        assert ledger.current("gradients") == 8
+        assert ledger.group_current("gradients", "head") == 8
+
     def test_unknown_category(self):
         with pytest.raises(LedgerError):
             MemoryLedger().record_alloc("scratch", 1)
@@ -130,11 +144,9 @@ def test_ledger_invariants_hold_over_any_alloc_free_sequence(steps):
             held = ledger.current(category)
             if group is not None:
                 held = min(held, ledger.group_current(category, group))
-            elif held - sum(ledger.group_current(category, g)
-                            for g in GROUPS) < nbytes <= held:
-                # an owner frees only what it charged: an ungrouped free
-                # that reaches into grouped bytes is accepted but not made
-                continue
+            else:
+                # an ungrouped free may not reach into grouped bytes
+                held -= sum(ledger.group_current(category, g) for g in GROUPS)
             if nbytes > held:
                 before = ledger_figures(ledger), ledger.breakdown()
                 with pytest.raises(LedgerError, match="over-free"):
