@@ -91,6 +91,7 @@ RESULT_KEYS = {
     "seeds": (lambda v: isinstance(v, list)
               and all(type(s) is int for s in v), "a list of integers"),
     "repeats": (lambda v: type(v) is int, "an integer"),
+    "epochs": (lambda v: type(v) is int and v > 0, "a positive integer"),
     "failed": (lambda v: isinstance(v, bool), "true or false"),
     "error": (lambda v: v is None or isinstance(v, str), "a string or null"),
 }

@@ -63,9 +63,9 @@ def _run_cell(cell, config, dataset, vocab, epochs, digest):
     seeds = [config.seed + i for i in range(config.repeats)]
     record = {"cell": cell.cell_id, "preset": cell.preset, "mode": cell.mode,
               "dataset": dataset.name, "task_kind": dataset.task_kind,
-              "metrics": {}, "peak_bytes": 0.0, "seeds": seeds,
-              "repeats": config.repeats, "config_hash": digest,
-              "failed": False, "error": None,
+              "epochs": epochs, "metrics": {}, "peak_bytes": 0.0,
+              "seeds": seeds, "repeats": config.repeats,
+              "config_hash": digest, "failed": False, "error": None,
               "epoch_seconds": [], "total_seconds": None}
     try:
         record.update(run_experiment(cell.run_config(epochs), dataset,

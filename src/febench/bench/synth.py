@@ -60,6 +60,9 @@ class SynthSpec:
             raise SynthesisError("need at least one test document")
         if self.vocab < 1:
             raise SynthesisError("filler vocabulary must be non-empty")
+        if self.vocab > 2**63:  # numpy draws filler ids as int64
+            raise SynthesisError(f"vocab {self.vocab} is above 2**63, the "
+                                 f"most filler ids numpy can draw from")
         if self.doc_len < 1:
             raise SynthesisError("doc_len must be >= 1")
         if self.seed < 0:
@@ -93,16 +96,27 @@ def _solve_marker_probability(labels, density):
     return 0.5 * (lo + hi)
 
 
-def _filler_words(rng, spec, count):
-    return [f"w{j}" for j in rng.integers(0, spec.vocab, size=count)]
+class _Words(dict):
+    """A split's filler words by id, each formatted on its first draw, so it
+    holds only the ids drawn, however large ``vocab`` is."""
+    def __missing__(self, j):
+        word = self[j] = f"w{j}"
+        return word
+
+
+def _filler_words(rng, spec, names):
+    """One document's filler words: one draw of ``doc_len`` ids, read as
+    Python ints and named through the split's ``names``."""
+    ids = rng.integers(0, spec.vocab, size=spec.doc_len).tolist()
+    return list(map(names.__getitem__, ids))
 
 
 def _single_label_split(rng, spec, count, labels):
     assigned = np.array([i % spec.classes for i in range(count)])
     rng.shuffle(assigned)
-    examples = []
+    names, examples = _Words(), []
     for cls in assigned:
-        words = _filler_words(rng, spec, spec.doc_len)
+        words = _filler_words(rng, spec, names)
         words[int(rng.integers(0, spec.doc_len))] = f"topic{cls}"
         examples.append(LabeledExample(" ".join(words),
                                        frozenset({labels[cls]})))
@@ -110,13 +124,13 @@ def _single_label_split(rng, spec, count, labels):
 
 
 def _multi_label_split(rng, spec, count, labels, p):
-    examples = []
+    names, examples = _Words(), []
     for _ in range(count):
         mask = rng.random(spec.classes) < p
         while not mask.any():
             mask = rng.random(spec.classes) < p
         present = np.flatnonzero(mask)
-        words = _filler_words(rng, spec, spec.doc_len)
+        words = _filler_words(rng, spec, names)
         slots = rng.choice(spec.doc_len, size=len(present), replace=False)
         for cls, slot in zip(present, slots):
             words[int(slot)] = f"topic{cls}"

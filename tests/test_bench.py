@@ -1,5 +1,6 @@
 """Benchmark driver: config files, synthetic data, reports, runner, CLI."""
 
+import hashlib
 import json
 import os
 import re
@@ -309,6 +310,26 @@ class TestSynthFiles:
         assert spec.name == "multi"
         assert load_synth_spec(path, seed=50).seed == 50
 
+    @pytest.mark.parametrize("spec, digests", [
+        (SynthSpec(task_kind="multi_label", classes=5, train_docs=40,
+                   test_docs=10, vocab=25, doc_len=9, density=2.0, seed=7),
+         ("249ac4bf0a71699bf11012c30c97cce2e13a1ed95e0d8bde32ef3a26a9871802",
+          "774498b30d46e0958def13575315a9444c996921cb1ed2520b0e886fcef296a1")),
+        (SynthSpec(classes=2, train_docs=4, test_docs=2, vocab=2**63,
+                   doc_len=6, seed=3),
+         ("32e012a6c4b3cb4df78f643111f456723a3e90e91c38faa5613113bc5bc8ee74",
+          "77589cb9d17587a9ea88f09309fcc2167d8e45edbc9b7e02bc83a65e045751e1")),
+    ], ids=["multi-label", "largest-vocab"])
+    def test_written_bytes_are_pinned(self, tmp_path, spec, digests):
+        """Generation is byte-identical for a seed: the SHA-256 of each
+        split's file was derived from the generator that formatted every
+        drawn id afresh.  The largest vocab draws ids up to 2**63 - 1 and
+        formats only the few it draws."""
+        save_dataset(make_synthetic(spec), tmp_path)
+        assert tuple(
+            hashlib.sha256((tmp_path / f"{split}.jsonl").read_bytes())
+            .hexdigest() for split in ("train", "test")) == digests
+
     def test_spec_unknown_key(self, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[synthetic]\nclasses = 2\nshape = round\n")
@@ -362,9 +383,9 @@ def forced_record(cell, preset, mode, *, accuracy=(0.9297, 0.0006),
               "metrics": {"accuracy": {"mean": accuracy[0],
                                        "std": accuracy[1]}},
               "peak_bytes": peak_mib * 2**20, "seeds": [1, 2, 3],
-              "repeats": 3, "config_hash": "cafe", "failed": False,
-              "error": None, "epoch_seconds": list(epoch_seconds),
-              "total_seconds": total}
+              "repeats": 3, "epochs": 12, "config_hash": "cafe",
+              "failed": False, "error": None,
+              "epoch_seconds": list(epoch_seconds), "total_seconds": total}
     record.update(extra)
     return record
 
@@ -840,6 +861,32 @@ class TestRunner:
         with pytest.raises(ConfigError, match="epochs"):
             execute(load_config(write_config(tmp_path, body)))
 
+    def test_records_carry_the_resolved_epochs(self, tmp_path):
+        """An FE cell without ``epochs`` on a dataset directory named
+        ``DBpedia`` records the built-in default, 10; a cell that sets
+        ``epochs`` records its own value."""
+        save_dataset(make_synthetic(SynthSpec(
+            classes=2, train_docs=16, test_docs=8, vocab=15, doc_len=8,
+            seed=6)), tmp_path / "DBpedia")
+        body = RUN_CONFIG.format(data=tmp_path / "DBpedia",
+                                 out=tmp_path / "run").replace(
+            "epochs = 2\n", "") + textwrap.dedent("""
+            [cell:stat-fit]
+            preset = static
+            mode = FiT
+            epochs = 2
+            max_len = 12
+            kernels = 2,3
+            filters = 4
+            """)
+        _, out_dir = run_benchmark(write_config(tmp_path, body), repeats=1)
+        records = [json.loads(line) for line in
+                   (out_dir / "results.jsonl").read_text().splitlines()]
+        assert [(r["cell"], r["epochs"]) for r in records] == [
+            ("stat-fe", 10), ("stat-fit", 2)]
+        assert [len(r["epoch_seconds"]) for r in load_results(out_dir)] == [
+            10, 2]
+
     def test_transformer_cell_through_runner(self, tmp_path):
         data = synth_to_disk(tmp_path, train_docs=8, test_docs=4)
         body = RUN_CONFIG.format(data=data, out=tmp_path / "run").replace(
@@ -1070,6 +1117,17 @@ class TestCli:
         assert "bench: error: seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("vocab", [2**63 + 1, 10**20])
+    def test_synth_vocab_above_int64_exits_two(self, tmp_path, capsys, vocab):
+        spec_path = tmp_path / "kw.ini"
+        spec_path.write_text(f"[synthetic]\nclasses = 2\ntrain = 10\n"
+                             f"test = 4\nvocab = {vocab}\n")
+        out = tmp_path / "generated"
+        assert main(["synth", str(spec_path), "-o", str(out)]) == 2
+        assert (f"bench: error: vocab {vocab} is above 2**63"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_report_on_missing_results_exits_two(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "void")]) == 2
         capsys.readouterr()
@@ -1113,6 +1171,8 @@ class TestCli:
          "peak_bytes is missing or not a number"),
         ("results.jsonl", {"peak_bytes": float("nan")},
          "peak_bytes is missing or not a number"),
+        ("results.jsonl", {"epochs": 0},
+         "epochs is missing or not a positive integer"),
         ("results.jsonl", {"metrics": {"accuracy": {"mean": 0.9}}},
          "metrics is missing or not an object of {mean, std} numbers"),
         ("timing.jsonl", {"epoch_seconds": "fast"},

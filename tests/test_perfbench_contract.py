@@ -11,6 +11,7 @@ surface when the benchmark runs.
 """
 
 import configparser
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -59,6 +60,43 @@ def _train_step_shapes():
         shapes += [(name, preset, mode, workload.batch, workload.max_len)
                    for preset, mode in cells]
     return shapes
+
+
+# SHA-256 of (train.jsonl, test.jsonl) as ``save_dataset`` writes each
+# workload's corpus, by benchmark seed: 0 is the reference seed of
+# ``perfbench/expected.json``, 1 the seed the benchmark is run at
+KW_DIGESTS = {
+    0: ("87bb6ce99764b878729b19005ddc2eae47d5e9db286e65f5bea774f5b974b10b",
+        "f520597d10c72d62a4bda07fd7dbc9da00717d87569cc1abccce00257bab9f4f"),
+    1: ("5398070c93ca2407bd2e6cfafa9e002b1438416e8f020b2070678af58d924a3f",
+        "01cb39b0e5ba802247af0ee62935c89a1e8f81da8fdda0318e7ca7540cc68444"),
+}
+CORPUS_DIGESTS = {
+    "fe-tiny": KW_DIGESTS,
+    "fit-l12": KW_DIGESTS,
+    "cli-static-long": {
+        0: ("607ebf1807b990a25df96bbd780e2967890c4de967ae635844510d6b482bc08b",
+            "40cd9abc23791ebb719b7942a2d52bdc3127b4c2eae01414801b7bd83e213c0b"),
+        1: ("0a2a8d7864ac6266dc35d1cccd566ead9d917282fe52c4b822f13ae42738a5a5",
+            "d471b8124f61fe0012fdaf868897343b4012ad86ffd92587044f45f206bfb679"),
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(KW_DIGESTS))
+@pytest.mark.parametrize("workload", sorted(WORKLOADS.WORKLOADS))
+def test_workload_corpora_keep_their_bytes(workload, seed, tmp_path):
+    """A workload's ``setup`` generates the corpus its reference losses were
+    recorded on, so a change to the generator that moves one byte fails
+    here before the benchmark's loss check sees it."""
+    importlib.import_module("febench.bench.cli")  # CliWorkload calls main()
+    state = WORKLOADS.WORKLOADS[workload].setup(seed, tmp_path)
+    if hasattr(state, "args"):  # a TrainWorkload keeps its corpus in memory
+        save_dataset(state.args[1], tmp_path / "data")
+    assert tuple(
+        hashlib.sha256((tmp_path / "data" / f"{split}.jsonl").read_bytes())
+        .hexdigest() for split in ("train", "test")
+    ) == CORPUS_DIGESTS[workload][seed]
 
 
 @pytest.mark.parametrize("span", sorted(TRACER.SPANNED))
@@ -153,9 +191,10 @@ def test_result_files_keep_the_keys_the_cli_workload_reads(tmp_path):
     records, out_dir = run_benchmark(config)
     assert records[1]["error"].startswith("TrainingDivergedError: ")
     expected = {
-        "results.jsonl": {"cell", "config_hash", "dataset", "error",
-                          "failed", "metrics", "mode", "peak_bytes",
-                          "preset", "repeats", "seeds", "task_kind"},
+        "results.jsonl": {"cell", "config_hash", "dataset", "epochs",
+                          "error", "failed", "metrics", "mode",
+                          "peak_bytes", "preset", "repeats", "seeds",
+                          "task_kind"},
         "timing.jsonl": {"cell", "epoch_seconds", "total_seconds"},
     }
     for name, keys in expected.items():
