@@ -1171,12 +1171,12 @@ class TestCli:
          "peak_bytes is missing or not a number"),
         ("results.jsonl", {"peak_bytes": float("nan")},
          "peak_bytes is missing or not a number"),
-        ("results.jsonl", {"epochs": 0},
-         "epochs is missing or not a positive integer"),
         ("results.jsonl", {"metrics": {"accuracy": {"mean": 0.9}}},
          "metrics is missing or not an object of {mean, std} numbers"),
         ("timing.jsonl", {"epoch_seconds": "fast"},
          "epoch_seconds is missing or not a list of positive numbers"),
+        ("results.jsonl", {"epochs": 0},
+         "epochs is missing or not a positive integer"),
     ])
     def test_report_on_malformed_record_exits_two(self, tmp_path, capsys,
                                                   name, fields, message):
