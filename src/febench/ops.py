@@ -21,27 +21,28 @@ that needs no gradient (PyTorch's ``needs_input_grad`` rule), which
 frozen input.
 
 A closure may return a gradient in a form other than a dense array (see
-:func:`~febench.tensor.backward`).  :func:`matmul` and 2-d :func:`linear`
-return their weight gradient as stacked factors ``(a, g)``, meaning
-``a.T @ g``, and :func:`embedding_lookup` a row-sparse update that carries
-its table's row count, which the walk reduces once per step, not once per
-document.  :func:`max_over_time` returns its input's gradient as
-:class:`Pooled` winners, one row and value per column, which the walk
-passes as they are to :func:`conv1d_valid`; it gathers each filter's weight
-gradient from its one winning window instead of multiplying out a product.
-Another closure reads them as numpy's dense array, through ``np.asarray``
-where it calls ndarray methods.  The conv
-weight gradient and the 1-d ``linear``'s outer product stay dense per
-document; deferred conv factors would keep each document's windows alive.
+:func:`~febench.tensor.backward`).  :func:`matmul` and :func:`linear`, which
+reads an [in] input as a one-row batch, return their weight gradient as
+stacked factors ``(a, g)``, meaning ``a.T @ g``, and
+:func:`embedding_lookup` a row-sparse update that carries its table's row
+count, which the walk reduces once per step, not once per document.
+:func:`max_over_time` returns its input's gradient as :class:`Pooled`
+winners, one row and value per column, which the walk passes as they are
+to :func:`conv1d_valid`; it gathers each filter's weight gradient from its
+one winning window instead of multiplying out a product.  Another closure
+reads them as numpy's dense array, through ``np.asarray`` where it calls
+ndarray methods.  The conv weight gradient stays dense per document;
+deferred conv factors would keep each document's windows alive.
 
 All primitives accept and return :class:`~febench.tensor.Tensor`; integer
 side inputs (token ids, class targets) are plain numpy arrays passed as
-keyword attributes.
+keyword attributes; a count (``limit``, ``valid_length``) must be an integer.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -63,6 +64,8 @@ class Pooled:
         self.nbytes = length * values.nbytes
 
     def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("Pooled builds its array anew; copy=False refused")
         out = np.zeros((self.length, self.values.size), dtype=self.values.dtype)
         out[self.rows, np.arange(self.values.size)] = self.values
         return out if dtype is None else out.astype(dtype, copy=False)
@@ -239,7 +242,7 @@ def conv1d_valid(x, w, b, limit=None):
     if t_len < k:
         raise KernelTooLongError(
             f"kernel size {k} exceeds sequence length {t_len}")
-    n = t_len - k + 1 if limit is None else int(limit)
+    n = t_len - k + 1 if limit is None else operator.index(limit)
     if not 1 <= n <= t_len - k + 1:
         raise ShapeMismatchError(
             f"conv1d_valid limit {limit} outside 1..{t_len - k + 1}")
@@ -301,7 +304,7 @@ def max_over_time(x, limit):
     if x.data.ndim != 2:
         raise ShapeMismatchError(f"max_over_time needs [T, F], got {tuple(x.shape)}")
     t_len, f = x.shape
-    limit = int(limit)
+    limit = operator.index(limit)
     if not 1 <= limit <= t_len:
         raise ShapeMismatchError(
             f"max_over_time limit {limit} outside 1..{t_len}")
@@ -362,7 +365,7 @@ def scaled_dot_attention(q, k, v, num_heads, valid_length):
     if num_heads < 1 or h % num_heads != 0:
         raise ShapeMismatchError(
             f"width {h} not divisible into {num_heads} heads")
-    valid_length = int(valid_length)
+    valid_length = operator.index(valid_length)
     if not 1 <= valid_length <= t_len:
         raise ShapeMismatchError(
             f"valid_length {valid_length} outside 1..{t_len}")
@@ -437,7 +440,7 @@ def stack(parts):
 
 
 def linear(x, w, b):
-    """Affine map ``x @ w + b`` for [in] or [B, in] inputs, w [in, out]."""
+    """Affine map ``x @ w + b``, w [in, out], for [B, in] or one [in] row."""
     if w.data.ndim != 2:
         raise ShapeMismatchError(f"linear weight must be [in, out], got {tuple(w.shape)}")
     n_in, n_out = w.shape
@@ -448,13 +451,10 @@ def linear(x, w, b):
         raise ShapeMismatchError(
             f"linear bias {tuple(b.shape)} does not match {n_out} outputs")
     xd, wd = x.data, w.data
-    if xd.ndim == 1:
-        def bwd(g):
-            return wd @ g, np.outer(xd, g), g
-    else:
-        def bwd(g):
-            g = np.asarray(g)
-            return g @ wd.T, Factors(xd, g), g.sum(axis=0)
+
+    def bwd(g):
+        x2, g2 = xd.reshape(-1, n_in), np.asarray(g).reshape(-1, n_out)
+        return (g2 @ wd.T).reshape(xd.shape), Factors(x2, g2), g2.sum(axis=0)
 
     out = xd @ wd
     out += b.data

@@ -236,9 +236,9 @@ def backward(loss):
 
     A closure may return a gradient as a dense array, in one of two
     deferred forms, or as any array-like with an ``nbytes``.
-    :class:`Factors` and :class:`RowSparse` let each parameter's gradient be
-    reduced once per step, not once per document: the walk stacks a
-    tensor's factors and multiplies them out once,
+    :class:`Factors` and :class:`RowSparse` let a weight's or a table's
+    gradient be reduced once per step, not once per document: the walk
+    stacks a tensor's factors and multiplies them out once,
     ``concatenate(a).T @ concatenate(g)``, when the tensor's producer needs
     its gradient or, for a parameter, at the end; it adds row-sparse updates
     in place into the tensor's one dense gradient, which the first update
@@ -318,11 +318,8 @@ def _reduce(slot):
     factors = slot[3]
     if factors:
         slot[3] = []
-        if len(factors) == 1:
-            a, g = factors[0]
-        else:
-            a = np.concatenate([f.a for f in factors])
-            g = np.concatenate([f.g for f in factors])
+        a = np.concatenate([f.a for f in factors])
+        g = np.concatenate([f.g for f in factors])
         _accumulate(slot, a.T @ g)
     return slot[1]
 

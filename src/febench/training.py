@@ -19,6 +19,7 @@ and batch order depend only on (seed, epoch).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -93,17 +94,18 @@ class RunConfig:
             raise ValueError(f"mode must be FE or FiT, got {self.mode!r}")
         if self.batch_size is None:
             object.__setattr__(self, "batch_size", DEFAULT_BATCH[self.mode])
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be at least 1")
+        # max_len leaves room for CLS, SEP and one content token
+        for name, least in (("epochs", 1), ("batch_size", 1), ("max_len", 3)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer of at least "
+                                 f"{least}, got {value!r}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and positive, "
                              f"got {self.learning_rate!r}")
         if not 0 < self.threshold < 1:
             raise ValueError(f"threshold must lie in (0, 1), got "
                              f"{self.threshold!r}")
-        if self.max_len < 3:
-            raise ValueError(f"max_len must be at least 3 (room for CLS, "
-                             f"SEP, content), got {self.max_len!r}")
 
 
 def compute_loss(logits, targets, task_kind):

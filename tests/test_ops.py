@@ -147,9 +147,10 @@ def _reference_attention(qd, kd, vd, g, num_heads, valid_length):
 
 
 def _reference_linear(xd, wd, bd, g):
-    if xd.ndim == 1:
-        return xd @ wd + bd, (wd @ g, np.outer(xd, g), g)
-    return xd @ wd + bd, (g @ wd.T, xd.T @ g, g.sum(axis=0))
+    # an [in] input is a one-row batch
+    x2, g2 = xd.reshape(-1, wd.shape[0]), g.reshape(-1, wd.shape[1])
+    return xd @ wd + bd, ((g2 @ wd.T).reshape(xd.shape), x2.T @ g2,
+                          g2.sum(axis=0))
 
 
 def _reference_softmax_xent(ld, targets, g):
@@ -762,6 +763,42 @@ class TestDispatch:
 SCALAR_SIDE_INPUTS = {"ids": np.array(0), "targets": np.array(0),
                       "limit": np.array(1), "num_heads": np.array(1),
                       "valid_length": np.array(1)}
+
+
+COUNTED = {
+    "conv1d_valid": lambda n: ops.conv1d_valid(
+        Tensor(np.arange(12.0).reshape(6, 2)), Tensor(np.ones((2, 2, 3))),
+        Tensor(np.zeros(3)), limit=n),
+    "max_over_time": lambda n: ops.max_over_time(
+        Tensor(np.arange(12.0).reshape(4, 3)), limit=n),
+    "scaled_dot_attention": lambda n: ops.scaled_dot_attention(
+        *(Tensor(np.arange(8.0).reshape(4, 2)) for _ in range(3)),
+        num_heads=1, valid_length=n),
+}
+
+
+@pytest.mark.parametrize("value", [2.7, 1.5, 2.0, np.float64(2.0)],
+                         ids=["2.7", "1.5", "2.0", "np.float64"])
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_counts_refuse_floats_and_take_numpy_integers(name, value):
+    """``limit`` and ``valid_length`` are read through ``operator.index``:
+    a float raises ``TypeError`` instead of being truncated, and a numpy
+    integer counts as its value."""
+    with pytest.raises(TypeError):
+        COUNTED[name](value)
+    got, want = COUNTED[name](np.int64(2)), COUNTED[name](2)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_pooled_refuses_a_no_copy_read():
+    """Every read of :class:`Pooled` builds its dense array anew, so numpy
+    2's ``copy=False``, which asks for no copy, raises ``ValueError``."""
+    pooled = Pooled(np.array([1, 0]), np.array([2.0, 3.0], np.float32), 3)
+    with pytest.raises(ValueError):
+        np.asarray(pooled, copy=False)
+    for copy in (None, True):
+        np.testing.assert_array_equal(np.asarray(pooled, copy=copy),
+                                      [[0, 3], [2, 0], [0, 0]])
 
 
 @pytest.mark.parametrize("name", sorted(ops.PRIMITIVES))

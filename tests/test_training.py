@@ -6,14 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from febench import ComputationRecord, MemoryLedger, Tensor, tensor, training
+from febench import ComputationRecord, MemoryLedger, Tensor, ops, tensor, training
 from febench.bench.synth import SynthSpec, make_synthetic
 from febench.cnn import CnnHead, CnnHeadConfig, predict
 from febench.cnn import expected_shapes as head_shapes
 from febench.encoders import Encoder, EncoderConfig
 from febench.encoders import expected_shapes as encoder_shapes
 from febench.profiling import TimingTrace
-from febench.tensor import WeightSet
+from febench.tensor import Factors, WeightSet
 from febench.text import Dataset, LabeledExample, build_vocab
 from febench.training import (ADAM_CHUNK, AdamState, RunConfig, RunResult,
                               TrainingDivergedError, adam_step, aggregate_runs,
@@ -81,6 +81,21 @@ class TestRunConfig:
     def test_invalid_threshold_or_max_len(self, field, value):
         with pytest.raises(ValueError, match=field):
             RunConfig(mode="FE", epochs=1, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.5), ("epochs", 2.0), ("epochs", "2"),
+        ("batch_size", 4.5), ("max_len", 12.0)])
+    def test_counts_must_be_integers(self, field, value):
+        """A non-integer count fails at construction, not inside ``train``."""
+        fields = dict(mode="FE", epochs=1)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RunConfig(**fields)
+
+    def test_numpy_integer_counts(self):
+        config = RunConfig(mode="FE", epochs=np.int64(2),
+                           batch_size=np.int32(4), max_len=np.int64(12))
+        assert (config.epochs, config.batch_size, config.max_len) == (2, 4, 12)
 
 
 class TestEpochDefaults:
@@ -397,6 +412,43 @@ class TestTrain:
         encoder, head, vocab = toy_model(11, dataset, classes=2)
         with pytest.raises(ValueError, match="non-empty"):
             train(toy_run_config(), empty, encoder, head, vocab)
+
+
+class TestProjectionGradient:
+    def test_batch_one_step_reduces_its_single_factor_exactly(self, monkeypatch):
+        """In a batch-1 step the head's projection weight gets one stacked
+        factor, and the walk reduces it to exactly ``a.T @ g``."""
+        dataset = toy_dataset()
+        encoder, head, vocab = toy_model(5, dataset, classes=2)
+        encoder.set_trainable(False)
+        ids, valid, targets = encode_examples(
+            dataset.train[:1], vocab, 12, dataset.label_space, "single_label")
+        weight = head.weights.tensors["projection.weight"]
+        factors, got = [], {}
+        linear = ops.linear
+
+        def spied(x, w, b):
+            out = linear(x, w, b)
+            if w is weight:
+                entry = tensor.current_record().entries[-1]
+                inner = entry.backward_fn
+
+                def logged(g):
+                    grads = inner(g)
+                    factors.append(grads[1])
+                    return grads
+
+                entry.backward_fn = logged
+            return out
+
+        monkeypatch.setattr(ops, "linear", spied)
+        monkeypatch.setattr(training, "adam_step",
+                            lambda params, grads, state, lr: got.update(grads))
+        train_step(encoder, head, list(head.weights.tensors.values()),
+                   AdamState(), ids, valid, targets, "single_label", lr=1e-3)
+        (factor,) = factors
+        assert type(factor) is Factors and factor.a.shape[0] == 1
+        assert got[weight.tid].tobytes() == (factor.a.T @ factor.g).tobytes()
 
 
 class TestSingleStepDescent:
