@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .tensor import ShapeMismatchError, Tensor, WeightSet
+from .tensor import ShapeMismatchError, Tensor, WeightSet, check_count
 
 
 @dataclass(frozen=True)
@@ -31,19 +31,19 @@ class CnnHeadConfig:
     def __post_init__(self):
         object.__setattr__(self, "kernel_sizes", tuple(self.kernel_sizes))
         check_kernels(self.kernel_sizes, self.filters)
-        if self.hidden < 1 or self.classes < 1:
-            raise ValueError("hidden width and class count must be positive")
+        check_count("hidden", self.hidden, 1)
+        check_count("classes", self.classes, 1)
 
 
 def check_kernels(kernel_sizes, filters):
     """The head's rule for its convolutions, which holds whatever its width
-    and classes: distinct positive kernel sizes and a positive filter count."""
-    if not kernel_sizes or any(k < 1 for k in kernel_sizes):
-        raise ValueError("kernel sizes must be positive integers")
+    and classes: distinct positive integer kernel sizes and filter count."""
+    check_count("len(kernel_sizes)", len(kernel_sizes), 1)
+    for i, k in enumerate(kernel_sizes):
+        check_count(f"kernel_sizes[{i}]", k, 1)
     if len(set(kernel_sizes)) != len(kernel_sizes):
         raise ValueError("kernel sizes must be distinct")
-    if filters < 1:
-        raise ValueError("filter count must be positive")
+    check_count("filters", filters, 1)
 
 
 def feature_dim(config):
@@ -70,25 +70,22 @@ def cnn_forward(config, weights, hidden, valid_length):
     """Logits [classes] for one document's hidden sequence [max_len x H].
 
     Convolution windows that start past ``valid_length - k`` would overlap
-    padding rows, so each kernel convolves and pools only the first
-    ``valid_length - k + 1`` windows.  valid_length must cover the largest
-    kernel.
+    padding rows, so each kernel convolves only the first
+    ``valid_length - k + 1`` windows, and pooling reads every row it is
+    given.  valid_length must cover the largest kernel.
     """
-    t_len = hidden.shape[0]
-    max_k = max(config.kernel_sizes)
-    if valid_length < max_k:
+    max_k, t_len = max(config.kernel_sizes), hidden.shape[0]
+    if not max_k <= valid_length <= t_len:
         raise ShapeMismatchError(
-            f"valid_length {valid_length} shorter than largest kernel {max_k}")
-    if valid_length > t_len:
-        raise ShapeMismatchError(
-            f"valid_length {valid_length} exceeds sequence length {t_len}")
+            f"valid_length {valid_length} outside {max_k}..{t_len}, the "
+            f"largest kernel to the sequence length")
     tensors = weights.tensors
     pooled = []
     for k in config.kernel_sizes:
         live = valid_length - k + 1
         conv = ops.conv1d_valid(hidden, tensors[f"conv{k}.weight"],
                                 tensors[f"conv{k}.bias"], limit=live)
-        pooled.append(ops.relu(ops.max_over_time(conv, limit=live)))
+        pooled.append(ops.relu(ops.max_over_time(conv)))
     features = ops.concat(pooled)
     return ops.linear(features, tensors["projection.weight"],
                       tensors["projection.bias"])

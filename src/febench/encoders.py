@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .tensor import ShapeMismatchError, WeightSet
+from .tensor import ShapeMismatchError, WeightSet, check_count
 
 # feed-forward width in hidden widths, as in BERT and every preset
 FF_MULTIPLE = 4
@@ -33,14 +33,12 @@ class EncoderConfig:
     def __post_init__(self):
         if self.kind not in ("static", "transformer"):
             raise ValueError(f"unknown encoder kind {self.kind!r}")
-        if self.hidden < 1 or self.vocab_size < 1:
-            raise ValueError("hidden and vocab_size must be positive")
-        if self.kind == "transformer":
-            if self.layers < 0 or self.heads < 1 or self.max_positions < 1:
-                raise ValueError("layers, heads, max_positions must be valid")
-            if self.hidden % self.heads != 0:
-                raise ValueError(
-                    f"hidden {self.hidden} not divisible by {self.heads} heads")
+        for name, least in (("hidden", 1), ("vocab_size", 1), ("layers", 0),
+                            ("heads", 1), ("max_positions", 1)):
+            check_count(name, getattr(self, name), least)
+        if self.kind == "transformer" and self.hidden % self.heads != 0:
+            raise ValueError(
+                f"hidden {self.hidden} not divisible by {self.heads} heads")
 
 
 def expected_shapes(config):

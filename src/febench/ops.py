@@ -36,7 +36,7 @@ deferred conv factors would keep each document's windows alive.
 
 All primitives accept and return :class:`~febench.tensor.Tensor`; integer
 side inputs (token ids, class targets) are plain numpy arrays passed as
-keyword attributes; a count (``limit``, ``valid_length``) must be an integer.
+keyword attributes; a count must be an integer, not a float or a bool.
 """
 
 from __future__ import annotations
@@ -69,6 +69,16 @@ class Pooled:
         out = np.zeros((self.length, self.values.size), dtype=self.values.dtype)
         out[self.rows, np.arange(self.values.size)] = self.values
         return out if dtype is None else out.astype(dtype, copy=False)
+
+
+def _count(name, value, most):
+    """``value`` read by ``operator.index`` (no float, no bool), in 1..most."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    value = operator.index(value)
+    if not 1 <= value <= most:
+        raise ShapeMismatchError(f"{name} {value} outside 1..{most}")
+    return value
 
 
 def _emit(kind, inputs, out_data, backward_fn):
@@ -205,12 +215,12 @@ def layer_norm(x, scale, offset):
     return _emit("layer_norm", (x, scale, offset), out, bwd)
 
 
-def conv1d_valid(x, w, b, limit=None):
+def conv1d_valid(x, w, b, limit):
     """Valid-mode 1-d convolution over the time axis.
 
     ``x`` is [T, H], ``w`` is [k, H, f], ``b`` is [f]; output is [limit, f],
-    the first ``limit`` of the T - k + 1 windows (every one when ``limit``
-    is None).  Only those windows are copied, multiplied, kept for the
+    the first ``limit`` of the T - k + 1 windows (``limit`` T - k + 1 takes
+    every one).  Only those windows are copied, multiplied, kept for the
     backward and charged; input rows that no kept window reads get an exact
     zero gradient.  A kernel longer than the sequence, or a ``limit``
     outside 1..T - k + 1, is an error.  When ``x`` needs no gradient (a
@@ -242,10 +252,7 @@ def conv1d_valid(x, w, b, limit=None):
     if t_len < k:
         raise KernelTooLongError(
             f"kernel size {k} exceeds sequence length {t_len}")
-    n = t_len - k + 1 if limit is None else operator.index(limit)
-    if not 1 <= n <= t_len - k + 1:
-        raise ShapeMismatchError(
-            f"conv1d_valid limit {limit} outside 1..{t_len - k + 1}")
+    n = _count("conv1d_valid limit", limit, t_len - k + 1)
     xd = np.ascontiguousarray(x.data)
     # row t of this read-only view is the flattened window x[t:t+k]; row
     # n - 1 ends at element (n - 1 + k)·H <= T·H, so the view lies within
@@ -293,24 +300,18 @@ def conv1d_valid(x, w, b, limit=None):
     return _emit("conv1d_valid", (x, w, b), out, bwd)
 
 
-def max_over_time(x, limit):
-    """Columnwise max over the first ``limit`` rows of [T, F].
+def max_over_time(x):
+    """Columnwise max over every row of [T, F], T at least 1.
 
     The backward saves only the argmax and returns the input's gradient as
-    :class:`Pooled` winners, without a dense [T, F] array.  The CNN head
-    gives :func:`conv1d_valid` the same ``limit``, so T is ``limit`` there
-    and the gradient is [limit, F].
+    :class:`Pooled` winners, without a dense [T, F] array.
     """
-    if x.data.ndim != 2:
-        raise ShapeMismatchError(f"max_over_time needs [T, F], got {tuple(x.shape)}")
-    t_len, f = x.shape
-    limit = operator.index(limit)
-    if not 1 <= limit <= t_len:
+    if x.data.ndim != 2 or x.shape[0] == 0:
         raise ShapeMismatchError(
-            f"max_over_time limit {limit} outside 1..{t_len}")
-    sub = x.data[:limit]
-    idx = sub.argmax(axis=0)
-    out = sub[idx, np.arange(f)]
+            f"max_over_time needs [T, F] with T >= 1, got {tuple(x.shape)}")
+    t_len, f = x.shape
+    idx = x.data.argmax(axis=0)
+    out = x.data[idx, np.arange(f)]
 
     def bwd(g):
         return (Pooled(idx, g, t_len),)
@@ -362,13 +363,11 @@ def scaled_dot_attention(q, k, v, num_heads, valid_length):
             f"attention needs matching [T, H] inputs, got {tuple(q.shape)}, "
             f"{tuple(k.shape)}, {tuple(v.shape)}")
     t_len, h = q.shape
-    if num_heads < 1 or h % num_heads != 0:
+    num_heads = _count("num_heads", num_heads, h)
+    if h % num_heads != 0:
         raise ShapeMismatchError(
             f"width {h} not divisible into {num_heads} heads")
-    valid_length = operator.index(valid_length)
-    if not 1 <= valid_length <= t_len:
-        raise ShapeMismatchError(
-            f"valid_length {valid_length} outside 1..{t_len}")
+    valid_length = _count("valid_length", valid_length, t_len)
     d = h // num_heads
     inv_scale = 1.0 / math.sqrt(d)
 

@@ -59,6 +59,14 @@ class NestedRecordError(RuntimeError):
     """A computation record was entered while another one was active."""
 
 
+def check_count(name, value, least):
+    """A config count is an integer (numpy's too, a bool not) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, "
+                         f"got {value!r}")
+
+
 _tid_counter = itertools.count(1)
 _active = None
 

@@ -19,7 +19,6 @@ and batch order depend only on (seed, epoch).
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -29,7 +28,8 @@ from . import ops
 from .metrics import accuracy, mean_std, micro_prf
 from .cnn import predict
 from .profiling import MemoryLedger, TimingTrace
-from .tensor import ComputationRecord, ShapeMismatchError, backward
+from .tensor import (ComputationRecord, ShapeMismatchError, backward,
+                     check_count)
 from .text import encode
 
 # (FE epochs, FiT epochs) per corpus, as configured for the full-scale grid
@@ -96,10 +96,7 @@ class RunConfig:
             object.__setattr__(self, "batch_size", DEFAULT_BATCH[self.mode])
         # max_len leaves room for CLS, SEP and one content token
         for name, least in (("epochs", 1), ("batch_size", 1), ("max_len", 3)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer of at least "
-                                 f"{least}, got {value!r}")
+            check_count(name, getattr(self, name), least)
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and positive, "
                              f"got {self.learning_rate!r}")

@@ -58,7 +58,9 @@ def _case_layer_norm(rng):
 
 
 def _case_conv1d_valid(rng):
-    return (lambda x, w, b: ops.sum_all(ops.gelu(ops.conv1d_valid(x, w, b))),
+    """Conv over every one of its 5 windows."""
+    return (lambda x, w, b: ops.sum_all(ops.gelu(
+                ops.conv1d_valid(x, w, b, limit=5))),
             [rng.normal(size=(7, 4)), rng.normal(size=(3, 4, 5)),
              rng.normal(size=5)])
 
@@ -66,13 +68,14 @@ def _case_conv1d_valid(rng):
 def _case_conv1d_valid_frozen_input(rng):
     from febench.tensor import Tensor
     x = Tensor(rng.normal(size=(7, 4)))
-    return (lambda w, b: ops.sum_all(ops.gelu(ops.conv1d_valid(x, w, b))),
+    return (lambda w, b: ops.sum_all(ops.gelu(
+                ops.conv1d_valid(x, w, b, limit=5))),
             [rng.normal(size=(3, 4, 5)), rng.normal(size=5)])
 
 
 def _conv1d_valid_limit_case(limit, frozen_input):
-    """Conv over only its first ``limit`` of 5 windows: the input rows past
-    window ``limit - 1`` get an exact zero gradient.  Weights of scale 0.3
+    """Conv over only its first ``limit`` of 5 windows: below 5, the input
+    rows past window ``limit - 1`` get an exact zero gradient.  Weights of scale 0.3
     keep each output where gelu's slope is far from zero, as one window
     alone must carry a filter's gradient."""
     def case(rng):
@@ -95,16 +98,16 @@ def _case_conv1d_valid_limit_pooled(rng):
     as the CNN head pairs them."""
     def fn(x, w, b):
         conv = ops.conv1d_valid(x, w, b, limit=4)
-        return ops.sum_all(ops.gelu(ops.max_over_time(conv, limit=4)))
+        return ops.sum_all(ops.gelu(ops.max_over_time(conv)))
     return fn, [rng.normal(size=(9, 4)), rng.normal(size=(3, 4, 2)),
                 rng.normal(size=2)]
 
 
 def _case_conv1d_valid_pooled(rng):
-    """Conv pooled over its first 4 of 7 windows by 2 filters: the conv
-    backward sees dead rows (past the limit, and never a column's max)."""
+    """Conv over all 7 windows pooled by 2 filters: the conv backward sees
+    dead rows (never a column's max)."""
     def fn(x, w, b):
-        pooled = ops.max_over_time(ops.conv1d_valid(x, w, b), limit=4)
+        pooled = ops.max_over_time(ops.conv1d_valid(x, w, b, limit=7))
         return ops.sum_all(ops.gelu(pooled))
     return fn, [rng.normal(size=(9, 4)), rng.normal(size=(3, 4, 2)),
                 rng.normal(size=2)]
@@ -112,7 +115,7 @@ def _case_conv1d_valid_pooled(rng):
 
 def _case_max_over_time(rng):
     def fn(x):
-        pooled = ops.max_over_time(x, limit=4)
+        pooled = ops.max_over_time(x)
         return ops.sum_all(ops.gelu(pooled))
     return fn, [_gapped_columns(rng, 6, 3)]
 

@@ -150,6 +150,14 @@ class TestConfig:
         assert (cell.kernel_sizes, cell.filters) == (head.kernel_sizes,
                                                      head.filters)
 
+    @pytest.mark.parametrize("field, value", [
+        ("filters", 2.5), ("filters", True), ("kernel_sizes", (3, 4.0))])
+    def test_cell_refuses_non_integer_head_sizes(self, field, value):
+        """A cell checks its head's kernels by the library's rule, which
+        refuses a float or a bool."""
+        with pytest.raises(ConfigError, match="cell 'a': .* must be an integer"):
+            CellSpec(cell_id="a", preset="tiny", mode="FE", **{field: value})
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.ini")

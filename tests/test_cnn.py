@@ -1,5 +1,7 @@
 """CNN head: pooling with window masking, projection, prediction rules."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,22 @@ class TestConfig:
     def test_duplicate_kernels_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             CnnHeadConfig(hidden=8, classes=2, kernel_sizes=(3, 3))
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("hidden", 8.0, "hidden"), ("hidden", True, "hidden"),
+        ("classes", 2.0, "classes"), ("classes", True, "classes"),
+        ("filters", 100.0, "filters"), ("filters", True, "filters"),
+        ("kernel_sizes", (3, 4.5), "kernel_sizes[1]"),
+        ("kernel_sizes", (True, 3), "kernel_sizes[0]"),
+        ("kernel_sizes", (), "len(kernel_sizes)")])
+    def test_sizes_must_be_integers(self, field, value, name):
+        """A float or bool size fails at construction and names its field,
+        not later when the weights are built."""
+        fields = dict(hidden=8, classes=2)
+        fields[field] = value
+        message = re.escape(f"{name} must be an integer")
+        with pytest.raises(ValueError, match=message):
+            CnnHeadConfig(**fields)
 
     def test_kernels_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -138,20 +156,22 @@ def _relu_then_pool(config, weights, hidden, valid_length):
         live = valid_length - k + 1
         conv = ops.conv1d_valid(hidden, tensors[f"conv{k}.weight"],
                                 tensors[f"conv{k}.bias"], limit=live)
-        pooled.append(ops.max_over_time(ops.relu(conv), limit=live))
+        pooled.append(ops.max_over_time(ops.relu(conv)))
     return ops.linear(ops.concat(pooled), tensors["projection.weight"],
                       tensors["projection.bias"])
 
 
 def _all_windows(config, weights, hidden, valid_length):
-    """The head with every window convolved, those over padding included;
-    pooling still reads only the live ones."""
+    """The head with every window convolved, those over padding included; a
+    0/1 selection product, exact both ways, passes pooling the live ones."""
     tensors = weights.tensors
     pooled = []
     for k in config.kernel_sizes:
+        n = hidden.shape[0] - k + 1
         conv = ops.conv1d_valid(hidden, tensors[f"conv{k}.weight"],
-                                tensors[f"conv{k}.bias"])
-        pooled.append(ops.relu(ops.max_over_time(conv, limit=valid_length - k + 1)))
+                                tensors[f"conv{k}.bias"], limit=n)
+        live = Tensor(np.eye(valid_length - k + 1, n, dtype=conv.dtype))
+        pooled.append(ops.relu(ops.max_over_time(ops.matmul(live, conv))))
     return ops.linear(ops.concat(pooled), tensors["projection.weight"],
                       tensors["projection.bias"])
 

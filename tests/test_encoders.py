@@ -32,6 +32,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             EncoderConfig(kind="recurrent", hidden=8, vocab_size=10)
 
+    @pytest.mark.parametrize("kind", ["float", "bool"])
+    @pytest.mark.parametrize("field", ["hidden", "vocab_size", "layers",
+                                       "heads", "max_positions"])
+    def test_sizes_must_be_integers(self, field, kind):
+        """A float or bool size fails at construction and names its field,
+        even where its value is a valid size, not later in a forward."""
+        value = float(getattr(tiny_config(), field)) if kind == "float" else True
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            tiny_config(**{field: value})
+
+    def test_numpy_integer_sizes(self):
+        config = tiny_config(hidden=np.int64(8), heads=np.int32(2),
+                             layers=np.int64(1))
+        assert (config.hidden, config.heads, config.layers) == (8, 2, 1)
+
 
 class TestParamCount:
     def test_static(self):

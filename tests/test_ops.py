@@ -336,7 +336,7 @@ class TestConvolution:
         x = Tensor(np.zeros((200, 16), dtype=np.float32))
         w = Tensor(np.zeros((3, 16, 100), dtype=np.float32))
         b = Tensor(np.zeros(100, dtype=np.float32))
-        out = run(ops.conv1d_valid, x, w, b)
+        out = run(ops.conv1d_valid, x, w, b, limit=198)
         assert out.shape == (198, 100)
 
     def test_matches_window_enumeration(self):
@@ -345,7 +345,7 @@ class TestConvolution:
         x = rng.normal(size=(9, 4))
         w = rng.normal(size=(3, 4, 5))
         b = rng.normal(size=5)
-        out = run(ops.conv1d_valid, Tensor(x), Tensor(w), Tensor(b))
+        out = run(ops.conv1d_valid, Tensor(x), Tensor(w), Tensor(b), limit=7)
         expected = np.empty((7, 5))
         for t in range(7):
             for f in range(5):
@@ -363,7 +363,7 @@ class TestConvolution:
             x = Tensor(xd, requires_grad=trainable)
             w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
             with ComputationRecord() as record:
-                out = ops.conv1d_valid(x, w, b)
+                out = ops.conv1d_valid(x, w, b, limit=7)
                 dx = record.entries[-1].backward_fn(np.ones_like(out.data))[0]
                 grads = backward(ops.sum_all(ops.gelu(out)))
             assert (dx is not None) == trainable
@@ -375,14 +375,14 @@ class TestConvolution:
     def test_kernel_longer_than_sequence(self):
         with pytest.raises(KernelTooLongError):
             run(ops.conv1d_valid, Tensor(np.ones((2, 4))),
-                Tensor(np.ones((3, 4, 1))), Tensor(np.zeros(1)))
+                Tensor(np.ones((3, 4, 1))), Tensor(np.zeros(1)), limit=1)
 
     def test_limit_keeps_the_first_windows(self):
         """Output row t at any limit is the all-window output's row t."""
         rng = np.random.default_rng(13)
         x, w, b = (Tensor(rng.normal(size=(9, 4))), Tensor(rng.normal(size=(3, 4, 5))),
                    Tensor(rng.normal(size=5)))
-        every = run(ops.conv1d_valid, x, w, b)
+        every = run(ops.conv1d_valid, x, w, b, limit=7)
         for limit in (1, 4, 7):
             out = run(ops.conv1d_valid, x, w, b, limit=limit)
             assert out.shape == (limit, 5)
@@ -415,8 +415,8 @@ def _dense_conv(xd, wd, bd, g, need_dx):
 
 def _upstream(kind, out, rng):
     """Upstream gradient of the conv output: all rows live, one run of live
-    rows from row 2 to row n - 3, the rows that max-over-time pooling
-    (limit n - 2) and then relu keep, or none."""
+    rows from row 2 to row n - 3, the rows that max-over-time pooling of the
+    first n - 2 rows and then relu keep, or none."""
     n, f = out.shape
     if kind == "dense":
         return rng.normal(size=(n, f)).astype(out.dtype)
@@ -430,11 +430,12 @@ def _upstream(kind, out, rng):
 
 
 def _conv(xd, wd, bd, g=None, need_dx=True):
-    """``conv1d_valid``'s output, then its backward of ``g`` if given."""
+    """``conv1d_valid``'s output over every window, then its backward of
+    ``g`` if given."""
     x = Tensor(xd, requires_grad=need_dx)
     w, b = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
     with ComputationRecord() as record:
-        out = ops.conv1d_valid(x, w, b).data
+        out = ops.conv1d_valid(x, w, b, limit=len(xd) - len(wd) + 1).data
         if g is None:
             return out
         return (out,) + record.entries[-1].backward_fn(g)
@@ -526,25 +527,20 @@ class TestConvolutionPooled:
 class TestMaxOverTime:
     def test_columnwise_max(self):
         x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0], [4.0, 4.0]]))
-        np.testing.assert_array_equal(run(ops.max_over_time, x, limit=3),
-                                      [4.0, 5.0])
-
-    def test_limit_ignores_tail_rows(self):
-        x = Tensor(np.array([[1.0, 5.0], [3.0, 2.0], [9.0, 9.0]]))
-        np.testing.assert_array_equal(run(ops.max_over_time, x, limit=2), [3.0, 5.0])
+        np.testing.assert_array_equal(run(ops.max_over_time, x), [4.0, 5.0])
 
     def test_tie_routes_gradient_to_first_row(self):
         x = Tensor(np.array([[2.0], [2.0]]), requires_grad=True)
         with ComputationRecord():
-            grads = backward(ops.sum_all(ops.max_over_time(x, limit=2)))
+            grads = backward(ops.sum_all(ops.max_over_time(x)))
         np.testing.assert_array_equal(grads[x.tid], [[1.0], [0.0]])
 
-    def test_limit_bounds(self):
-        x = Tensor(np.ones((3, 2)))
-        with pytest.raises(ShapeMismatchError):
-            run(ops.max_over_time, x, limit=0)
-        with pytest.raises(ShapeMismatchError):
-            run(ops.max_over_time, x, limit=4)
+    @pytest.mark.parametrize("shape", [(0, 2), (0, 0), (3,), (2, 3, 1)],
+                             ids=["0x2", "0x0", "1-d", "3-d"])
+    def test_refuses_no_rows_or_a_non_matrix(self, shape):
+        """Pooling has no row to take a max of, or no [T, F] to read."""
+        with pytest.raises(ShapeMismatchError, match="max_over_time needs"):
+            run(ops.max_over_time, Tensor(np.ones(shape)))
 
 
 # every primitive whose output can be pooled, on float64 x [6, 4], w [4, 4]
@@ -577,12 +573,11 @@ def test_every_producer_takes_the_pooled_gradient(name):
     for pooled in (True, False):
         with ComputationRecord():
             out = POOL_PRODUCERS[name](*point)
-            limit = out.shape[0] - 1
             if pooled:
-                loss = probe_sum(ops.max_over_time(out, limit=limit), coef)
+                loss = probe_sum(ops.max_over_time(out), coef)
             else:
                 dense = np.zeros(out.shape)
-                dense[out.data[:limit].argmax(axis=0), np.arange(4)] = coef
+                dense[out.data.argmax(axis=0), np.arange(4)] = coef
                 loss = probe_sum(out, dense)
             runs.append(backward(loss))
     assert runs[0].keys() == runs[1].keys()
@@ -769,25 +764,35 @@ COUNTED = {
     "conv1d_valid": lambda n: ops.conv1d_valid(
         Tensor(np.arange(12.0).reshape(6, 2)), Tensor(np.ones((2, 2, 3))),
         Tensor(np.zeros(3)), limit=n),
-    "max_over_time": lambda n: ops.max_over_time(
-        Tensor(np.arange(12.0).reshape(4, 3)), limit=n),
+    "num_heads": lambda n: ops.scaled_dot_attention(
+        *(Tensor(np.arange(8.0).reshape(4, 2)) for _ in range(3)),
+        num_heads=n, valid_length=3),
     "scaled_dot_attention": lambda n: ops.scaled_dot_attention(
         *(Tensor(np.arange(8.0).reshape(4, 2)) for _ in range(3)),
         num_heads=1, valid_length=n),
 }
 
 
-@pytest.mark.parametrize("value", [2.7, 1.5, 2.0, np.float64(2.0)],
-                         ids=["2.7", "1.5", "2.0", "np.float64"])
+@pytest.mark.parametrize("value", [2.7, 1.5, 2.0, np.float64(2.0), True, False],
+                         ids=["2.7", "1.5", "2.0", "np.float64", "True", "False"])
 @pytest.mark.parametrize("name", sorted(COUNTED))
 def test_counts_refuse_floats_and_take_numpy_integers(name, value):
-    """``limit`` and ``valid_length`` are read through ``operator.index``:
-    a float raises ``TypeError`` instead of being truncated, and a numpy
+    """``limit``, ``num_heads`` and ``valid_length`` are read through
+    ``operator.index``: a float raises ``TypeError`` instead of being
+    truncated, a bool the same instead of counting as 1 or 0, and a numpy
     integer counts as its value."""
     with pytest.raises(TypeError):
         COUNTED[name](value)
     got, want = COUNTED[name](np.int64(2)), COUNTED[name](2)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_attention_refuses_zero_width():
+    """A [T, 0] input has no head to split into: ``num_heads`` 1 lies
+    outside 1..0, refused before the scale divides by ``sqrt(0)``."""
+    x = Tensor(np.ones((3, 0)))
+    with pytest.raises(ShapeMismatchError, match=r"num_heads 1 outside 1\.\.0"):
+        run(ops.scaled_dot_attention, x, x, x, num_heads=1, valid_length=2)
 
 
 def test_pooled_refuses_a_no_copy_read():

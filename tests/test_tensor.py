@@ -306,7 +306,7 @@ class TestDeferredGradients:
                 docs.append(ops.linear(ops.matmul(x, w), w, b))
             grads = backward(ops.add(
                 ops.sum_all(ops.gelu(ops.concat(docs))),
-                ops.sum_all(ops.max_over_time(pooled_leaf, limit=2))))
+                ops.sum_all(ops.max_over_time(pooled_leaf))))
         assert {table.tid, w.tid, b.tid, pooled_leaf.tid} <= set(grads)
         for g in grads.values():
             assert type(g) is np.ndarray
@@ -408,13 +408,13 @@ class TestPooledGradients:
         coef = rng.normal(size=5).astype(np.float32)
         log = []
         with ComputationRecord() as rec:
-            conv = ops.conv1d_valid(x, w, b)
-            loss = probe_sum(ops.max_over_time(conv, limit=7), coef)
+            conv = ops.conv1d_valid(x, w, b, limit=7)
+            loss = probe_sum(ops.max_over_time(conv), coef)
             self._received(rec, 0, log)
             backward(loss)
         (g,) = log
         assert type(g) is Pooled
-        np.testing.assert_array_equal(g.rows, conv.data[:7].argmax(axis=0))
+        np.testing.assert_array_equal(g.rows, conv.data.argmax(axis=0))
         np.testing.assert_array_equal(g.values, coef)
 
     def test_relu_then_pool_gets_the_dense_array(self):
@@ -423,10 +423,10 @@ class TestPooledGradients:
         coef = rng.normal(size=3)
         log = []
         with ComputationRecord() as rec:
-            pooled = ops.max_over_time(ops.relu(x), limit=4)
+            pooled = ops.max_over_time(ops.relu(x))
             self._received(rec, 0, log)
             grads = backward(probe_sum(pooled, coef))
-        idx = np.maximum(x.data[:4], 0).argmax(axis=0)
+        idx = np.maximum(x.data, 0).argmax(axis=0)
         want = np.zeros((6, 3))
         want[idx, np.arange(3)] = coef
         (g,) = log
@@ -434,30 +434,32 @@ class TestPooledGradients:
         np.testing.assert_array_equal(grads[x.tid], want * (x.data > 0))
 
     def test_pooled_leaf_gets_the_dense_array(self):
-        x = Tensor.param(np.array([[1.0, -2.0], [3.0, -1.0], [9.0, 9.0]]))
+        x = Tensor.param(np.array([[1.0, -2.0], [3.0, -1.0], [0.0, -3.0]]))
         with ComputationRecord() as rec:
-            grads = backward(probe_sum(ops.max_over_time(x, limit=2),
+            grads = backward(probe_sum(ops.max_over_time(x),
                                        np.array([2.0, -0.5])))
             assert rec.ledger.current("gradients") == (6 + 2 + 1) * 8
         assert type(grads[x.tid]) is np.ndarray
         np.testing.assert_array_equal(grads[x.tid], [[0, 0], [2, -0.5], [0, 0]])
 
     def test_second_gradient_densifies(self):
-        """A conv output pooled twice hands its closure the dense sum."""
+        """A conv output pooled twice hands its closure the dense sum of the
+        two :class:`Pooled` gradients that meet on it."""
         rng = np.random.default_rng(35)
         x = Tensor(rng.normal(size=(10, 4)))
         w = Tensor.param(rng.normal(size=(3, 4, 2)))
         b = Tensor.param(np.zeros(2))
+        coef = rng.normal(size=(2, 2))
         log = []
         with ComputationRecord() as rec:
-            conv = ops.conv1d_valid(x, w, b)
-            loss = ops.add(ops.sum_all(ops.max_over_time(conv, limit=8)),
-                           ops.sum_all(ops.max_over_time(conv, limit=3)))
+            conv = ops.conv1d_valid(x, w, b, limit=8)
+            loss = ops.add(probe_sum(ops.max_over_time(conv), coef[0]),
+                           probe_sum(ops.max_over_time(conv), coef[1]))
             self._received(rec, 0, log)
             backward(loss)
         want = np.zeros((8, 2))
-        for limit in (8, 3):
-            want[conv.data[:limit].argmax(axis=0), np.arange(2)] += 1.0
+        for c in coef:
+            want[conv.data.argmax(axis=0), np.arange(2)] += c
         (g,) = log
         assert type(g) is np.ndarray
         np.testing.assert_array_equal(g, want)

@@ -83,10 +83,12 @@ class TestRunConfig:
             RunConfig(mode="FE", epochs=1, **{field: value})
 
     @pytest.mark.parametrize("field, value", [
-        ("epochs", 2.5), ("epochs", 2.0), ("epochs", "2"),
-        ("batch_size", 4.5), ("max_len", 12.0)])
+        ("epochs", 2.5), ("epochs", 2.0), ("epochs", "2"), ("epochs", True),
+        ("batch_size", 4.5), ("batch_size", True), ("batch_size", False),
+        ("max_len", 12.0), ("max_len", True)])
     def test_counts_must_be_integers(self, field, value):
-        """A non-integer count fails at construction, not inside ``train``."""
+        """A non-integer count fails at construction, not inside ``train``;
+        a bool is not read as 1 or 0."""
         fields = dict(mode="FE", epochs=1)
         fields[field] = value
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
