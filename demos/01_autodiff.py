@@ -2,11 +2,11 @@
 
 Every operation appends an entry to the active computation record; calling
 backward() consumes the record in reverse, once, and returns gradients for
-every leaf tensor that asked for them. The record charges its outputs and
-gradients to its memory ledger until its ``with`` block exits. Frozen
-tensors simply never appear in the gradient map, which is the whole trick
-behind feature extraction. Outside a record nothing is taped, which is how
-evaluation runs.
+every leaf tensor that asked for them. The record charges its outputs, the
+arrays its closures save and its gradients to its memory ledger for as long
+as each buffer lives. Frozen tensors simply never appear in the gradient
+map, which is the whole trick behind feature extraction. Outside a record
+nothing is taped, which is how evaluation runs.
 """
 
 import numpy as np
@@ -26,7 +26,11 @@ def main():
         print(f"dL/dw =\n{grads[w.tid]}")
         assert x.tid not in grads, "frozen input stays out of the map"
         print(f"bytes charged inside the block: {record.ledger.current()}")
-    print(f"bytes charged once it exits: {record.ledger.current()}")
+    print(f"bytes charged once it exits, loss and gradients still held: "
+          f"{record.ledger.current()}")
+    del loss, grads
+    print(f"bytes charged once they die: {record.ledger.current()} "
+          f"(peak {record.ledger.peak()})")
 
     print()
     print("== the same gradient, checked against finite differences ==")

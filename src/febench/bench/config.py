@@ -29,6 +29,7 @@ from typing import Optional, Tuple
 
 from febench.cnn import CnnHeadConfig, check_kernels
 from febench.encoders import preset_config
+from febench.tensor import check_count
 from febench.training import RunConfig
 
 _CELL_ID = re.compile(r"^[A-Za-z0-9_.-]+$")
@@ -103,12 +104,8 @@ class BenchmarkConfig:
         ids = [c.cell_id for c in self.cells]
         if len(set(ids)) != len(ids):
             raise ConfigError("duplicate cell ids")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.vocab_size < _MIN_VOCAB:
-            raise ConfigError(f"vocab must be >= {_MIN_VOCAB}")
+        check_counts(self, (("repeats", "repeats", 1), ("seed", "seed", 0),
+                            ("vocab_size", "vocab", _MIN_VOCAB)), ConfigError)
 
 
 def read_ini(path, error, what):
@@ -123,6 +120,19 @@ def read_ini(path, error, what):
     except configparser.Error as exc:
         raise error(f"cannot parse {what} {path}: {exc}") from None
     return parser
+
+
+def check_counts(spec, counts, error):
+    """Refuse, as ``error``, each ``(field, name, least)`` of ``spec`` whose
+    value :func:`~febench.tensor.check_count` refuses: a float, a bool, a
+    string, or an integer below ``least``."""
+    for field, name, least in counts:
+        value = getattr(spec, field)
+        try:
+            check_count(name, value, least)
+        except ValueError:
+            raise error(f"{name} must be >= {least} and an integer, got "
+                        f"{value!r}") from None
 
 
 def _int_tuple(raw):

@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from febench.bench.config import INTEGER, NUMBER, TEXT, read_ini, read_section
+from febench.bench.config import (INTEGER, NUMBER, TEXT, check_counts,
+                                  read_ini, read_section)
 from febench.metrics import label_density
 from febench.text import Dataset, LabeledExample
 
@@ -51,22 +52,15 @@ class SynthSpec:
     def __post_init__(self):
         if self.task_kind not in ("single_label", "multi_label"):
             raise SynthesisError(f"unknown task {self.task_kind!r}")
-        if self.classes < 2:
-            raise SynthesisError("need at least 2 classes")
+        check_counts(self, [(name, name, least) for name, least in (
+            ("classes", 2), ("train_docs", 1), ("test_docs", 1), ("vocab", 1),
+            ("doc_len", 1), ("seed", 0))], SynthesisError)
         if self.train_docs < self.classes:
             raise SynthesisError("need at least one training document per "
                                  "class")
-        if self.test_docs < 1:
-            raise SynthesisError("need at least one test document")
-        if self.vocab < 1:
-            raise SynthesisError("filler vocabulary must be non-empty")
         if self.vocab > 2**63:  # numpy draws filler ids as int64
             raise SynthesisError(f"vocab {self.vocab} is above 2**63, the "
                                  f"most filler ids numpy can draw from")
-        if self.doc_len < 1:
-            raise SynthesisError("doc_len must be >= 1")
-        if self.seed < 0:
-            raise SynthesisError(f"seed must be >= 0, got {self.seed}")
         if self.task_kind == "single_label":
             if self.density is not None:
                 raise SynthesisError("density only applies to multi_label")

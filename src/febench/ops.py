@@ -1,15 +1,22 @@
 """Differentiable primitives.
 
 Each primitive validates shapes, computes the forward value with numpy, and
-makes one ``append`` call on the active computation record, which ledgers
-the output's bytes.  Outside a record (evaluation, for one) a primitive only
-computes: its output needs no gradient, nothing is charged and nothing keeps
-it alive.  Inside a record the backward closure is only kept when some input
-requires a gradient, so a forward-only subgraph (a frozen encoder) retains
-no backward state.  The record charges every output but keeps no reference
-to it, so an output dies with its last consumer unless a kept closure saves
+makes one ``append`` call on the active computation record, which charges
+the output's buffer while it lives.  Outside a record (evaluation, for one)
+a primitive only computes: its output needs no gradient, nothing is charged
+and nothing keeps it alive.  Inside a record the backward closure is only
+kept when some input requires a gradient, so a forward-only subgraph (a
+frozen encoder) retains no backward state.  The record keeps no reference
+to an output, so it dies with its last consumer unless a kept closure saves
 its array: ``add`` and ``max_over_time`` save none of their inputs, and
-``gelu`` saves only its local derivative.
+``gelu`` saves only its local derivative.  A kept closure that saves an
+array the primitive allocated names it in ``_emit``'s ``saves``, and the
+record charges it as an activation until the closure dies: ``gelu``'s
+derivative, ``layer_norm``'s ``xhat`` and ``inv``, attention's weights,
+``max_over_time``'s argmax, ``softmax_xent``'s ``expv`` and ``total``, and
+the conv's windows when they view a copy of its input.  Inputs that a
+closure saves are charged by their own producers; parameters and integer
+side inputs are the caller's, and never charged.
 A kernel writes in place only into arrays it allocated in the same call,
 never into an input, a saved array or an upstream gradient (``add`` hands
 one gradient array to both of its inputs).  Each in-place step runs its
@@ -55,9 +62,10 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 class Pooled:
     """The [length, F] gradient that :func:`max_over_time` passes back,
     ``values[j]`` at ``(rows[j], j)`` and zero elsewhere.  Numpy reads it as
-    that dense array, built anew per read, and ``nbytes`` is its size."""
+    that dense array, built anew per read, and ``nbytes`` is its size, which
+    the walk charges while a weak reference sees it alive."""
 
-    __slots__ = ("rows", "values", "length", "nbytes")
+    __slots__ = ("rows", "values", "length", "nbytes", "__weakref__")
 
     def __init__(self, rows, values, length):
         self.rows, self.values, self.length = rows, values, length
@@ -81,12 +89,18 @@ def _count(name, value, most):
     return value
 
 
-def _emit(kind, inputs, out_data, backward_fn):
+def _emit(kind, inputs, out_data, backward_fn, saves=()):
+    """Wrap ``out_data`` in a tensor and, inside a record, charge it and
+    tape ``backward_fn`` if an input needs a gradient; the arrays in
+    ``saves``, which the closure keeps, are then charged as activations."""
     record = current_record()
     if record is None:
         return Tensor(out_data)
     keep = any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=keep)
+    if keep:
+        for array in saves:
+            record.hold("activations", array)
     record.append(kind, inputs, out, backward_fn if keep else None)
     return out
 
@@ -157,9 +171,10 @@ def gelu(x):
     t *= _GELU_C
     np.tanh(t, out=t)
     out = 0.5 * xd
-    bwd = None
+    bwd, saves = None, ()
     if x.requires_grad:
-        d = t + 1.0
+        # as an array even for a 0-d input, so the saved d is the one charged
+        d = np.asarray(t + 1.0)
         du = xd * (3 * 0.044715)
         du *= xd
         du += 1.0
@@ -174,11 +189,12 @@ def gelu(x):
 
         def bwd(g):
             return (g * d,)
+        saves = (d,)
     else:
         t += 1.0
         out *= t
 
-    return _emit("gelu", (x,), out, bwd)
+    return _emit("gelu", (x,), out, bwd, saves)
 
 
 def layer_norm(x, scale, offset):
@@ -212,7 +228,7 @@ def layer_norm(x, scale, offset):
         np.multiply(g, xhat, out=p)
         return dx, p.sum(axis=lead), g.sum(axis=lead)
 
-    return _emit("layer_norm", (x, scale, offset), out, bwd)
+    return _emit("layer_norm", (x, scale, offset), out, bwd, (xhat, inv))
 
 
 def conv1d_valid(x, w, b, limit):
@@ -297,7 +313,10 @@ def conv1d_valid(x, w, b, limit):
             dx[at] += dlive[:, i, :]
         return dx, gw, gb
 
-    return _emit("conv1d_valid", (x, w, b), out, bwd)
+    # windows views x's own buffer, which x's producer charges, unless x
+    # was not contiguous and xd is this call's copy
+    saves = () if xd is x.data else (windows,)
+    return _emit("conv1d_valid", (x, w, b), out, bwd, saves)
 
 
 def max_over_time(x):
@@ -316,7 +335,7 @@ def max_over_time(x):
     def bwd(g):
         return (Pooled(idx, g, t_len),)
 
-    return _emit("max_over_time", (x,), out, bwd)
+    return _emit("max_over_time", (x,), out, bwd, (idx,))
 
 
 def embedding_lookup(table, ids):
@@ -399,7 +418,7 @@ def scaled_dot_attention(q, k, v, num_heads, valid_length):
 
         return merge(dq), merge(dk), merge(dv)
 
-    return _emit("scaled_dot_attention", (q, k, v), out, bwd)
+    return _emit("scaled_dot_attention", (q, k, v), out, bwd, (wts,))
 
 
 def concat(parts):
@@ -488,7 +507,7 @@ def softmax_xent(logits, targets):
         p *= g / n
         return (p,)
 
-    return _emit("softmax_xent", (logits,), loss, bwd)
+    return _emit("softmax_xent", (logits,), loss, bwd, (expv, total))
 
 
 def sigmoid_bce(logits, targets):

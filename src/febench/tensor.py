@@ -11,13 +11,16 @@ are not taped for backward at all.  Outside a record nothing is taped or
 charged, as in evaluation.  The walk reads no primitive's kind: it treats
 each gradient form alike, whichever primitive made it.
 
-The record is also the one owner of activation and gradient bytes: it
-charges every primitive output and every gradient of its walk to its
-:class:`~febench.profiling.MemoryLedger` until its ``with`` block exits,
-yet holds only what backward has still to read.  Its tape keeps ids and
-groups, never a tensor or an array's shape, so an output lives only while a
+The record is also the one owner of activation and gradient bytes, which it
+charges by storage lifetime (``torch.cuda.memory_allocated``'s rule): via
+:meth:`ComputationRecord.hold` it charges each buffer that the step creates
+(every primitive output, every array a kept closure saves, every gradient
+the walk keeps) to its :class:`~febench.profiling.MemoryLedger` once, and
+frees it when CPython frees the buffer.  Its tape keeps ids and groups,
+never a tensor or an array's shape, so an output lives only while a
 backward closure saves it or a later consumer holds it (PyTorch's eager
-rule).
+rule).  Caller-owned arrays (parameters, token ids, targets) are never
+charged by the record.
 
 Training arithmetic runs in float32.  :func:`grad_check` re-runs the same
 code paths in float64 and compares against central finite differences.
@@ -26,7 +29,7 @@ code paths in float64 and compares against central finite differences.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -174,6 +177,24 @@ class _Entry:
         self.backward_fn = backward_fn
 
 
+class _Charge(weakref.ref):
+    """A weak reference to a charged buffer, with what its death frees."""
+
+    __slots__ = ("ledger", "category", "group", "nbytes", "key")
+
+
+def _release(charge):
+    """The callback of every :class:`_Charge`: free its bytes."""
+    if _charges.get(charge.key) is charge:
+        del _charges[charge.key]
+    charge.ledger.record_free(charge.category, charge.nbytes, charge.group)
+
+
+# id(buffer) -> the _Charge of every live charged buffer; a charge's own
+# referent, not the id, tells whether an entry is still its buffer's
+_charges = {}
+
+
 class ComputationRecord:
     """Ordered tape of primitive applications for one forward/backward cycle.
 
@@ -185,17 +206,17 @@ class ComputationRecord:
     once.  An entry keeps its output's id and, per input that needs a
     gradient, the id and group that backward reads, but no tensor: every
     output, taped or not, dies with its last consumer unless a closure
-    saves its array.  Via :meth:`charge` the record charges its ``ledger``
-    (a new one if none is given) and one ``(category, group)`` tally: each
-    output to ``activations``, each gradient of the walk to ``gradients``
-    under its tensor's group.  Leaving the block, by any exit, frees the tally.
+    saves its array.  Via :meth:`hold` the record charges its ``ledger`` (a
+    new one if none is given) with each output as ``activations`` and each
+    gradient of the walk as ``gradients`` under its tensor's group, for as
+    long as the buffer lives.  Leaving the block, by any exit, drops the
+    tape, and with it every closure and what it saves.
     """
 
     def __init__(self, ledger=None):
         self.entries = []
         self.ledger = MemoryLedger() if ledger is None else ledger
         self.walked = False
-        self._held = {}
 
     def __enter__(self):
         global _active
@@ -207,17 +228,36 @@ class ComputationRecord:
     def __exit__(self, exc_type, exc, tb):
         global _active
         _active = None
-        for (category, group), nbytes in self._held.items():
-            self.ledger.record_free(category, nbytes, group=group)
-        self._held = {}
         self.entries.clear()
         return False
 
-    def charge(self, category, nbytes, group=None):
-        """Charge the ledger with ``nbytes`` until the ``with`` block exits."""
-        self.ledger.record_alloc(category, nbytes, group)
-        key = (category, group)
-        self._held[key] = self._held.get(key, 0) + nbytes
+    def hold(self, category, array, group=None):
+        """Charge the ledger with ``array``'s buffer until CPython frees it,
+        and return ``array``, a numpy scalar as a 0-d array.
+
+        An ndarray's buffer is the root of its ``base`` chain, so a buffer
+        is charged once, by its full ``nbytes``, however many views of it
+        are held; it stays charged under its first category and group.  Any
+        other array-like is charged by its own ``nbytes`` and must take a
+        weak reference.
+        """
+        buffer = array
+        base = getattr(array, "base", None)
+        while base.__class__ is np.ndarray:
+            buffer, base = base, base.base
+        key = id(buffer)
+        held = _charges.get(key)
+        if held is not None and held() is buffer:
+            return array
+        try:
+            charge = _Charge(buffer, _release)
+        except TypeError:  # a numpy scalar takes no weak reference
+            return self.hold(category, np.asarray(array), group)
+        charge.ledger, charge.category, charge.group = self.ledger, category, group
+        charge.nbytes, charge.key = buffer.nbytes, key
+        self.ledger.record_alloc(category, charge.nbytes, group)
+        _charges[key] = charge
+        return array
 
     def append(self, kind, inputs, output, backward_fn):
         """Charge ``output`` and, if ``backward_fn`` is kept, tape the entry;
@@ -226,7 +266,7 @@ class ComputationRecord:
             refs = tuple([(t.tid, t.group) if t.requires_grad else None
                           for t in inputs])
             self.entries.append(_Entry(refs, output.tid, backward_fn))
-        self.charge("activations", output.data.nbytes)
+        self.hold("activations", output.data)
 
 
 def backward(loss):
@@ -238,24 +278,27 @@ def backward(loss):
     anything reachable only through them are absent.  The walk pops each
     entry, and drops each intermediate gradient once its producer has read
     it (a pending :class:`Factors` may still hold it), so both die as they
-    propagate; after the walk, it charges the record's tally with every
-    gradient, once per group, until the block exits.  A second walk in the
-    same record raises :class:`StaleRecordError`.
+    propagate.  It holds (see :meth:`ComputationRecord.hold`) each gradient
+    that it keeps as ``gradients`` under its tensor's group: the loss's
+    seed, a closure's gradient that a slot takes, each sum it makes, each
+    row-sparse table, and each leaf gradient that it returns.  A second
+    walk in the same record raises :class:`StaleRecordError`.
 
     A closure may return a gradient as a dense array, in one of two
-    deferred forms, or as any array-like with an ``nbytes``.
-    :class:`Factors` and :class:`RowSparse` let a weight's or a table's
-    gradient be reduced once per step, not once per document: the walk
-    stacks a tensor's factors and multiplies them out once,
+    deferred forms, or as any weakly referenceable array-like with an
+    ``nbytes``.  :class:`Factors` and :class:`RowSparse` let a weight's or a
+    table's gradient be reduced once per step, not once per document: the
+    walk stacks a tensor's factors and multiplies them out once,
     ``concatenate(a).T @ concatenate(g)``, when the tensor's producer needs
     its gradient or, for a parameter, at the end; it adds row-sparse updates
     in place into the tensor's one dense gradient, which the first update
     makes a zero table of its ``length`` rows, since the tape keeps ids and
-    groups but no shape.  Any other gradient goes as it is to the producer
-    when it is the tensor's only gradient, so an array-like reaches it
-    undensified; numpy densifies one when it is added to another gradient
-    or reaches a leaf.  The record charges every gradient
-    by its ``nbytes``.  Every value in the returned map is a dense array.
+    groups but no shape.  Factors are views of buffers already held, so
+    they are not held again.  Any other gradient goes as it is to the
+    producer when it is the tensor's only gradient, so an array-like
+    reaches it undensified; numpy densifies one when it is added to another
+    gradient or reaches a leaf.  Every value in the returned map is a dense
+    array.
     """
     if loss.data.ndim != 0:
         raise NonScalarLossError(f"loss must be scalar, got shape {tuple(loss.shape)}")
@@ -267,37 +310,31 @@ def backward(loss):
     record.walked = True
 
     # slot layout: [(tid, group), grad or None, owns_array, Factors list]
-    loss_ref = (loss.tid, loss.group)
-    pending = {loss.tid: [loss_ref, np.ones((), dtype=loss.dtype), True, []]}
-    held = Counter()
+    pending = {loss.tid: [(loss.tid, loss.group), record.hold(
+        "gradients", np.ones((), dtype=loss.dtype), loss.group), True, []]}
     while record.entries:
         # the last entry, its closure and its output's slot die on rebinding
         entry = record.entries.pop()
         slot = pending.pop(entry.out_tid, None)
         if slot is None:
             continue
-        grad = _reduce(slot)
-        held[slot[0][1]] += grad.nbytes
+        grad = _reduce(slot, record)
         for ref, g in zip(entry.inputs, entry.backward_fn(grad)):
             if g is None or ref is None:
                 continue
             got = pending.get(ref[0])
             if got is None:
                 got = pending[ref[0]] = [ref, None, False, []]
-            _accumulate(got, g)
+            _accumulate(got, g, record)
 
-    grads = {tid: np.asarray(_reduce(slot)) for tid, slot in pending.items()}
-    for tid, g in grads.items():
-        held[pending[tid][0][1]] += g.nbytes
-    # one charge per group, after the walk: a closure that raises mid-walk
-    # leaves the record nothing to free
-    for group, nbytes in held.items():
-        record.charge("gradients", nbytes, group)
-    return grads
+    return {tid: record.hold("gradients", np.asarray(_reduce(slot, record)),
+                             slot[0][1])
+            for tid, slot in pending.items()}
 
 
-def _accumulate(slot, g):
-    """Add one closure's gradient for ``slot``'s tensor into the slot.
+def _accumulate(slot, g, record):
+    """Add one closure's gradient for ``slot``'s tensor into the slot,
+    holding each array that the slot newly keeps.
 
     A gradient that a closure returned may be shared with another slot, so
     it is only added into in place once the slot owns a dense copy.
@@ -305,30 +342,33 @@ def _accumulate(slot, g):
     if isinstance(g, Factors):
         slot[3].append(g)
         return
+    group = slot[0][1]
     if isinstance(g, RowSparse):
         # absent rows would only add exact zeros, as a dense table's do
         if slot[1] is None:
-            slot[1] = np.zeros((g.length, g.values.shape[1]), g.values.dtype)
+            slot[1] = record.hold("gradients", np.zeros(
+                (g.length, g.values.shape[1]), g.values.dtype), group)
         elif not slot[2]:
-            slot[1] = np.array(slot[1])
+            slot[1] = record.hold("gradients", np.array(slot[1]), group)
         slot[2] = True
         slot[1][g.rows] += g.values
     elif slot[1] is None:
-        slot[1] = g
+        slot[1] = record.hold("gradients", g, group)
     elif slot[2]:
         slot[1] += g
     else:
-        slot[1], slot[2] = np.add(slot[1], g), True
+        slot[1] = record.hold("gradients", np.add(slot[1], g), group)
+        slot[2] = True
 
 
-def _reduce(slot):
+def _reduce(slot, record):
     """The slot's gradient, once its stacked factors are multiplied out."""
     factors = slot[3]
     if factors:
         slot[3] = []
         a = np.concatenate([f.a for f in factors])
         g = np.concatenate([f.g for f in factors])
-        _accumulate(slot, a.T @ g)
+        _accumulate(slot, a.T @ g, record)
     return slot[1]
 
 

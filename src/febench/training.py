@@ -2,16 +2,16 @@
 
 A run owns one memory ledger and one timing trace.  Parameters are
 registered up front and optimizer moments when first created; each training
-step's record charges its activations and gradients to the same ledger and
-frees them when its block exits, so the ledger peak is the training-step
-high-water mark.  Evaluation runs outside every record, so it is neither
-taped nor charged: a test document's outputs have the shapes of one
-training document's, set by ``max_len`` alone, and a step always charges at
-least one document plus its gradients, so evaluation could never set the
-peak.
+step's record charges its activations and gradients to the same ledger for
+as long as each buffer lives, and all of them are dead once the step
+returns, so the ledger peak is the training-step high-water mark.
+Evaluation runs outside every record, so it is neither taped nor charged: a
+test document's outputs have the shapes of one training document's, set by
+``max_len`` alone, and a step always charges at least one document plus its
+gradients, so evaluation could never set the peak.
 Adam updates parameters and moments in place, chunk by chunk through two
-scratch buffers of at most ``ADAM_CHUNK`` elements, which the ledger does
-not charge.
+scratch buffers of at most ``ADAM_CHUNK`` elements, which the step's record
+charges as optimizer state while the update runs.
 Everything downstream of the seed is deterministic: weight init, shuffles,
 and batch order depend only on (seed, epoch).
 """
@@ -29,7 +29,7 @@ from .metrics import accuracy, mean_std, micro_prf
 from .cnn import predict
 from .profiling import MemoryLedger, TimingTrace
 from .tensor import (ComputationRecord, ShapeMismatchError, backward,
-                     check_count)
+                     check_count, current_record)
 from .text import encode
 
 # (FE epochs, FiT epochs) per corpus, as configured for the full-scale grid
@@ -145,8 +145,9 @@ def adam_step(params, grad_map, state, lr):
     Every gradient's shape is checked before anything changes.  Each
     parameter and its moments are then updated chunk by chunk over their
     flat storage, through two scratch buffers per dtype reused for every
-    chunk, so the update holds no parameter-sized temporary.  Per element it
-    runs the float operations of ``m += (1 - b1) * (g - m)``,
+    chunk, so the update holds no parameter-sized temporary; inside a
+    record, they are charged as optimizer state until it returns.  Per
+    element it runs the float operations of ``m += (1 - b1) * (g - m)``,
     ``v += (1 - b2) * (g * g - v)`` and
     ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` in that order, with the
     same bits.
@@ -171,10 +172,14 @@ def adam_step(params, grad_map, state, lr):
     length = min(ADAM_CHUNK, max((param.data.size for param, _ in updates),
                                  default=0))
     scratch = {}
+    record = current_record()
 
     def buffers(dtype):
         if dtype not in scratch:
             scratch[dtype] = (np.empty(length, dtype), np.empty(length, dtype))
+            if record is not None:
+                for buffer in scratch[dtype]:
+                    record.hold("optimizer_state", buffer)
         return scratch[dtype]
 
     for param, grad in updates:

@@ -14,9 +14,10 @@ import pytest
 
 import febench
 from febench.bench.cli import main
-from febench.bench.config import (_BENCH_FIELDS, _CELL_FIELDS, CellSpec,
-                                  ConfigError, apply_overrides, config_hash,
-                                  load_config, read_ini)
+from febench.bench.config import (_BENCH_FIELDS, _CELL_FIELDS,
+                                  BenchmarkConfig, CellSpec, ConfigError,
+                                  apply_overrides, config_hash, load_config,
+                                  read_ini)
 from febench.bench.report import (ReportError, default_baseline, emit_report,
                                   format_hours, format_mib, format_percent,
                                   format_ratio, load_results, render_tsv)
@@ -158,6 +159,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="cell 'a': .* must be an integer"):
             CellSpec(cell_id="a", preset="tiny", mode="FE", **{field: value})
 
+    @pytest.mark.parametrize("kind", ["float", "bool"])
+    @pytest.mark.parametrize("field, name", [
+        ("repeats", "repeats"), ("seed", "seed"), ("vocab_size", "vocab")])
+    def test_counts_must_be_integers(self, field, name, kind):
+        """A float or a bool count is refused when the config is built,
+        even where its value would be a valid count."""
+        counts = dict(repeats=2, seed=3, vocab_size=100)
+        counts[field] = float(counts[field]) if kind == "float" else True
+        with pytest.raises(ConfigError,
+                           match=f"{name} must be >= \\d+ and an integer, got "):
+            BenchmarkConfig(dataset_path="d", cells=(
+                CellSpec(cell_id="a", preset="tiny", mode="FE"),), **counts)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.ini")
@@ -275,6 +289,20 @@ class TestSynthMultiLabel:
                     test_docs=5, vocab=10, doc_len=8, density=None)
         base.update(kwargs)
         with pytest.raises(SynthesisError):
+            SynthSpec(**base)
+
+    @pytest.mark.parametrize("kind", ["float", "bool"])
+    @pytest.mark.parametrize("field", ["classes", "train_docs", "test_docs",
+                                       "vocab", "doc_len", "seed"])
+    def test_counts_must_be_integers(self, field, kind):
+        """A float count is refused when the spec is built, not later by a
+        bare ``TypeError`` or a corpus of fractional size; so is a bool,
+        even where its value would be a valid count."""
+        base = dict(classes=2, train_docs=20, test_docs=5, vocab=10,
+                    doc_len=8, seed=1)
+        base[field] = base[field] + 0.5 if kind == "float" else True
+        with pytest.raises(SynthesisError,
+                           match=f"{field} must be >= \\d+ and an integer, got "):
             SynthSpec(**base)
 
 

@@ -247,40 +247,56 @@ class TestPoolBeforeRelu:
                     assert not grads[tensors[-1].tid][valid:].any()
 
     def test_hand_computed_ledger_for_one_document(self):
-        """Hidden 8, kernels (2, 3), 5 filters, 3 classes, T 10: every byte by hand."""
+        """Hidden 8, kernels (2, 3), 5 filters, 3 classes, T 10: every byte
+        by hand, each charged while its buffer lives."""
         config = CnnHeadConfig(hidden=8, classes=3, kernel_sizes=(2, 3), filters=5)
         weights = init_weights(config, seed=0)
         hidden = Tensor(np.ones((10, 8), dtype=np.float32))  # a frozen encoder's output
         ledger = MemoryLedger()
         with ComputationRecord(ledger):
             loss = ops.sum_all(cnn_forward(config, weights, hidden, valid_length=7))
-            # conv outputs over the live windows, [7 - 2 + 1, 5] and
-            # [7 - 3 + 1, 5]; per kernel a pooled and a relu [5]; the [10]
-            # concat, the [3] logits and the scalar loss
-            outputs = (6 + 5) * 5 * 4 + 2 * 2 * 5 * 4 + 10 * 4 + 3 * 4 + 4
-            assert ledger.current("activations") == outputs == 356
+            # the forward peaks at the [3] logits: the second kernel's
+            # [7 - 3 + 1, 5] conv output (the first's [6, 5] died when the
+            # loop rebound it), per kernel a [5] int64 argmax, pooled and
+            # relu [5], and the [10] concat
+            assert ledger.peak() == 100 + 2 * (40 + 20 + 20) + 40 + 12 == 312
+            # once it returns, only what a closure saves lives: the argmaxes,
+            # the pooled rows (relu saves its input), the concat (linear
+            # saves its input), and the scalar loss
+            saved = 2 * 40 + 2 * 20 + 40
+            assert ledger.current("activations") == saved + 4 == 164
             grads = backward(loss)
             # the weights: conv [2, 8, 5] and [3, 8, 5] with [5] biases,
             # projection [10, 3] and [3]
             weight_grads = (80 + 5 + 120 + 5 + 30 + 3) * 4
-            assert ledger.group_current("gradients", "head") == weight_grads == 972
-            # every output also holds a gradient of its own shape
-            assert ledger.current("gradients") == outputs + weight_grads
-            assert ledger.peak() == 2 * outputs + weight_grads == 1684
+            assert ledger.breakdown()["group_current"] == {
+                "gradients/head": weight_grads}
+            assert ledger.current("gradients") == weight_grads == 972
+            assert ledger.current("activations") == 4
+            # the walk peaks as the projection's weight gradient is
+            # multiplied out: the first kernel's argmax, the concat and the
+            # loss; the logits' [3] gradient and the projection's; the first
+            # kernel's winners, charged as their dense [6, 5], and their [5]
+            # values; and the conv gradients
+            assert ledger.peak() == (40 + 40 + 4) + (12 + 12 + 120) \
+                + (120 + 20) + (480 + 20 + 320 + 20) == 1208
         assert hidden.tid not in grads
         # the map holds the weights' gradients only; the outputs' died in the walk
         widths = sorted(g.shape for g in grads.values())
         assert widths == sorted([(2, 8, 5), (5,), (3, 8, 5), (5,), (10, 3), (3,)])
-        assert ledger.current("activations") == 0
-        assert ledger.current("gradients") == 0
+        assert ledger.current() == 4 + 972
+        del loss, grads
+        assert ledger.current() == 0
 
     @pytest.mark.parametrize("trainable_hidden", [True, False])
     def test_conv_charges_follow_valid_length(self, monkeypatch, trainable_hidden):
-        """One document's conv outputs, and the pooled gradients that come
-        back to them, are charged [valid - k + 1, f] whatever T is."""
+        """One document's conv outputs are charged [valid - k + 1, f]
+        whatever T is, and so is every gradient but the input's own [T, 8].
+        Of that one the walk holds two at once, the first kernel's and the
+        sum, while it adds the second kernel's part."""
         config = CnnHeadConfig(hidden=8, classes=3, kernel_sizes=(2, 3), filters=5)
         weights = init_weights(config, seed=0)
-        conv, charged, peaks = ops.conv1d_valid, [], set()
+        conv, charged = ops.conv1d_valid, []
 
         def charging_conv(*args, **kwargs):
             before = ledger.current("activations")
@@ -296,11 +312,15 @@ class TestPoolBeforeRelu:
             with ComputationRecord(ledger):
                 backward(ops.sum_all(cnn_forward(config, weights, hidden,
                                                  valid_length=7)))
-            # a trainable input's own gradient is [T, 8]
+            # the frozen walk's gradient peak is 1124 (see the test above);
+            # a trainable input adds its [T, 8] there, or two of them at
+            # the sum, which comes before the first kernel's 340 weight
+            # bytes and the projection's 120
             own = t_len * 8 * 4 if trainable_hidden else 0
-            peaks.add((ledger.peak("activations"), ledger.peak("gradients") - own))
+            assert ledger.peak("activations") == 312
+            assert ledger.peak("gradients") == max(1124 + own,
+                                                   664 + 2 * own)
         assert charged == [(7 - 2 + 1) * 5 * 4, (7 - 3 + 1) * 5 * 4] * 3
-        assert len(peaks) == 1
 
 
 class TestPredict:

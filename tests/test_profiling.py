@@ -41,8 +41,8 @@ class TestMemoryLedger:
         ledger.record_alloc("gradients", 10, group="head")
         ledger.record_alloc("gradients", 7, group="encoder")
         ledger.record_free("gradients", 7, group="encoder")
-        assert ledger.group_current("gradients", "head") == 10
-        assert ledger.group_current("gradients", "encoder") == 0
+        assert ledger.breakdown()["group_current"] == {
+            "gradients/encoder": 0, "gradients/head": 10}
         assert ledger.group_peak("gradients", "encoder") == 7
 
     def test_over_free_detected(self):
@@ -60,8 +60,8 @@ class TestMemoryLedger:
             ledger.record_free("gradients", 16, group="head")
         assert ledger.breakdown() == before
         assert ledger.current() == 16
-        assert ledger.group_current("gradients", "head") == 8
-        assert ledger.group_current("gradients", "encoder") == 8
+        assert before["group_current"] == {"gradients/encoder": 8,
+                                           "gradients/head": 8}
 
     def test_ungrouped_free_cannot_reach_grouped_bytes(self):
         """Grouped bytes are freed by their group; an ungrouped free takes
@@ -75,7 +75,7 @@ class TestMemoryLedger:
         assert ledger.breakdown() == before
         ledger.record_free("gradients", 3)
         assert ledger.current("gradients") == 8
-        assert ledger.group_current("gradients", "head") == 8
+        assert ledger.breakdown()["group_current"] == {"gradients/head": 8}
 
     def test_unknown_category(self):
         with pytest.raises(LedgerError):
@@ -89,24 +89,52 @@ class TestMemoryLedger:
         assert b["group_peak"]["parameters/encoder"] == 4
 
     def test_float32_tensor_bytes(self):
-        """Ledger figures come from array nbytes: 4 bytes per float32 element."""
+        """Ledger figures come from array nbytes: 4 bytes per float32
+        element, charged while the output lives."""
         from febench import ComputationRecord, Tensor, ops
         ledger = MemoryLedger()
         x = Tensor(np.zeros((10, 3), dtype=np.float32))
         with ComputationRecord(ledger):
-            ops.relu(x)
+            out = ops.relu(x)
             assert ledger.current("activations") == 120
+            del out
+            assert ledger.current("activations") == 0
         assert ledger.peak("activations") == 120
+
+    def test_at_peak_is_the_make_up_of_the_total_peak(self):
+        """Category peaks set at different times overstate the total peak;
+        ``at_peak`` holds each category's bytes when it was set."""
+        ledger = MemoryLedger()
+        ledger.record_alloc("activations", 100)
+        ledger.record_free("activations", 100)
+        ledger.record_alloc("gradients", 60, group="head")
+        ledger.record_alloc("activations", 30)
+        ledger.record_free("gradients", 60, group="head")
+        b = ledger.breakdown()
+        assert b["peak"] == {"parameters": 0, "gradients": 60,
+                             "optimizer_state": 0, "activations": 100}
+        assert ledger.peak() == 100
+        assert b["at_peak"] == {"parameters": 0, "gradients": 0,
+                                "optimizer_state": 0, "activations": 100}
+        ledger.record_alloc("parameters", 20)  # 50 in all: no new peak
+        assert ledger.breakdown()["at_peak"] == b["at_peak"]
+        ledger.record_alloc("parameters", 60)
+        assert ledger.peak() == 110
+        assert ledger.breakdown()["at_peak"] == {
+            "parameters": 80, "gradients": 0, "optimizer_state": 0,
+            "activations": 30}
 
 
 def ledger_figures(ledger):
     """Every (current, peak) pair the accessors report, keyed by ``None``
     (the total), category and ``(category, group)``."""
     figures = {None: (ledger.current(), ledger.peak())}
+    group_current = ledger.breakdown()["group_current"]
     for c in CATEGORIES:
         figures[c] = (ledger.current(c), ledger.peak(c))
         for g in GROUPS:
-            figures[c, g] = (ledger.group_current(c, g), ledger.group_peak(c, g))
+            figures[c, g] = (group_current.get(f"{c}/{g}", 0),
+                             ledger.group_peak(c, g))
     return figures
 
 
@@ -119,6 +147,8 @@ def check_ledger(ledger, figures, last_peaks):
         assert peak >= now
         assert peak >= last_peaks.get(key, 0)
     b = ledger.breakdown()
+    assert sum(b["at_peak"].values()) == figures[None][1]
+    assert all(b["at_peak"][c] <= figures[c][1] for c in CATEGORIES)
     for part, at in (("current", 0), ("peak", 1)):
         assert list(b[part].items()) == [(c, figures[c][at]) for c in CATEGORIES]
         by_group = b["group_" + part]
@@ -132,9 +162,9 @@ def check_ledger(ledger, figures, last_peaks):
 @settings(max_examples=300, deadline=None)
 def test_ledger_invariants_hold_over_any_alloc_free_sequence(steps):
     """The total is the sum of the categories, a category holds at least
-    its groups, peaks never fall below current nor over time,
-    ``breakdown()`` agrees with the accessors, and a refused free changes
-    nothing."""
+    its groups, peaks never fall below current nor over time, the
+    categories' bytes at the total peak add up to it, ``breakdown()``
+    agrees with the accessors, and a refused free changes nothing."""
     ledger = MemoryLedger()
     last_peaks = {}
     for allocate, category, group, nbytes in steps:
@@ -142,11 +172,12 @@ def test_ledger_invariants_hold_over_any_alloc_free_sequence(steps):
             ledger.record_alloc(category, nbytes, group=group)
         else:
             held = ledger.current(category)
+            by_group = ledger.breakdown()["group_current"]
             if group is not None:
-                held = min(held, ledger.group_current(category, group))
+                held = min(held, by_group.get(f"{category}/{group}", 0))
             else:
                 # an ungrouped free may not reach into grouped bytes
-                held -= sum(ledger.group_current(category, g) for g in GROUPS)
+                held -= sum(by_group.get(f"{category}/{g}", 0) for g in GROUPS)
             if nbytes > held:
                 before = ledger_figures(ledger), ledger.breakdown()
                 with pytest.raises(LedgerError, match="over-free"):

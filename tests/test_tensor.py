@@ -354,8 +354,9 @@ class TestArrayLikeGradients:
             loss = ops.sum_all(spike(ops.relu(x), one))
             TestPooledGradients._received(rec, 0, log)
             grads = backward(loss)
-            # loss, spike output, relu output (the spike's nbytes), x
-            assert rec.ledger.current("gradients") == 8 + 3 * 32
+            # the relu output's (the spike's nbytes), alive while the test
+            # holds the spike, and x's; the others died in the walk
+            assert rec.ledger.current("gradients") == 2 * 32
         assert log == [one] and log[0] is one
         assert one.reads == 1
         np.testing.assert_array_equal(grads[x.tid], [[0, 0], [5, 0]])
@@ -382,8 +383,8 @@ class TestArrayLikeGradients:
         one = _Spike((3, 2), (2, 0), -1.5)
         with ComputationRecord() as rec:
             grads = backward(ops.sum_all(spike(x, one)))
-            # loss, spike output, and x's dense array
-            assert rec.ledger.current("gradients") == 8 + 2 * 48
+            # the spike, which the test holds, and x's dense array
+            assert rec.ledger.current("gradients") == 2 * 48
         assert type(grads[x.tid]) is np.ndarray
         np.testing.assert_array_equal(grads[x.tid], [[0, 0], [0, 0], [-1.5, 0]])
 
@@ -438,7 +439,8 @@ class TestPooledGradients:
         with ComputationRecord() as rec:
             grads = backward(probe_sum(ops.max_over_time(x),
                                        np.array([2.0, -0.5])))
-            assert rec.ledger.current("gradients") == (6 + 2 + 1) * 8
+            # the winners died with the walk; their dense array is x's
+            assert rec.ledger.current("gradients") == 6 * 8
         assert type(grads[x.tid]) is np.ndarray
         np.testing.assert_array_equal(grads[x.tid], [[0, 0], [2, -0.5], [0, 0]])
 
@@ -466,22 +468,40 @@ class TestPooledGradients:
 
 
 class TestRecordLifecycle:
+    """The record charges each buffer while it lives: inside its block or
+    past it, and whatever ends the block."""
+
     def test_leaving_the_block_frees_activation_bytes(self):
-        """Leaving the block frees what the record charged."""
+        """Leaving the block drops the tape, and with it what the closures
+        saved; an output that the caller holds stays charged until it dies."""
+        ledger = MemoryLedger()
+        x = Tensor.param(np.ones(8, dtype=np.float32))
+        with ComputationRecord(ledger):
+            y = ops.gelu(x)
+            # the [8] output and the [8] derivative that gelu saves
+            assert ledger.current("activations") == 32 + 32
+        assert ledger.current("activations") == 32
+        del y
+        assert ledger.current() == 0
+
+    def test_bytes_live_as_long_as_their_buffers(self):
         ledger = MemoryLedger()
         x = Tensor.param(np.ones(8, dtype=np.float32))
         with ComputationRecord(ledger):
             loss = ops.sum_all(ops.relu(x))
-            backward(loss)
-            assert ledger.current("activations") > 0
-            assert ledger.current("gradients") > 0
-        assert ledger.current("activations") == 0
-        assert ledger.current("gradients") == 0
+            # relu saves its input, not its output, which died with sum_all
+            assert ledger.current("activations") == 4
+            grads = backward(loss)
+            assert ledger.current("gradients") == 32
+            # relu's upstream [8] and x's, once the loss's seed died
+            assert ledger.peak() == 4 + 32 + 32
+        assert ledger.current() == 4 + 32
+        del loss, grads
         assert ledger.current() == 0
 
     def test_closure_raising_mid_walk_keeps_its_error(self):
         """A closure that raises mid-walk surfaces its own exception, and
-        leaving the block frees exactly what the record charged."""
+        leaving the block frees every byte the walk and the tape held."""
         ledger = MemoryLedger()
         x = Tensor.param(np.ones(4, dtype=np.float32))
 
@@ -493,6 +513,8 @@ class TestRecordLifecycle:
                 loss = ops.sum_all(ops.gelu(ops.relu(x)))
                 rec.entries[1].backward_fn = broken
                 backward(loss)
+        assert ledger.current() == 4
+        del loss
         assert ledger.current() == 0
 
     def test_hand_computed_program(self):
@@ -502,18 +524,22 @@ class TestRecordLifecycle:
         x = Tensor(np.ones((4, 3), dtype=np.float32))
         with ComputationRecord(ledger):
             loss = ops.sum_all(ops.relu(ops.matmul(x, w)))
-            # matmul and relu outputs are [4, 2] float32, the loss a scalar
-            assert ledger.current("activations") == 32 + 32 + 4
+            # [4, 2] matmul and relu outputs and the scalar loss, then the
+            # relu output dies: relu saves the matmul output, its input
+            assert ledger.peak() == 32 + 32 + 4
+            assert ledger.current("activations") == 32 + 4
             assert ledger.current("gradients") == 0
-            backward(loss)
-            # loss, relu output and matmul output carry no group; w is "head"
-            assert ledger.current("gradients") == 4 + 32 + 32 + 24
-            assert ledger.group_current("gradients", "head") == 24
-            assert ledger.peak() == 68 + 92
-        assert ledger.current("activations") == 0
-        assert ledger.current("gradients") == 0
-        assert ledger.group_current("gradients", "head") == 0
-        assert ledger.peak() == 68 + 92
+            grads = backward(loss)
+            # w's [3, 2], in group "head"; the rest died in the walk
+            assert ledger.current("gradients") == 24
+            assert ledger.breakdown()["group_current"] == {"gradients/head": 24}
+            # relu's closure ran: the matmul output, the loss, and the
+            # [4, 2] gradients of the relu output and the matmul output
+            assert ledger.peak() == 36 + 64
+        assert ledger.current() == 4 + 24
+        del loss, grads
+        assert ledger.current() == 0
+        assert ledger.peak() == 36 + 64
 
     def test_shared_weight_holds_one_gradient(self):
         """Two documents through one head weight charge one weight's bytes."""
@@ -523,10 +549,25 @@ class TestRecordLifecycle:
             docs = [ops.matmul(Tensor(np.ones((n, 3), dtype=np.float32)), w)
                     for n in (4, 5)]
             grads = backward(ops.sum_all(ops.relu(ops.concat(docs))))
-            assert ledger.group_current("gradients", "head") == w.data.nbytes
+            assert ledger.breakdown()["group_current"] == {
+                "gradients/head": w.data.nbytes}
             assert grads[w.tid].shape == w.shape
-        assert ledger.group_current("gradients", "head") == 0
+        del grads
+        assert ledger.current("gradients") == 0
         assert ledger.group_peak("gradients", "head") == w.data.nbytes
+
+    def test_shared_gradient_is_charged_once(self):
+        """``add`` hands one gradient array to both of its inputs: its
+        buffer is charged once, by the first slot that takes it."""
+        ledger = MemoryLedger()
+        a = Tensor.param(np.ones(5, dtype=np.float32))
+        b = Tensor.param(np.ones(5, dtype=np.float32))
+        with ComputationRecord(ledger):
+            grads = backward(ops.sum_all(ops.add(a, b)))
+            assert grads[a.tid] is grads[b.tid]
+            assert ledger.current("gradients") == 20
+            # the seed and the one [5] gradient
+            assert ledger.peak("gradients") == 4 + 20
 
     def test_second_backward_holds_one_traversal(self):
         ledger = MemoryLedger()
@@ -534,13 +575,14 @@ class TestRecordLifecycle:
         x = Tensor(np.ones((4, 3), dtype=np.float32))
         with ComputationRecord(ledger):
             loss = ops.sum_all(ops.relu(ops.matmul(x, w)))
-            backward(loss)
-            once = ledger.current("gradients")
+            grads = backward(loss)
+            assert ledger.current("gradients") == 24
             ops.relu(x)  # a new forward does not re-arm a walked record
             with pytest.raises(StaleRecordError):
                 backward(loss)
-            assert ledger.current("gradients") == once
-            assert ledger.group_current("gradients", "head") == 24
+            assert ledger.current("gradients") == 24
+            assert ledger.breakdown()["group_current"] == {"gradients/head": 24}
+        del grads
         assert ledger.current("gradients") == 0
 
     def test_backward_after_leaving_the_block_charges_one_loss_gradient(self):
@@ -549,16 +591,19 @@ class TestRecordLifecycle:
         ledger = MemoryLedger()
         x = Tensor.param(np.ones(4, dtype=np.float32))
         with ComputationRecord(ledger):
-            backward(ops.sum_all(x))
+            first = backward(ops.sum_all(x))
         with ComputationRecord(ledger):
-            backward(ops.sum_all(x))
-            # x's 16 bytes plus one scalar loss gradient, not two
-            assert ledger.current("gradients") == 16 + 4
+            second = backward(ops.sum_all(x))
+            # each walk's [4] gradient of x; its seed died with the walk
+            assert ledger.current("gradients") == 16 + 16
+        del first
+        assert ledger.current("gradients") == 16
+        del second
         assert ledger.current("gradients") == 0
 
-    def test_gradients_charged_once_per_group(self):
+    def test_every_kept_gradient_is_charged_once(self):
         """Two groups plus the ungrouped intermediates: one gradient charge
-        per group and traversal, with every peak pinned by hand."""
+        per array that the walk keeps, with every peak pinned by hand."""
 
         class CountingLedger(MemoryLedger):
             allocs = 0
@@ -573,25 +618,35 @@ class TestRecordLifecycle:
         x = Tensor(np.ones((4, 3), dtype=np.float32))
         with ComputationRecord(ledger):
             loss = ops.sum_all(ops.matmul(ops.relu(ops.matmul(x, enc)), head))
-            # [4, 2] matmul, [4, 2] relu, [4, 1] matmul, scalar loss
-            assert ledger.current("activations") == 32 + 32 + 16 + 4
-            backward(loss)
-            assert ledger.allocs == 3
-            assert ledger.current("gradients") == 84 + 24 + 8
-            assert ledger.peak() == 84 + 116
-            ops.relu(x)  # 48 more activation bytes; the record stays walked
+            # [4, 2] matmul and relu outputs, saved by relu and the second
+            # matmul, and the scalar loss; the [4, 1] output died with sum
+            assert ledger.current("activations") == 32 + 32 + 4
+            grads = backward(loss)
+            # the seed, the [4, 1], the relu output's and the first matmul
+            # output's [4, 2], and the two weights'
+            assert ledger.allocs == 6
+            assert ledger.current("gradients") == 24 + 8
+            ops.relu(x)  # 48 activation bytes, dead at once
             with pytest.raises(StaleRecordError):
                 backward(loss)
-            assert ledger.allocs == 3
+            assert ledger.allocs == 6
+        del loss, grads
         assert ledger.current() == 0
-        assert ledger.peak("activations") == 84 + 48
-        assert ledger.peak("gradients") == 116
+        # the forward peaks with the [4, 1] output and the loss alive
+        assert ledger.peak("activations") == 32 + 32 + 16 + 4
+        # relu's closure ran: its upstream [4, 2] and its own, and the [4, 1]
+        # upstream, which the head's pending factors keep
+        assert ledger.peak("gradients") == 16 + 32 + 32
         assert ledger.group_peak("gradients", "encoder") == 24
         assert ledger.group_peak("gradients", "head") == 8
-        assert ledger.peak() == 132 + 116
+        assert ledger.peak() == 68 + 80
+        assert ledger.breakdown()["at_peak"] == {
+            "parameters": 0, "gradients": 80, "optimizer_state": 0,
+            "activations": 68}
 
     def test_frozen_outputs_die_with_their_consumer(self):
-        """A frozen chain is charged until the block exits but held by nothing."""
+        """A frozen chain's outputs are charged only while something holds
+        them, and no closure saves a frozen primitive's arrays."""
         ledger = MemoryLedger()
         table = Tensor(np.ones((5, 4), dtype=np.float32))
         pos = Tensor(np.ones((3, 4), dtype=np.float32))
@@ -601,35 +656,45 @@ class TestRecordLifecycle:
             rows = ops.embedding_lookup(table, ids=np.array([0, 2, 2]))
             summed = ops.add(rows, pos)
             out = ops.layer_norm(summed, scale, offset)
+            assert ledger.current("activations") == 3 * 48
             dead = [weakref.ref(rows.data), weakref.ref(summed.data)]
             del rows, summed
             assert all(ref() is None for ref in dead)
             # three [3, 4] float32 outputs, out the only one still alive
-            assert ledger.current("activations") == 3 * 48
+            assert ledger.current("activations") == 48
             assert out.shape == (3, 4) and rec.entries == []
-        assert ledger.current("activations") == 0
+        assert ledger.current("activations") == 48
+        del out
         assert ledger.current() == 0
+        assert ledger.peak() == 3 * 48
 
     def test_block_that_raises_frees_its_bytes(self):
+        """Leaving a block by an exception drops the tape before any walk,
+        and with it gelu's saved derivative."""
         ledger = MemoryLedger()
         x = Tensor.param(np.ones(4, dtype=np.float32))
         with pytest.raises(ZeroDivisionError):
             with ComputationRecord(ledger):
-                backward(ops.sum_all(ops.relu(x)))
-                # [4] relu output and scalar loss; x, relu and loss gradients
-                assert ledger.current() == 20 + 36
+                y = ops.gelu(x)
+                # the [4] output and the [4] derivative that gelu saves
+                assert ledger.current("activations") == 16 + 16
                 1 / 0
+        assert ledger.current() == 16
+        del y
         assert ledger.current() == 0
-        assert ledger.peak() == 20 + 36
+        assert ledger.peak() == 32
 
     def test_record_without_a_ledger_charges_its_own(self):
         x = Tensor.param(np.ones(4, dtype=np.float32))
         with ComputationRecord() as rec:
-            backward(ops.sum_all(x))
+            loss = ops.sum_all(x)
+            grads = backward(loss)
             assert rec.ledger.current("activations") == 4
-            assert rec.ledger.current("gradients") == 16 + 4
+            assert rec.ledger.current("gradients") == 16
+        del loss, grads
         assert rec.ledger.current() == 0
-        assert rec.ledger.peak() == 4 + 20
+        # the loss, its seed and x's gradient
+        assert rec.ledger.peak() == 4 + 4 + 16
 
     def test_second_backward_raises_and_a_new_record_walks(self):
         x = Tensor.param(np.ones(2, dtype=np.float32))
@@ -645,16 +710,21 @@ class TestRecordLifecycle:
         np.testing.assert_array_equal(grads[x.tid], [1.0, 1.0])
 
     def test_reentered_record_frees_only_its_new_block(self):
+        """Leaving a re-entered record's block frees what its new tape
+        saved, not a gradient of its first block that is still held."""
         ledger = MemoryLedger()
         x = Tensor.param(np.ones(4, dtype=np.float32))
         rec = ComputationRecord(ledger)
         with rec:
-            backward(ops.sum_all(x))
+            first = backward(ops.sum_all(x))
+        assert ledger.current() == 16
         with rec:
-            ops.relu(x)
-            assert ledger.current() == 16
+            y = ops.gelu(x)
+            assert ledger.current() == 16 + 16 + 16
+        assert ledger.current() == 16 + 16
+        del first, y
         assert ledger.current() == 0
-        assert ledger.peak() == 4 + 20
+        assert ledger.peak() == 48
 
     def test_ops_outside_a_record_hold_nothing(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -676,16 +746,105 @@ class TestRecordLifecycle:
                     pass
             loss = ops.sum_all(ops.relu(x))
             grads = backward(loss)
-            # two [2] relu outputs and the scalar loss, all in the outer record
-            assert ledger.current("activations") == 8 + 8 + 4
+            # both [2] relu outputs died with their consumers; the loss lives
+            assert ledger.current("activations") == 4
+            assert ledger.peak("activations") == 8 + 4
             # the walk consumed all three entries
             assert outer.entries == []
         np.testing.assert_array_equal(grads[x.tid], [1.0, 0.0])
-        assert ledger.current() == 0
+        assert ledger.current() == 4 + 8
         # once the outer record is closed a new one may open
         with ComputationRecord():
             grads = backward(ops.sum_all(x))
         np.testing.assert_array_equal(grads[x.tid], [1.0, 1.0])
+
+
+class TestSavedArrays:
+    """Each primitive charges the arrays that its kept closure saves while
+    the tape lives, and frees them when the record exits."""
+
+    @staticmethod
+    def _case(name):
+        """(primitive, inputs needing a gradient, bytes its closure saves)
+        in float32; int64 side inputs are caller-owned and not charged."""
+        rng = np.random.default_rng(len(name))
+        f32 = np.float32
+        x = rng.normal(size=(6, 4)).astype(f32)
+        return {
+            "gelu": (ops.gelu, [x], 6 * 4 * 4),
+            # xhat [6, 4] and inv [6, 1]
+            "layer_norm": (ops.layer_norm, [x, np.ones(4, f32), np.zeros(4, f32)],
+                           (6 * 4 + 6) * 4),
+            # the weights, [heads, T, T]
+            "scaled_dot_attention": (
+                lambda q, k, v: ops.scaled_dot_attention(q, k, v, 2, 5),
+                [x, x.copy(), x.copy()], 2 * 6 * 6 * 4),
+            # the [4] argmax, int64
+            "max_over_time": (ops.max_over_time, [x], 4 * 8),
+            # the exponentials [6, 4] and their row sums [6, 1]
+            "softmax_xent": (
+                lambda t: ops.softmax_xent(t, targets=np.array([0, 3, 1, 2, 2, 0])),
+                [x], (6 * 4 + 6) * 4),
+            # its windows view its contiguous input, which is not its own
+            "conv1d_valid": (
+                lambda t, w, b: ops.conv1d_valid(t, w, b, limit=4),
+                [x, rng.normal(size=(2, 4, 3)).astype(f32), np.zeros(3, f32)], 0),
+            # it saves only its inputs
+            "matmul": (ops.matmul, [x, rng.normal(size=(4, 2)).astype(f32)], 0),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["gelu", "layer_norm", "scaled_dot_attention",
+                                      "max_over_time", "softmax_xent",
+                                      "conv1d_valid", "matmul"])
+    def test_saved_while_the_tape_lives(self, name):
+        fn, arrays, saved = self._case(name)
+        inputs = [Tensor.param(a) for a in arrays]
+        ledger = MemoryLedger()
+        with ComputationRecord(ledger) as rec:
+            out = fn(*inputs)
+            assert len(rec.entries) == 1
+            assert ledger.current("activations") == out.data.nbytes + saved
+        assert ledger.current("activations") == out.data.nbytes
+        del out
+        assert ledger.current() == 0
+
+    def test_a_frozen_primitive_saves_nothing(self):
+        x = Tensor(np.ones((3, 4), dtype=np.float32))
+        ledger = MemoryLedger()
+        with ComputationRecord(ledger):
+            out = ops.layer_norm(x, Tensor(np.ones(4, np.float32)),
+                                 Tensor(np.zeros(4, np.float32)))
+            assert ledger.current("activations") == out.data.nbytes
+
+    def test_a_strided_conv_input_charges_its_copy(self):
+        """A conv input that is not contiguous is copied, and that copy is
+        what its windows view and its closure keeps."""
+        x = Tensor.param(np.ones((4, 14), dtype=np.float32)[:, ::2])
+        w = Tensor.param(np.ones((2, 7, 3), dtype=np.float32))
+        b = Tensor.param(np.zeros(3, dtype=np.float32))
+        ledger = MemoryLedger()
+        with ComputationRecord(ledger):
+            out = ops.conv1d_valid(x, w, b, limit=3)
+            assert ledger.current("activations") == 3 * 3 * 4 + 4 * 7 * 4
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_d_gelu(self, dtype):
+        """A 0-d gelu saves its derivative as a 0-d array, which is
+        charged, and its gradient is the derivative's value."""
+        x = Tensor.param(np.asarray(0.3, dtype=dtype))
+        ledger = MemoryLedger()
+        with ComputationRecord(ledger):
+            y = ops.gelu(x)
+            size = np.dtype(dtype).itemsize
+            assert ledger.current("activations") == 2 * size
+            grads = backward(ops.sum_all(y))
+        t = np.tanh(np.sqrt(2 / np.pi) * (0.3 + 0.044715 * 0.3 ** 3))
+        want = 0.5 * (1 + t) + 0.5 * 0.3 * (1 - t * t) * np.sqrt(2 / np.pi) \
+            * (1 + 3 * 0.044715 * 0.3 ** 2)
+        assert grads[x.tid].shape == ()
+        np.testing.assert_allclose(grads[x.tid], want, rtol=1e-6)
+        del y, grads
+        assert ledger.current() == 0
 
 
 class TestTapeLiveness:

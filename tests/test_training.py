@@ -272,6 +272,25 @@ class TestAdam:
             tracemalloc.stop()
         assert peak - entry <= 2 * ADAM_CHUNK * 4 + 16 * 1024
 
+    @pytest.mark.parametrize("size", [15, ADAM_CHUNK + 5])
+    def test_scratch_is_charged_while_the_update_runs(self, size):
+        """Inside a record the two scratch buffers, of at most
+        ``ADAM_CHUNK`` elements, are charged as optimizer state after the
+        moments and freed when the update returns; outside one only the
+        moments are."""
+        p = Tensor.param(np.ones(size, dtype=np.float32))
+        grads = {p.tid: np.ones(size, dtype=np.float32)}
+        moments = 2 * size * 4
+        scratch = 2 * min(size, ADAM_CHUNK) * 4
+        ledger = MemoryLedger()
+        with ComputationRecord(ledger):
+            adam_step([p], grads, AdamState(ledger=ledger), lr=1e-3)
+            assert ledger.current("optimizer_state") == moments
+        assert ledger.peak("optimizer_state") == moments + scratch
+        outside = MemoryLedger()
+        adam_step([p], grads, AdamState(ledger=outside), lr=1e-3)
+        assert outside.peak("optimizer_state") == moments
+
 
 class TestEncodeExamples:
     def test_single_label_targets_follow_label_space_order(self):
@@ -345,6 +364,49 @@ class TestTrain:
             if mode == "FiT":
                 expected += 2 * encoder_bytes
             assert result.ledger.current("optimizer_state") == expected
+
+    @pytest.mark.parametrize("mode", ["FE", "FiT"])
+    def test_step_leaves_no_activation_or_gradient_bytes(self, mode):
+        """Every output, saved array and gradient of a step dies once
+        ``train_step`` returns, so the ledger holds only parameters and
+        optimizer state between steps."""
+        dataset = toy_dataset()
+        encoder, head, vocab = toy_model(3, dataset, classes=2)
+        encoder.set_trainable(mode == "FiT")
+        params = [t for w in (encoder.weights, head.weights)
+                  for t in w.tensors.values() if t.requires_grad]
+        ids, valid, targets = encode_examples(dataset.train, vocab, 12,
+                                              dataset.label_space,
+                                              "single_label")
+        ledger = MemoryLedger()
+        state = AdamState(ledger=ledger)
+        for _ in range(2):
+            train_step(encoder, head, params, state, ids, valid, targets,
+                       "single_label", 1e-3)
+            assert ledger.current("activations") == 0
+            assert ledger.current("gradients") == 0
+        assert ledger.current() == ledger.current("optimizer_state") > 0
+        assert ledger.peak("activations") > 0 and ledger.peak("gradients") > 0
+
+    def test_same_seed_runs_give_identical_ledgers(self):
+        """The ledger charges by reference counting, not by gc timing, so
+        two runs of one seed at the ``tiny`` preset's shapes read the same
+        peak and the same make-up, to the byte."""
+        dataset = make_synthetic(SynthSpec(classes=2, train_docs=24,
+                                           test_docs=4, vocab=30, doc_len=12,
+                                           seed=1))
+        vocab = build_vocab([ex.text for ex in dataset.train], max_size=100)
+        ledgers = []
+        for _ in range(2):
+            encoder = Encoder.from_preset("tiny", vocab.size, seed=[2, 0])
+            head = CnnHead.build(CnnHeadConfig(hidden=128, classes=2),
+                                 seed=[2, 1])
+            result = train(RunConfig(mode="FiT", epochs=1, batch_size=8,
+                                     max_len=16, seed=2),
+                           dataset, encoder, head, vocab)
+            ledgers.append((result.peak_bytes, result.ledger.breakdown()))
+        assert ledgers[0] == ledgers[1]
+        assert sum(ledgers[0][1]["at_peak"].values()) == ledgers[0][0]
 
     def test_fit_peak_exceeds_fe_peak(self):
         dataset = toy_dataset()
@@ -508,21 +570,11 @@ class TestTracedStep:
         assert traced.held < 0.1 * traced.forward
         assert training.backward is tensor.backward
 
-    @pytest.mark.parametrize("batch, t_len", [(16, 32), (32, 16)])
-    @pytest.mark.parametrize("mode", ["FE", "FiT"])
-    @pytest.mark.parametrize("preset", ["static", "tiny", "L-12"])
-    def test_ledger_step_peak_covers_the_traced_one(self, preset, mode,
-                                                     batch, t_len):
-        """The ledger's step peak (its peak less the parameters) is at least
-        the traced step peak of two steps; both include the optimizer state.
-        The ledger charges every output and gradient until the step's record
-        closes, while the process frees them as their last reader is done.
-
-        The ``static`` cells hold by the least, 9-22%.  The update runs in
-        place, so its only uncharged bytes are two chunk buffers (512 KiB);
-        at 2 documents of 8 tokens, below this grid, the ledger reads 0.83x
-        of the traced ``static`` FE peak (0.65x while the update held
-        parameter-sized temporaries)."""
+    @staticmethod
+    def _step_peaks(preset, mode, batch, t_len):
+        """(ledger, traced) step peaks of two steps at one grid cell: the
+        ledger's peak less the parameters, and the traced peak; both
+        include the optimizer state."""
         rng = np.random.default_rng(0)
         encoder = Encoder.from_preset(preset, vocab_size=200, seed=[0, 0],
                                       frozen=mode == "FE")
@@ -531,7 +583,36 @@ class TestTracedStep:
         traced = trace_steps(encoder, head, ids, np.full(batch, t_len),
                              rng.integers(0, 4, size=batch))
         ledger = traced.ledger
-        assert ledger.peak() - ledger.peak("parameters") >= traced.peak
+        return ledger.peak() - ledger.peak("parameters"), traced.peak
+
+    @pytest.mark.parametrize("batch, t_len", [(16, 32), (32, 16)])
+    @pytest.mark.parametrize("mode", ["FE", "FiT"])
+    @pytest.mark.parametrize("preset", ["static", "tiny", "L-12"])
+    def test_ledger_step_peak_covers_the_traced_one(self, preset, mode,
+                                                     batch, t_len):
+        """The ledger's step peak covers at least 0.7x of the traced step
+        peak and never exceeds it.
+
+        The ledger charges each buffer that the step creates while it lives,
+        as the process holds it.  The remainder is what it does not charge:
+        numpy temporaries inside a primitive (gelu's and layer_norm's
+        intermediates, the conv's contiguous window copy, a closure's
+        products before it returns them), the walk's stacked factor copies,
+        a gradient that a slot adds in but does not keep, the small index
+        arrays that closures save, and Python objects.  On this grid the
+        ledger reads 0.84-0.96x of the traced peak, ``static`` and FE the
+        least, where the head's temporaries weigh most."""
+        ledger, traced = self._step_peaks(preset, mode, batch, t_len)
+        assert 0.7 * traced <= ledger <= traced
+
+    @pytest.mark.parametrize("preset, batch", [("tiny", 50), ("L-12", 40)])
+    def test_fe_fit_ratio_matches_the_physical_one(self, preset, batch):
+        """At T 16 the ledger's FE/FiT step-peak ratio is within 0.04 of the
+        traced one (0.18 against 0.20 on ``tiny``, 0.042 against 0.047 on
+        ``L-12``), so it measures the paper's frozen-encoder memory saving."""
+        fe = self._step_peaks(preset, "FE", batch, 16)
+        fit = self._step_peaks(preset, "FiT", batch, 16)
+        assert abs(fe[0] / fit[0] - fe[1] / fit[1]) <= 0.04
 
 
 class TestEvaluate:
