@@ -21,7 +21,10 @@ A kernel writes in place only into arrays it allocated in the same call,
 never into an input, a saved array or an upstream gradient (``add`` hands
 one gradient array to both of its inputs).  Each in-place step runs its
 expression's operations in the same order, with at most the operands of a
-``*`` or ``+`` swapped, so outputs and gradients keep every bit.
+``*`` or ``+`` swapped, so outputs and gradients keep every bit.  The walk
+adds into a new buffer that a closure returns, so a closure returns each
+buffer it made writeable and for one input only, never as overlapping
+views for two; it may pass its upstream gradient, or views of it, as is.
 A backward closure returns one gradient per input, or ``None`` for an input
 that needs no gradient (PyTorch's ``needs_input_grad`` rule), which
 :func:`~febench.tensor.backward` skips; :func:`conv1d_valid` does so for a

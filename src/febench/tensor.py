@@ -106,15 +106,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def __repr__(self):
-        flags = []
-        if self.requires_grad:
-            flags.append("grad")
-        if self.group:
-            flags.append(self.group)
-        tag = " ".join([""] + flags) if flags else ""
-        return f"<Tensor #{self.tid} shape={tuple(self.shape)} {self.dtype}{tag}>"
-
 
 @dataclass
 class WeightSet:
@@ -233,13 +224,14 @@ class ComputationRecord:
 
     def hold(self, category, array, group=None):
         """Charge the ledger with ``array``'s buffer until CPython frees it,
-        and return ``array``, a numpy scalar as a 0-d array.
+        and return whether this call charged it: false if it was charged
+        already, so true means that no earlier hold saw the buffer.
 
         An ndarray's buffer is the root of its ``base`` chain, so a buffer
         is charged once, by its full ``nbytes``, however many views of it
         are held; it stays charged under its first category and group.  Any
         other array-like is charged by its own ``nbytes`` and must take a
-        weak reference.
+        weak reference, which a numpy scalar does not.
         """
         buffer = array
         base = getattr(array, "base", None)
@@ -248,16 +240,13 @@ class ComputationRecord:
         key = id(buffer)
         held = _charges.get(key)
         if held is not None and held() is buffer:
-            return array
-        try:
-            charge = _Charge(buffer, _release)
-        except TypeError:  # a numpy scalar takes no weak reference
-            return self.hold(category, np.asarray(array), group)
+            return False
+        charge = _Charge(buffer, _release)
         charge.ledger, charge.category, charge.group = self.ledger, category, group
         charge.nbytes, charge.key = buffer.nbytes, key
         self.ledger.record_alloc(category, charge.nbytes, group)
         _charges[key] = charge
-        return array
+        return True
 
     def append(self, kind, inputs, output, backward_fn):
         """Charge ``output`` and, if ``backward_fn`` is kept, tape the entry;
@@ -280,8 +269,11 @@ def backward(loss):
     it (a pending :class:`Factors` may still hold it), so both die as they
     propagate.  It holds (see :meth:`ComputationRecord.hold`) each gradient
     that it keeps as ``gradients`` under its tensor's group: the loss's
-    seed, a closure's gradient that a slot takes, each sum it makes, each
-    row-sparse table, and each leaf gradient that it returns.  A second
+    seed, a closure's gradient that a slot takes, each factor's upstream
+    gradient as it stacks it, each sum it makes, each row-sparse table, and
+    each leaf gradient that it returns.  A slot adds into a gradient buffer
+    that nothing else reads, in place (see :func:`_accumulate`), so a sum
+    takes a new buffer only when both its operands may be shared.  A second
     walk in the same record raises :class:`StaleRecordError`.
 
     A closure may return a gradient as a dense array, in one of two
@@ -293,12 +285,11 @@ def backward(loss):
     its gradient or, for a parameter, at the end; it adds row-sparse updates
     in place into the tensor's one dense gradient, which the first update
     makes a zero table of its ``length`` rows, since the tape keeps ids and
-    groups but no shape.  Factors are views of buffers already held, so
-    they are not held again.  Any other gradient goes as it is to the
-    producer when it is the tensor's only gradient, so an array-like
-    reaches it undensified; numpy densifies one when it is added to another
-    gradient or reaches a leaf.  Every value in the returned map is a dense
-    array.
+    groups but no shape.  A factor's ``a`` may be the caller's and is
+    never held.  Any other gradient goes as it is to the producer when it
+    is the tensor's only gradient, so an array-like reaches it undensified;
+    numpy densifies one when it is added to another gradient or reaches a
+    leaf.  Every value in the returned map is a dense array.
     """
     if loss.data.ndim != 0:
         raise NonScalarLossError(f"loss must be scalar, got shape {tuple(loss.shape)}")
@@ -309,9 +300,10 @@ def backward(loss):
         raise StaleRecordError("record already walked; open a new one")
     record.walked = True
 
-    # slot layout: [(tid, group), grad or None, owns_array, Factors list]
-    pending = {loss.tid: [(loss.tid, loss.group), record.hold(
-        "gradients", np.ones((), dtype=loss.dtype), loss.group), True, []]}
+    # slot layout: [(tid, group), grad or None, owns grad, Factors list]
+    pending = {loss.tid: [(loss.tid, loss.group),
+                          np.ones((), dtype=loss.dtype), True, []]}
+    record.hold("gradients", pending[loss.tid][1], loss.group)
     while record.entries:
         # the last entry, its closure and its output's slot die on rebinding
         entry = record.entries.pop()
@@ -327,37 +319,57 @@ def backward(loss):
                 got = pending[ref[0]] = [ref, None, False, []]
             _accumulate(got, g, record)
 
-    return {tid: record.hold("gradients", np.asarray(_reduce(slot, record)),
-                             slot[0][1])
-            for tid, slot in pending.items()}
+    grads = {}
+    for tid, slot in pending.items():
+        grads[tid] = grad = np.asarray(_reduce(slot, record))
+        record.hold("gradients", grad, slot[0][1])
+    return grads
 
 
 def _accumulate(slot, g, record):
     """Add one closure's gradient for ``slot``'s tensor into the slot,
     holding each array that the slot newly keeps.
 
-    A gradient that a closure returned may be shared with another slot, so
-    it is only added into in place once the slot owns a dense copy.
+    A slot owns its array when the walk made it, or when it is a writeable
+    ndarray whose hold charged a new buffer; later gradients add into it in
+    place.  An array charged before may be shared (``add`` passes one to
+    both inputs, ``stack`` and ``concat`` views of theirs), so a slot that
+    keeps one adds it into a new gradient of its shape and dtype instead
+    (``a + b`` rounds as ``b + a``), or else into a new buffer, and row
+    updates go into a copy of it.
     """
+    group = slot[0][1]
     if isinstance(g, Factors):
+        # the closure may have densified g, so this may be its first hold
+        record.hold("gradients", g.g, group)
         slot[3].append(g)
         return
-    group = slot[0][1]
     if isinstance(g, RowSparse):
         # absent rows would only add exact zeros, as a dense table's do
-        if slot[1] is None:
-            slot[1] = record.hold("gradients", np.zeros(
-                (g.length, g.values.shape[1]), g.values.dtype), group)
-        elif not slot[2]:
-            slot[1] = record.hold("gradients", np.array(slot[1]), group)
-        slot[2] = True
+        if not slot[2]:
+            slot[1] = np.zeros((g.length, g.values.shape[1]), g.values.dtype) \
+                if slot[1] is None else np.array(slot[1])
+            slot[2] = record.hold("gradients", slot[1], group)
         slot[1][g.rows] += g.values
-    elif slot[1] is None:
-        slot[1] = record.hold("gradients", g, group)
-    elif slot[2]:
-        slot[1] += g
+        return
+    if isinstance(g, np.generic):  # a 0-d product; hold needs an array
+        g = np.asarray(g)
+    old = slot[1]
+    if slot[2]:
+        old += g
+    elif old is None:
+        slot[1] = g
+        slot[2] = record.hold("gradients", g, group) \
+            and isinstance(g, np.ndarray) and g.flags.writeable
+    elif isinstance(g, np.ndarray) and g.flags.writeable \
+            and g.shape == getattr(old, "shape", None) \
+            and g.dtype == getattr(old, "dtype", None) \
+            and record.hold("gradients", g, group):
+        slot[1] = np.add(g, old, out=g)
+        slot[2] = True
     else:
-        slot[1] = record.hold("gradients", np.add(slot[1], g), group)
+        slot[1] = np.asarray(np.add(old, g))
+        record.hold("gradients", slot[1], group)
         slot[2] = True
 
 

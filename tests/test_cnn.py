@@ -292,8 +292,9 @@ class TestPoolBeforeRelu:
     def test_conv_charges_follow_valid_length(self, monkeypatch, trainable_hidden):
         """One document's conv outputs are charged [valid - k + 1, f]
         whatever T is, and so is every gradient but the input's own [T, 8].
-        Of that one the walk holds two at once, the first kernel's and the
-        sum, while it adds the second kernel's part."""
+        The walk holds one [T, 8] at a time: the first kernel's part is a
+        buffer that its closure made, so the input's slot owns it and adds
+        the second kernel's part in place."""
         config = CnnHeadConfig(hidden=8, classes=3, kernel_sizes=(2, 3), filters=5)
         weights = init_weights(config, seed=0)
         conv, charged = ops.conv1d_valid, []
@@ -313,13 +314,10 @@ class TestPoolBeforeRelu:
                 backward(ops.sum_all(cnn_forward(config, weights, hidden,
                                                  valid_length=7)))
             # the frozen walk's gradient peak is 1124 (see the test above);
-            # a trainable input adds its [T, 8] there, or two of them at
-            # the sum, which comes before the first kernel's 340 weight
-            # bytes and the projection's 120
+            # a trainable input adds its one [T, 8] there
             own = t_len * 8 * 4 if trainable_hidden else 0
             assert ledger.peak("activations") == 312
-            assert ledger.peak("gradients") == max(1124 + own,
-                                                   664 + 2 * own)
+            assert ledger.peak("gradients") == 1124 + own
         assert charged == [(7 - 2 + 1) * 5 * 4, (7 - 3 + 1) * 5 * 4] * 3
 
 

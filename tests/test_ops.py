@@ -11,9 +11,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from febench import (ComputationRecord, KernelTooLongError, ShapeMismatchError,
                      Tensor, backward)
 from febench import ops
+from febench import tensor
 from febench.ops import Pooled
-from febench.tensor import Factors
-from helpers import probe_sum
+from febench.tensor import Factors, current_record
+from helpers import PRIMITIVE_GRAD_CASES, probe_sum
 
 
 def run(fn, *args, **kwargs):
@@ -752,6 +753,112 @@ class TestDispatch:
             "matmul", "add", "conv1d_valid", "max_over_time", "relu", "gelu",
             "layer_norm", "embedding_lookup", "scaled_dot_attention",
             "concat", "linear"}
+
+
+def _root(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def _arrays(grad):
+    """The arrays in one gradient that a closure returns."""
+    if isinstance(grad, Pooled):
+        return [grad.rows, grad.values]
+    if isinstance(grad, tuple):  # Factors, RowSparse
+        return [f for f in grad if isinstance(f, np.ndarray)]
+    return [grad] if isinstance(grad, np.ndarray) else []
+
+
+def _checked(closure, inputs, problems):
+    """``closure``, which logs to ``problems`` each breach of the walk's
+    ownership contract: a buffer that the closure made (neither charged
+    nor an input's nor the upstream's) returned read-only, or for two
+    inputs, whole or as overlapping views."""
+    def bwd(g):
+        known = {id(c()) for c in list(tensor._charges.values())}
+        known |= {id(_root(a)) for a in [*_arrays(g), *(t.data for t in inputs)]}
+        grads = closure(g)
+        returned = [_arrays(grad) for grad in grads]
+        for i, arrays in enumerate(returned):
+            for a in arrays:
+                if id(_root(a)) in known:
+                    continue
+                if not a.flags.writeable:
+                    problems.append(f"input {i} gets a read-only new buffer")
+                problems.extend(f"inputs {i} and {j} share a new buffer"
+                                for j in range(i + 1, len(returned))
+                                for b in returned[j]
+                                if np.shares_memory(a, b))
+        return grads
+    return bwd
+
+
+def _contract_problems(monkeypatch, fn, point):
+    """Run ``fn`` on ``point`` and walk it, each closure checked; return
+    the problems and the kinds of primitive whose closures ran."""
+    problems, kinds = [], set()
+    append = ComputationRecord.append
+
+    def checked_append(record, kind, inputs, output, backward_fn):
+        if backward_fn is not None:
+            kinds.add(kind)
+            backward_fn = _checked(backward_fn, inputs, problems)
+        return append(record, kind, inputs, output, backward_fn)
+
+    monkeypatch.setattr(ComputationRecord, "append", checked_append)
+    with ComputationRecord():
+        backward(fn(*(Tensor.param(p) for p in point)))
+    monkeypatch.undo()
+    return problems, kinds
+
+
+class TestOwnershipContract:
+    """The walk adds in place into a gradient buffer that a closure made,
+    so no closure may return one new buffer, or overlapping views of it,
+    for two inputs, and each new buffer it returns is writeable.  It may
+    return its upstream gradient as it is, as ``add`` does."""
+
+    def test_every_primitive_keeps_it(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        seen = set()
+        for name, case in sorted(PRIMITIVE_GRAD_CASES.items()):
+            problems, kinds = _contract_problems(monkeypatch, *case(rng))
+            assert problems == [], name
+            seen |= kinds
+        assert seen >= set(ops.PRIMITIVES)
+
+    @staticmethod
+    def _pair_op(closure):
+        """The sum of two [3] tensors, whose closure is ``closure``."""
+        def fn(a, b):
+            out = Tensor(a.data + b.data, requires_grad=True)
+            current_record().append("pair", (a, b), out, closure)
+            return ops.sum_all(out)
+        return fn, [np.ones(3), np.ones(3)]
+
+    @staticmethod
+    def _read_only(g):
+        h = g * 2.0
+        h.flags.writeable = False
+        return h, g
+
+    @pytest.mark.parametrize("closure", [
+        lambda g: ((g * 2.0,) * 2),
+        lambda g: (lambda h: (h[:3], h[1:4]))(np.concatenate([g, g])),
+        _read_only.__func__,
+    ], ids=["one-buffer", "overlapping-views", "read-only"])
+    def test_a_closure_that_breaks_it_fails(self, monkeypatch, closure):
+        problems, _ = _contract_problems(monkeypatch, *self._pair_op(closure))
+        assert problems
+
+    @pytest.mark.parametrize("closure", [
+        lambda g: (g, g),
+        lambda g: (lambda h: (h[:3], h[3:]))(np.concatenate([g, g])),
+    ], ids=["upstream-twice", "disjoint-views"])
+    def test_a_closure_that_keeps_it_passes(self, monkeypatch, closure):
+        problems, _ = _contract_problems(monkeypatch, *self._pair_op(closure))
+        assert problems == []
 
 
 # 0-d integer side inputs, by parameter name

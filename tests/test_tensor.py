@@ -467,6 +467,132 @@ class TestPooledGradients:
         np.testing.assert_array_equal(g, want)
 
 
+    def test_winners_then_a_dense_gradient_make_a_dense_sum(self):
+        """x's slot keeps the winners, which are no ndarray, when relu's
+        new dense gradient meets them: the sum is a new dense array."""
+        x = Tensor.param(np.array([[1.0, -2.0], [3.0, 4.0], [-1.0, 0.5]]))
+        with ComputationRecord():
+            grads = backward(ops.add(ops.sum_all(ops.relu(x)),
+                                     ops.sum_all(ops.max_over_time(x))))
+        assert type(grads[x.tid]) is np.ndarray
+        np.testing.assert_array_equal(grads[x.tid], [[1, 0], [2, 2], [0, 1]])
+
+    def test_linear_charges_its_dense_copy_until_the_reduction(self):
+        """``linear`` reads winners through ``np.asarray``, a dense copy
+        that its weight's factors keep until the walk multiplies them out:
+        the walk charges it when it stacks the factors, and it dies with
+        them."""
+        x = Tensor.param(np.arange(1.0, 13.0, dtype=np.float32).reshape(4, 3))
+        w = Tensor.param(np.ones((3, 2), dtype=np.float32))
+        b = Tensor.param(np.zeros(2, dtype=np.float32))
+        seen = []
+        with ComputationRecord() as rec:
+            loss = ops.sum_all(ops.max_over_time(
+                ops.linear(ops.relu(x), w, b)))
+            inner = rec.entries[0].backward_fn
+            rec.entries[0].backward_fn = lambda g: seen.append(
+                rec.ledger.current("gradients")) or inner(g)
+            grads = backward(loss)
+            after = rec.ledger.current("gradients")
+        # as relu's closure runs: its upstream [4, 3], the factors' dense
+        # [4, 2] copy of the winners, and b's [2]
+        assert seen == [48 + 32 + 8]
+        # x's [4, 3], w's [3, 2] and b's [2]: the copy died with the factors
+        assert after == 48 + 24 + 8 == sum(g.nbytes for g in grads.values())
+
+def _log_returns(record, index, log):
+    """Wrap entry ``index``'s closure to log the gradients it returns."""
+    inner = record.entries[index].backward_fn
+
+    def logged(g):
+        grads = inner(g)
+        log.append(grads)
+        return grads
+    record.entries[index].backward_fn = logged
+
+
+def cast32(x):
+    """Identity on float64 ``x``, whose closure passes back a float32 copy
+    of its upstream gradient."""
+    out = Tensor(x.data.copy(), requires_grad=x.requires_grad)
+    current_record().append("cast32", (x,), out,
+                            lambda g: (np.asarray(g, dtype=np.float32),))
+    return out
+
+
+class TestOwnership:
+    """A slot owns a gradient buffer that nothing else reads and adds the
+    next gradient into it, so a sum needs no third buffer; it never writes
+    into a shared one."""
+
+    def test_a_new_buffer_takes_the_next_gradient_in_place(self):
+        """y feeds two relus: the closure that runs first makes a new
+        buffer, so y's slot owns it and adds the other's into it, and gelu
+        receives that very array."""
+        x = Tensor.param(np.array([0.5, -1.0, 2.0], dtype=np.float32))
+        log, received = [], []
+        with ComputationRecord() as rec:
+            y = ops.gelu(x)
+            loss = ops.add(ops.sum_all(ops.relu(y)), ops.sum_all(ops.relu(y)))
+            for index in (3, 1):
+                _log_returns(rec, index, log)
+            TestPooledGradients._received(rec, 0, received)
+            backward(loss)
+        ((first,), (second,)), (g,) = log, received
+        assert g is first and g is not second
+        np.testing.assert_array_equal(g, [2, 0, 2])
+
+    def test_a_shared_gradient_is_added_into_a_new_one(self):
+        """``add`` passes its one upstream array to x and to relu's output:
+        relu's new gradient for x takes the sum in place, and the shared
+        array keeps its values."""
+        x = Tensor.param(np.array([1.0, -2.0, 3.0], dtype=np.float32))
+        log, upstream = [], []
+        with ComputationRecord() as rec:
+            loss = ops.sum_all(ops.add(ops.relu(x), x))
+            _log_returns(rec, 0, log)
+            TestPooledGradients._received(rec, 1, upstream)
+            grads = backward(loss)
+        ((fresh,),) = log
+        assert grads[x.tid] is fresh
+        np.testing.assert_array_equal(fresh, [2, 1, 2])
+        np.testing.assert_array_equal(upstream[0], [1, 1, 1])
+
+    def test_two_shared_gradients_make_a_new_sum(self):
+        x = Tensor.param(np.ones(3, dtype=np.float32))
+        upstream = []
+        with ComputationRecord() as rec:
+            loss = ops.sum_all(ops.add(x, x))
+            TestPooledGradients._received(rec, 0, upstream)
+            grads = backward(loss)
+        assert grads[x.tid] is not upstream[0]
+        np.testing.assert_array_equal(grads[x.tid], [2, 2, 2])
+        np.testing.assert_array_equal(upstream[0], [1, 1, 1])
+
+    def test_a_new_gradient_of_another_dtype_makes_a_new_sum(self):
+        """A shared float64 gradient and a new float32 one sum to float64,
+        as ``np.add`` types it, not into the float32 buffer."""
+        x = Tensor.param(np.ones(3))
+        with ComputationRecord():
+            grads = backward(ops.sum_all(ops.add(cast32(x), x)))
+        assert grads[x.tid].dtype == np.float64
+        np.testing.assert_array_equal(grads[x.tid], [2, 2, 2])
+
+    def test_row_sparse_update_goes_into_an_owned_table(self):
+        """The table's dense gradient from ``sum_all`` is a new buffer, so
+        the lookup's update adds into it without a copy."""
+        table = Tensor.param(np.zeros((3, 2), dtype=np.float32))
+        log = []
+        with ComputationRecord() as rec:
+            rows = ops.embedding_lookup(table, ids=np.array([2, 2]))
+            loss = ops.add(ops.sum_all(rows), ops.sum_all(table))
+            _log_returns(rec, 2, log)
+            grads = backward(loss)
+        ((dense,),) = log
+        assert grads[table.tid] is dense
+        np.testing.assert_array_equal(dense, [[1, 1], [1, 1], [3, 3]])
+
+
 class TestRecordLifecycle:
     """The record charges each buffer while it lives: inside its block or
     past it, and whatever ends the block."""

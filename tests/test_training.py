@@ -600,7 +600,7 @@ class TestTracedStep:
         products before it returns them), the walk's stacked factor copies,
         a gradient that a slot adds in but does not keep, the small index
         arrays that closures save, and Python objects.  On this grid the
-        ledger reads 0.84-0.96x of the traced peak, ``static`` and FE the
+        ledger reads 0.83-0.96x of the traced peak, ``static`` and FE the
         least, where the head's temporaries weigh most."""
         ledger, traced = self._step_peaks(preset, mode, batch, t_len)
         assert 0.7 * traced <= ledger <= traced
@@ -608,7 +608,7 @@ class TestTracedStep:
     @pytest.mark.parametrize("preset, batch", [("tiny", 50), ("L-12", 40)])
     def test_fe_fit_ratio_matches_the_physical_one(self, preset, batch):
         """At T 16 the ledger's FE/FiT step-peak ratio is within 0.04 of the
-        traced one (0.18 against 0.20 on ``tiny``, 0.042 against 0.047 on
+        traced one (0.17 against 0.19 on ``tiny``, 0.039 against 0.044 on
         ``L-12``), so it measures the paper's frozen-encoder memory saving."""
         fe = self._step_peaks(preset, "FE", batch, 16)
         fit = self._step_peaks(preset, "FiT", batch, 16)
