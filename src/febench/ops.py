@@ -8,15 +8,17 @@ and nothing keeps it alive.  Inside a record the backward closure is only
 kept when some input requires a gradient, so a forward-only subgraph (a
 frozen encoder) retains no backward state.  The record keeps no reference
 to an output, so it dies with its last consumer unless a kept closure saves
-its array: ``add`` and ``max_over_time`` save none of their inputs, and
-``gelu`` saves only its local derivative.  A kept closure that saves an
-array the primitive allocated names it in ``_emit``'s ``saves``, and the
-record charges it as an activation until the closure dies: ``gelu``'s
-derivative, ``layer_norm``'s ``xhat`` and ``inv``, attention's weights,
-``max_over_time``'s argmax, ``softmax_xent``'s ``expv`` and ``total``, and
-the conv's windows when they view a copy of its input.  Inputs that a
-closure saves are charged by their own producers; parameters and integer
-side inputs are the caller's, and never charged.
+its array: ``add``, ``relu`` and ``max_over_time`` save none of their
+inputs, and ``gelu`` saves only its local derivative.  A kept closure that
+saves an array the primitive allocated names it in ``_emit``'s ``saves``,
+and the record charges it as an activation until the closure dies:
+``relu``'s boolean mask, ``gelu``'s derivative, ``layer_norm``'s ``xhat``
+and ``inv``, attention's weights, ``max_over_time``'s argmax in the
+narrowest unsigned type that holds its row count less one, ``softmax_xent``'s
+``expv`` and ``total``, ``sigmoid_bce``'s float copy of targets of another
+type, and the conv's windows when they view a copy of its input.  Inputs
+that a closure saves are charged by their own producers; parameters and
+integer side inputs are the caller's, and never charged.
 A kernel writes in place only into arrays it allocated in the same call,
 never into an input, a saved array or an upstream gradient (``add`` hands
 one gradient array to both of its inputs).  Each in-place step runs its
@@ -92,6 +94,12 @@ def _count(name, value, most):
     return value
 
 
+def _kept(x):
+    """Whether a one-input primitive's closure will be kept: ``x`` needs a
+    gradient and a record is active."""
+    return x.requires_grad and current_record() is not None
+
+
 def _emit(kind, inputs, out_data, backward_fn, saves=()):
     """Wrap ``out_data`` in a tensor and, inside a record, charge it and
     tape ``backward_fn`` if an input needs a gradient; the arrays in
@@ -119,7 +127,11 @@ def matmul(a, b):
     ad, bd = a.data, b.data
 
     def bwd(g):
-        return g @ bd.T, Factors(ad, g)
+        g = np.asarray(g)
+        # g @ b.T as the transpose of b @ g.T: OpenBLAS runs the NT product
+        # slowly at few rows, and the NN one gave the same bits at every
+        # float32 shape tried
+        return np.ascontiguousarray((bd @ g.T).T), Factors(ad, g)
 
     return _emit("matmul", (a, b), ad @ bd, bwd)
 
@@ -147,18 +159,26 @@ def sum_all(x):
 
 
 def relu(x):
+    """Elementwise ``max(x, 0)``.  When its closure is kept it saves only
+    the boolean mask ``x > 0``, a byte per element, not ``x``; ``g * mask``
+    casts the mask as ``g * (x > 0)`` would."""
     xd = x.data
+    bwd, saves = None, ()
+    if _kept(x):
+        # as an array even for a 0-d input, so the saved mask is the one charged
+        mask = np.asarray(xd > 0)
 
-    def bwd(g):
-        return (g * (xd > 0),)
+        def bwd(g):
+            return (g * mask,)
+        saves = (mask,)
 
-    return _emit("relu", (x,), np.maximum(xd, 0), bwd)
+    return _emit("relu", (x,), np.maximum(xd, 0), bwd, saves)
 
 
 def gelu(x):
     """Gaussian error linear unit, tanh approximation.
 
-    When ``x`` needs a gradient, the forward computes the local derivative
+    When its closure is kept, the forward computes the local derivative
     ``d`` and the closure saves only it, not ``x`` and ``tanh(u)``; its
     ``g * d`` rounds exactly as multiplying by the derivative's expression
     at backward time would.  Otherwise ``d`` is never computed.  The
@@ -175,7 +195,7 @@ def gelu(x):
     np.tanh(t, out=t)
     out = 0.5 * xd
     bwd, saves = None, ()
-    if x.requires_grad:
+    if _kept(x):
         # as an array even for a 0-d input, so the saved d is the one charged
         d = np.asarray(t + 1.0)
         du = xd * (3 * 0.044715)
@@ -325,8 +345,9 @@ def conv1d_valid(x, w, b, limit):
 def max_over_time(x):
     """Columnwise max over every row of [T, F], T at least 1.
 
-    The backward saves only the argmax and returns the input's gradient as
-    :class:`Pooled` winners, without a dense [T, F] array.
+    The backward saves only the argmax, in the narrowest unsigned type
+    that holds T - 1 (uint8 up to T 256), and returns the input's gradient
+    as :class:`Pooled` winners, without a dense [T, F] array.
     """
     if x.data.ndim != 2 or x.shape[0] == 0:
         raise ShapeMismatchError(
@@ -334,11 +355,15 @@ def max_over_time(x):
     t_len, f = x.shape
     idx = x.data.argmax(axis=0)
     out = x.data[idx, np.arange(f)]
+    bwd, saves = None, ()
+    if _kept(x):
+        rows = idx.astype(np.min_scalar_type(t_len - 1))
 
-    def bwd(g):
-        return (Pooled(idx, g, t_len),)
+        def bwd(g):
+            return (Pooled(rows, g, t_len),)
+        saves = (rows,)
 
-    return _emit("max_over_time", (x,), out, bwd, (idx,))
+    return _emit("max_over_time", (x,), out, bwd, saves)
 
 
 def embedding_lookup(table, ids):
@@ -475,7 +500,9 @@ def linear(x, w, b):
 
     def bwd(g):
         x2, g2 = xd.reshape(-1, n_in), np.asarray(g).reshape(-1, n_out)
-        return (g2 @ wd.T).reshape(xd.shape), Factors(x2, g2), g2.sum(axis=0)
+        # g2 @ w.T as the transpose of w @ g2.T, as in matmul
+        dx = np.ascontiguousarray((wd @ g2.T).T)
+        return dx.reshape(xd.shape), Factors(x2, g2), g2.sum(axis=0)
 
     out = xd @ wd
     out += b.data
@@ -500,13 +527,12 @@ def softmax_xent(logits, targets):
     shifted = ld - ld.max(axis=1, keepdims=True)
     expv = np.exp(shifted)
     total = expv.sum(axis=1, keepdims=True)
-    rows = np.arange(n)
-    logp = shifted[rows, targets] - np.log(total[:, 0])
+    logp = shifted[np.arange(n), targets] - np.log(total[:, 0])
     loss = -logp.mean()
 
     def bwd(g):
         p = expv / total
-        p[rows, targets] -= 1.0
+        p[np.arange(n), targets] -= 1.0
         p *= g / n
         return (p,)
 
@@ -515,7 +541,7 @@ def softmax_xent(logits, targets):
 
 def sigmoid_bce(logits, targets):
     """Mean elementwise binary cross-entropy on logits against 0/1 targets."""
-    targets = np.asarray(targets, dtype=logits.data.dtype)
+    given, targets = targets, np.asarray(targets, dtype=logits.data.dtype)
     if targets.shape != logits.shape:
         raise ShapeMismatchError(
             f"sigmoid_bce targets {tuple(targets.shape)} vs logits {tuple(logits.shape)}")
@@ -527,7 +553,10 @@ def sigmoid_bce(logits, targets):
         sig = 0.5 * (1.0 + np.tanh(0.5 * ld))
         return ((sig - targets) * (g / size),)
 
-    return _emit("sigmoid_bce", (logits,), loss, bwd)
+    # a cast or converted copy of the targets is this call's, and the
+    # closure keeps it; a caller's float array stays the caller's
+    saves = () if targets is given else (targets,)
+    return _emit("sigmoid_bce", (logits,), loss, bwd, saves)
 
 
 PRIMITIVES = {

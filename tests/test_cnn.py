@@ -255,16 +255,15 @@ class TestPoolBeforeRelu:
         ledger = MemoryLedger()
         with ComputationRecord(ledger):
             loss = ops.sum_all(cnn_forward(config, weights, hidden, valid_length=7))
-            # the forward peaks at the [3] logits: the second kernel's
-            # [7 - 3 + 1, 5] conv output (the first's [6, 5] died when the
-            # loop rebound it), per kernel a [5] int64 argmax, pooled and
-            # relu [5], and the [10] concat
-            assert ledger.peak() == 100 + 2 * (40 + 20 + 20) + 40 + 12 == 312
+            # the forward peaks at the second kernel's [7 - 3 + 1, 5] conv
+            # output, while the first's [6, 5] is still bound and its [5]
+            # uint8 argmax, [5] relu output and [5] boolean mask live (its
+            # pooled row died once relu returned)
+            assert ledger.peak() == 120 + 100 + (5 + 20 + 5) == 250
             # once it returns, only what a closure saves lives: the argmaxes,
-            # the pooled rows (relu saves its input), the concat (linear
-            # saves its input), and the scalar loss
-            saved = 2 * 40 + 2 * 20 + 40
-            assert ledger.current("activations") == saved + 4 == 164
+            # the masks, the concat (linear saves its input), and the loss
+            saved = 2 * 5 + 2 * 5 + 40
+            assert ledger.current("activations") == saved + 4 == 64
             grads = backward(loss)
             # the weights: conv [2, 8, 5] and [3, 8, 5] with [5] biases,
             # projection [10, 3] and [3]
@@ -278,8 +277,8 @@ class TestPoolBeforeRelu:
             # loss; the logits' [3] gradient and the projection's; the first
             # kernel's winners, charged as their dense [6, 5], and their [5]
             # values; and the conv gradients
-            assert ledger.peak() == (40 + 40 + 4) + (12 + 12 + 120) \
-                + (120 + 20) + (480 + 20 + 320 + 20) == 1208
+            assert ledger.peak() == (5 + 40 + 4) + (12 + 12 + 120) \
+                + (120 + 20) + (480 + 20 + 320 + 20) == 1173
         assert hidden.tid not in grads
         # the map holds the weights' gradients only; the outputs' died in the walk
         widths = sorted(g.shape for g in grads.values())
@@ -316,7 +315,7 @@ class TestPoolBeforeRelu:
             # the frozen walk's gradient peak is 1124 (see the test above);
             # a trainable input adds its one [T, 8] there
             own = t_len * 8 * 4 if trainable_hidden else 0
-            assert ledger.peak("activations") == 312
+            assert ledger.peak("activations") == 250
             assert ledger.peak("gradients") == 1124 + own
         assert charged == [(7 - 2 + 1) * 5 * 4, (7 - 3 + 1) * 5 * 4] * 3
 

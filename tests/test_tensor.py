@@ -615,12 +615,14 @@ class TestRecordLifecycle:
         x = Tensor.param(np.ones(8, dtype=np.float32))
         with ComputationRecord(ledger):
             loss = ops.sum_all(ops.relu(x))
-            # relu saves its input, not its output, which died with sum_all
-            assert ledger.current("activations") == 4
+            # relu saves its [8] boolean mask, not its output, which died
+            # with sum_all
+            assert ledger.current("activations") == 8 + 4
             grads = backward(loss)
             assert ledger.current("gradients") == 32
-            # relu's upstream [8] and x's, once the loss's seed died
-            assert ledger.peak() == 4 + 32 + 32
+            # the mask and the loss, relu's upstream [8] and x's, once the
+            # loss's seed died
+            assert ledger.peak() == 12 + 32 + 32
         assert ledger.current() == 4 + 32
         del loss, grads
         assert ledger.current() == 0
@@ -650,22 +652,23 @@ class TestRecordLifecycle:
         x = Tensor(np.ones((4, 3), dtype=np.float32))
         with ComputationRecord(ledger):
             loss = ops.sum_all(ops.relu(ops.matmul(x, w)))
-            # [4, 2] matmul and relu outputs and the scalar loss, then the
-            # relu output dies: relu saves the matmul output, its input
-            assert ledger.peak() == 32 + 32 + 4
-            assert ledger.current("activations") == 32 + 4
+            # the [4, 2] matmul output, relu's [4, 2] boolean mask and
+            # output; then the matmul output dies, as relu saves only the
+            # mask, and the relu output dies with sum_all
+            assert ledger.peak() == 32 + 8 + 32
+            assert ledger.current("activations") == 8 + 4
             assert ledger.current("gradients") == 0
             grads = backward(loss)
             # w's [3, 2], in group "head"; the rest died in the walk
             assert ledger.current("gradients") == 24
             assert ledger.breakdown()["group_current"] == {"gradients/head": 24}
-            # relu's closure ran: the matmul output, the loss, and the
-            # [4, 2] gradients of the relu output and the matmul output
-            assert ledger.peak() == 36 + 64
+            # relu's closure ran: the mask, the loss, and the [4, 2]
+            # gradients of the relu output and the matmul output
+            assert ledger.peak() == 12 + 64
         assert ledger.current() == 4 + 24
         del loss, grads
         assert ledger.current() == 0
-        assert ledger.peak() == 36 + 64
+        assert ledger.peak() == 12 + 64
 
     def test_shared_weight_holds_one_gradient(self):
         """Two documents through one head weight charge one weight's bytes."""
@@ -744,9 +747,10 @@ class TestRecordLifecycle:
         x = Tensor(np.ones((4, 3), dtype=np.float32))
         with ComputationRecord(ledger):
             loss = ops.sum_all(ops.matmul(ops.relu(ops.matmul(x, enc)), head))
-            # [4, 2] matmul and relu outputs, saved by relu and the second
-            # matmul, and the scalar loss; the [4, 1] output died with sum
-            assert ledger.current("activations") == 32 + 32 + 4
+            # relu's [4, 2] mask and output, saved by relu and the second
+            # matmul, and the scalar loss; the first [4, 2] matmul output
+            # died once relu returned, the [4, 1] output with sum
+            assert ledger.current("activations") == 8 + 32 + 4
             grads = backward(loss)
             # the seed, the [4, 1], the relu output's and the first matmul
             # output's [4, 2], and the two weights'
@@ -758,17 +762,18 @@ class TestRecordLifecycle:
             assert ledger.allocs == 6
         del loss, grads
         assert ledger.current() == 0
-        # the forward peaks with the [4, 1] output and the loss alive
-        assert ledger.peak("activations") == 32 + 32 + 16 + 4
+        # the forward peaks in relu: the first matmul's output, the mask
+        # and relu's output
+        assert ledger.peak("activations") == 32 + 8 + 32
         # relu's closure ran: its upstream [4, 2] and its own, and the [4, 1]
-        # upstream, which the head's pending factors keep
+        # upstream, which the head's pending factors keep with relu's output
         assert ledger.peak("gradients") == 16 + 32 + 32
         assert ledger.group_peak("gradients", "encoder") == 24
         assert ledger.group_peak("gradients", "head") == 8
-        assert ledger.peak() == 68 + 80
+        assert ledger.peak() == 44 + 80
         assert ledger.breakdown()["at_peak"] == {
             "parameters": 0, "gradients": 80, "optimizer_state": 0,
-            "activations": 68}
+            "activations": 44}
 
     def test_frozen_outputs_die_with_their_consumer(self):
         """A frozen chain's outputs are charged only while something holds
@@ -872,9 +877,10 @@ class TestRecordLifecycle:
                     pass
             loss = ops.sum_all(ops.relu(x))
             grads = backward(loss)
-            # both [2] relu outputs died with their consumers; the loss lives
+            # both [2] relu outputs died with their consumers, and their
+            # [2] masks with the walk; the loss lives
             assert ledger.current("activations") == 4
-            assert ledger.peak("activations") == 8 + 4
+            assert ledger.peak("activations") == 2 + 2 + 8 + 4
             # the walk consumed all three entries
             assert outer.entries == []
         np.testing.assert_array_equal(grads[x.tid], [1.0, 0.0])
@@ -885,45 +891,66 @@ class TestRecordLifecycle:
         np.testing.assert_array_equal(grads[x.tid], [1.0, 1.0])
 
 
+def _saved_cases():
+    """{case: (primitive, inputs needing a gradient, bytes its closure
+    saves)} in float32, at least one case per primitive; int64 side inputs
+    are caller-owned and not charged."""
+    rng = np.random.default_rng(0)
+    f32 = np.float32
+    x = rng.normal(size=(6, 4)).astype(f32)
+    targets = np.array([[0, 1, 1, 0], [1, 0, 0, 0], [0, 0, 1, 1]] * 2)
+    return {
+        # each saves only its inputs, or nothing
+        "matmul": (ops.matmul, [x, rng.normal(size=(4, 2)).astype(f32)], 0),
+        "add": (ops.add, [x, x.copy()], 0),
+        "sum": (ops.sum_all, [x], 0),
+        "embedding_lookup": (
+            lambda t: ops.embedding_lookup(t, ids=np.array([[0, 5], [2, 2]])),
+            [x], 0),
+        "concat": (lambda *p: ops.concat(p), [x, x[:2].copy()], 0),
+        "stack": (lambda *p: ops.stack(p), [x, x.copy()], 0),
+        "linear": (ops.linear, [x, rng.normal(size=(4, 3)).astype(f32),
+                                np.zeros(3, f32)], 0),
+        # the [6, 4] boolean mask
+        "relu": (ops.relu, [x], 6 * 4),
+        # the [6, 4] derivative
+        "gelu": (ops.gelu, [x], 6 * 4 * 4),
+        # xhat [6, 4] and inv [6, 1]
+        "layer_norm": (ops.layer_norm, [x, np.ones(4, f32), np.zeros(4, f32)],
+                       (6 * 4 + 6) * 4),
+        # the weights, [heads, T, T]
+        "scaled_dot_attention": (
+            lambda q, k, v: ops.scaled_dot_attention(q, k, v, 2, 5),
+            [x, x.copy(), x.copy()], 2 * 6 * 6 * 4),
+        # the [4] argmax, uint8 for 6 rows
+        "max_over_time": (ops.max_over_time, [x], 4),
+        # the exponentials [6, 4] and their row sums [6, 1]
+        "softmax_xent": (
+            lambda t: ops.softmax_xent(t, targets=np.array([0, 3, 1, 2, 2, 0])),
+            [x], (6 * 4 + 6) * 4),
+        # float32 targets are the caller's
+        "sigmoid_bce": (
+            lambda t: ops.sigmoid_bce(t, targets=targets.astype(f32)), [x], 0),
+        # int64 targets: the closure keeps their [6, 4] float32 copy
+        "sigmoid_bce int targets": (
+            lambda t: ops.sigmoid_bce(t, targets=targets), [x], 6 * 4 * 4),
+        # its windows view its contiguous input, which is not its own
+        "conv1d_valid": (
+            lambda t, w, b: ops.conv1d_valid(t, w, b, limit=4),
+            [x, rng.normal(size=(2, 4, 3)).astype(f32), np.zeros(3, f32)], 0),
+    }
+
+
 class TestSavedArrays:
     """Each primitive charges the arrays that its kept closure saves while
     the tape lives, and frees them when the record exits."""
 
-    @staticmethod
-    def _case(name):
-        """(primitive, inputs needing a gradient, bytes its closure saves)
-        in float32; int64 side inputs are caller-owned and not charged."""
-        rng = np.random.default_rng(len(name))
-        f32 = np.float32
-        x = rng.normal(size=(6, 4)).astype(f32)
-        return {
-            "gelu": (ops.gelu, [x], 6 * 4 * 4),
-            # xhat [6, 4] and inv [6, 1]
-            "layer_norm": (ops.layer_norm, [x, np.ones(4, f32), np.zeros(4, f32)],
-                           (6 * 4 + 6) * 4),
-            # the weights, [heads, T, T]
-            "scaled_dot_attention": (
-                lambda q, k, v: ops.scaled_dot_attention(q, k, v, 2, 5),
-                [x, x.copy(), x.copy()], 2 * 6 * 6 * 4),
-            # the [4] argmax, int64
-            "max_over_time": (ops.max_over_time, [x], 4 * 8),
-            # the exponentials [6, 4] and their row sums [6, 1]
-            "softmax_xent": (
-                lambda t: ops.softmax_xent(t, targets=np.array([0, 3, 1, 2, 2, 0])),
-                [x], (6 * 4 + 6) * 4),
-            # its windows view its contiguous input, which is not its own
-            "conv1d_valid": (
-                lambda t, w, b: ops.conv1d_valid(t, w, b, limit=4),
-                [x, rng.normal(size=(2, 4, 3)).astype(f32), np.zeros(3, f32)], 0),
-            # it saves only its inputs
-            "matmul": (ops.matmul, [x, rng.normal(size=(4, 2)).astype(f32)], 0),
-        }[name]
+    def test_every_primitive_has_a_case(self):
+        assert {name.split()[0] for name in _saved_cases()} == set(ops.PRIMITIVES)
 
-    @pytest.mark.parametrize("name", ["gelu", "layer_norm", "scaled_dot_attention",
-                                      "max_over_time", "softmax_xent",
-                                      "conv1d_valid", "matmul"])
+    @pytest.mark.parametrize("name", sorted(_saved_cases()))
     def test_saved_while_the_tape_lives(self, name):
-        fn, arrays, saved = self._case(name)
+        fn, arrays, saved = _saved_cases()[name]
         inputs = [Tensor.param(a) for a in arrays]
         ledger = MemoryLedger()
         with ComputationRecord(ledger) as rec:
@@ -952,6 +979,41 @@ class TestSavedArrays:
         with ComputationRecord(ledger):
             out = ops.conv1d_valid(x, w, b, limit=3)
             assert ledger.current("activations") == 3 * 3 * 4 + 4 * 7 * 4
+
+    @pytest.mark.parametrize("value, slope", [(0.3, 1.0), (-0.3, 0.0)])
+    def test_zero_d_relu(self, value, slope):
+        """A 0-d relu saves its mask as a 0-d array, one charged byte, and
+        its gradient is the mask's value."""
+        x = Tensor.param(np.asarray(value, dtype=np.float32))
+        ledger = MemoryLedger()
+        with ComputationRecord(ledger):
+            y = ops.relu(x)
+            assert ledger.current("activations") == 4 + 1
+            grads = backward(ops.sum_all(y))
+        assert grads[x.tid].shape == () and grads[x.tid] == slope
+        del y, grads
+        assert ledger.current() == 0
+
+    @pytest.mark.parametrize("t_len, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_winners_take_the_narrowest_type(self, t_len, dtype):
+        """Over T conv rows the saved argmax is the narrowest unsigned type
+        that holds T - 1, the last row wins a column, and the conv's
+        gradients from those winners equal, bit for bit, those from int64
+        winners."""
+        rng = np.random.default_rng(t_len)
+        x = rng.normal(size=(t_len + 1, 3)).astype(np.float32)
+        x[-2:] = 100.0  # the last window wins filter 0, whose weights are 1
+        w = rng.normal(size=(2, 3, 4)).astype(np.float32)
+        w[:, :, 0] = 1.0
+        x, w, b = Tensor.param(x), Tensor.param(w), Tensor.param(np.zeros(4, np.float32))
+        with ComputationRecord() as rec:
+            ops.max_over_time(ops.conv1d_valid(x, w, b, limit=t_len))
+            conv_bwd, pool_bwd = (e.backward_fn for e in rec.entries)
+            (winners,) = pool_bwd(rng.normal(size=4).astype(np.float32))
+            assert winners.rows.dtype == dtype and winners.rows[0] == t_len - 1
+            wide = Pooled(winners.rows.astype(np.int64), winners.values, t_len)
+            for got, want in zip(conv_bwd(winners), conv_bwd(wide)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_zero_d_gelu(self, dtype):
@@ -991,17 +1053,19 @@ class TestTapeLiveness:
         monkeypatch.setattr(ops, name, spy)
 
     def test_pooled_conv_outputs_die_with_the_head_forward(self, monkeypatch):
-        """Each [n, f] conv output is gone once the head's forward returns:
-        ``max_over_time`` saves only its argmax."""
+        """Each [n, f] conv output and each pooled [f] row is gone once the
+        head's forward returns: ``max_over_time`` saves only its argmax and
+        ``relu`` only its mask."""
         from febench.cnn import CnnHead, CnnHeadConfig
         seen = []
         self._spy_outputs(monkeypatch, "conv1d_valid", seen)
+        self._spy_outputs(monkeypatch, "relu", seen, on_input=True)
         head = CnnHead.build(CnnHeadConfig(hidden=8, classes=3, kernel_sizes=(2, 3),
                                            filters=4), seed=0)
         hidden = Tensor(np.random.default_rng(0).normal(size=(6, 8)).astype(np.float32))
         with ComputationRecord() as rec:
             logits = head.forward(hidden, 5)
-            assert len(seen) == 2 and len(rec.entries) == 8
+            assert len(seen) == 4 and len(rec.entries) == 8
             assert all(ref() is None for ref in seen)
             grads = backward(ops.sum_all(logits))
         assert all(p.tid in grads for p in head.weights.tensors.values())
